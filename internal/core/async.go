@@ -717,9 +717,8 @@ func (a *Analysis[S, R, P]) RunSwiftAsync(initial S, config Config) *Result[S, R
 		h.rec = config.RecordTrace
 		h.rec.reset(a.Prog.Entry, config)
 	}
-	// Raw view and dense scheduler for the same reason as RunSwift: trigger
-	// decisions sample EntrySeen mid-run, so traversal order is observable.
-	t := newTDSolver(client, a.raw(), config, h, nil)
+	// The same view and scheduler as RunSwift, for the same reasons.
+	t := newTDSolver(client, a.compressed(), config, h, nil)
 	res.TD = t.res
 	err := func() (err error) {
 		defer contain(&err)

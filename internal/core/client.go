@@ -116,11 +116,9 @@ type Client[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] interface {
 // extended slice, and must be safe for concurrent use if the client itself
 // is.
 //
-// The tabulation solver probes for this interface on the compressed view
-// and composes superblock chains out of compiled transfers; clients that
-// do not implement it are served by plain Trans. The raw view never uses
-// compiled transfers: the hybrid engines replay raw Trans output
-// bit-for-bit from the transfer memo (see DESIGN.md).
+// The tabulation solver probes for this interface in every engine and on
+// either view and composes superblock chains out of compiled transfers;
+// clients that do not implement it are served by plain Trans.
 type TransCompiler[S cmp.Ordered] interface {
 	CompileTrans(c *ir.Prim) func(s S, dst []S) []S
 }
@@ -200,8 +198,8 @@ type Config struct {
 	// identical result tables and identical counters — budgets are counted
 	// in original-graph units either way — so this is an A/B knob for
 	// benchmarking and for the equivalence property tests, not a semantic
-	// switch. The hybrid engines always run on the raw view regardless
-	// (their trigger sampling is traversal-order-sensitive; see DESIGN.md).
+	// switch. The hybrid engines ignore it: they always run on the
+	// compressed view (see RunSwift).
 	RawCFG bool
 
 	// NoTransferMemo disables the per-superedge transfer caches (the
@@ -216,8 +214,8 @@ type Config struct {
 	// produce identical result tables and identical counters — budgets and
 	// Steps are counted in original-graph units either way — so, like
 	// RawCFG, this is an A/B knob for benchmarking and the equivalence
-	// property tests, not a semantic switch. The hybrid engines always run
-	// dense regardless (their trigger sampling is order-sensitive).
+	// property tests, not a semantic switch. The hybrid engines ignore it
+	// and always run dense (see RunSwift).
 	NoSparse bool
 
 	// NoStructIndex keeps the sparse scheduler but strips its use of the

@@ -19,8 +19,8 @@ type Analysis[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 
 	// rawView and compView are the two solver-facing traversal overlays of
 	// CFG (see ir.RawView/ir.CompressedView), built lazily and shared by
-	// every run on this Analysis. Which engines may use the compressed view
-	// is a correctness question, not a tuning one — see tdView.
+	// every run on this Analysis. Every engine runs on the compressed view;
+	// the raw one only backs the td/bu Config.RawCFG ablation.
 	rawView  *ir.CFGView
 	compView *ir.CFGView
 
@@ -58,27 +58,30 @@ func (a *Analysis[S, R, P]) raw() *ir.CFGView {
 	return a.rawView
 }
 
-// tdView returns the traversal view for the order-insensitive solvers. At
-// completion, RunTD and RunBU's instantiation pass compute closure
-// properties — fact sets, summary tables, entry multiplicities and the
-// original-graph-unit counters are independent of worklist pop order — so
-// they default to the compressed superblock view. The hybrid engines must
-// NOT use it: their trigger decisions sample EntrySeen mid-run, where pop
-// order is observable (see DESIGN.md), so they always take the raw view.
-func (a *Analysis[S, R, P]) tdView(config Config) *ir.CFGView {
-	if config.RawCFG {
-		return a.raw()
-	}
+// compressed returns the superblock view, building it on first use.
+func (a *Analysis[S, R, P]) compressed() *ir.CFGView {
 	if a.compView == nil {
 		a.compView = ir.CompressedView(a.CFG)
 	}
 	return a.compView
 }
 
+// tdView returns the traversal view of RunTD and RunBU's instantiation
+// pass: the compressed view, or the raw one under the Config.RawCFG
+// ablation. Their fact sets, summary tables, entry multiplicities and
+// original-graph-unit counters are closure properties, independent of the
+// view and of pop order, so the knob never changes a result. The hybrids
+// ignore it and always take the compressed view (see RunSwift).
+func (a *Analysis[S, R, P]) tdView(config Config) *ir.CFGView {
+	if config.RawCFG {
+		return a.raw()
+	}
+	return a.compressed()
+}
+
 // sparseIndex returns the structure index matching tdView(config), or nil
-// when the sparse scheduler is disabled (Config.NoSparse). Only the
-// order-insensitive solvers call it; the hybrids always pass newTDSolver a
-// nil index (see RunSwift).
+// when the sparse scheduler is disabled (Config.NoSparse). Only td and bu
+// call it; the hybrids always pass newTDSolver a nil index (see RunSwift).
 func (a *Analysis[S, R, P]) sparseIndex(config Config) *ir.StructIndex {
 	if config.NoSparse {
 		return nil
@@ -279,12 +282,12 @@ func (a *Analysis[S, R, P]) RunSwift(initial S, config Config) *Result[S, R, P] 
 		pending:  map[string]bool{},
 		panicked: map[string]int{},
 	}
-	// The hybrid engine steps the raw view: trigger timing depends on pop
-	// order, which compression would change (see tdView). It still gets the
-	// transfer memo, whose hits replay raw Trans output bit-for-bit. For
-	// the same reason the sparse scheduler stays off here (nil index):
-	// reordering pops would move the EntrySeen samples triggers rank by.
-	t := newTDSolver(client, a.raw(), config, h, nil)
+	// Always the compressed view and the dense FIFO (nil index), whatever
+	// RawCFG, NoSparse and NoStructIndex say. Pop order decides when
+	// triggers fire and which EntrySeen sample they rank by, so this pins
+	// one schedule; Theorem 3.1 makes the error report independent of it.
+	// The sparse scheduler was measured and rejected here (DESIGN.md §13.5).
+	t := newTDSolver(client, a.compressed(), config, h, nil)
 	h.td = t
 	res.TD = t.res
 	err := func() (err error) {

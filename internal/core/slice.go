@@ -231,7 +231,7 @@ func (a *Analysis[S, R, P]) RunSliceSet(engine string, config Config, subset []S
 		a.tdView(config)
 		a.sparseIndex(config)
 	case "swift", "swift-async":
-		a.raw()
+		a.compressed()
 	default:
 		return nil, fmt.Errorf("core: unknown engine %q (want td, bu, swift or swift-async)", engine)
 	}

@@ -30,9 +30,9 @@ package core
 // inserted fact charges exactly one step, so Steps == NumPathEdges at
 // completion, as on the dense paths), and a budget trip lands the
 // path-edge counter on exactly MaxPathEdges+1 like both dense views. The
-// hybrid engines (swift, swift-async) never run sparse: their trigger
-// decisions sample EntrySeen mid-run, where fact pop order is observable —
-// the same constraint that pins them to the raw view (see DESIGN.md §13).
+// hybrid engines (swift, swift-async) never run sparse: pop order decides
+// when their triggers fire, and on sliced runs and served edits the sparse
+// schedule measured slower for them (see DESIGN.md §13.5).
 
 import (
 	"cmp"
@@ -87,8 +87,7 @@ const maxRegionClosureFacts = 1 << 20
 // sparseState is the scheduler state of one sparse run.
 type sparseState[S cmp.Ordered] struct {
 	idx *ir.StructIndex
-	// useRegions gates the region-memo path: compressed view only (the
-	// closure needs canonical chain sets) and not under NoStructIndex.
+	// useRegions gates the region-memo path: off under NoStructIndex.
 	useRegions bool
 	// key packs each node's heap priority and identity:
 	// (maxDepth-depth) << 44 | rpo << 22 | nodeID, popped min-first.
@@ -135,7 +134,7 @@ func newSparseState[S cmp.Ordered](idx *ir.StructIndex, config Config, stats *Sp
 	}
 	sp := &sparseState[S]{
 		idx:        idx,
-		useRegions: idx.View.Compressed && !config.NoStructIndex,
+		useRegions: !config.NoStructIndex,
 		key:        make([]int64, n),
 		pend:       make([][]pathPair[S], n),
 		gen:        make([]uint32, n),

@@ -95,8 +95,8 @@ func TestSparseMatchesDenseOnFixture(t *testing.T) {
 // TestSparseMatchesDenseRandomPrograms fuzzes the equivalence over seeded
 // random programs: every scheduler/view combination of the top-down
 // solver, the bottom-up instantiation pass, and the hybrid (which must be
-// bit-identical because it always pins the dense FIFO — the knobs are
-// no-ops there, not perturbations).
+// bit-identical because it always runs dense on the compressed view — the
+// knobs are no-ops there, not perturbations).
 func TestSparseMatchesDenseRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 12; trial++ {
@@ -122,13 +122,13 @@ func TestSparseMatchesDenseRandomPrograms(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.K = 1
 		swBase := an.RunSwift(init, cfg)
-		swKnob := an.RunSwift(init, applySparse(cfg, true, true, false))
+		swKnob := an.RunSwift(init, applySparse(cfg, true, true, true))
 		if swBase.Err != nil || swKnob.Err != nil {
 			t.Fatalf("%s: swift: %v / %v", label, swBase.Err, swKnob.Err)
 		}
 		sameTD(t, label+"/swift", swBase.TD, swKnob.TD)
 		if swBase.TD.Sparse.Enabled || swKnob.TD.Sparse.Enabled {
-			t.Errorf("%s: hybrid reported a sparse run; it must stay dense", label)
+			t.Errorf("%s: hybrid reported a sparse run; it must run dense on the compressed view", label)
 		}
 		if swBase.BUStats != swKnob.BUStats {
 			t.Errorf("%s: swift stats differ with knobs set", label)
@@ -266,15 +266,15 @@ func TestSparseStatsSanity(t *testing.T) {
 }
 
 // TestSparseKnobsInertInAsyncReplay covers the fourth engine: the
-// asynchronous hybrid always pins the dense FIFO over the raw view, so a
-// recorded schedule must replay bit-identically regardless of the sparse
-// knobs' settings.
+// asynchronous hybrid always runs the dense FIFO over the compressed view,
+// so a recorded schedule must replay bit-identically whatever the sparse
+// and view knobs say.
 func TestSparseKnobsInertInAsyncReplay(t *testing.T) {
 	trace, recorded := recordRun(t, drainProgram)
 	for _, v := range []struct {
-		name            string
-		noSparse, noIdx bool
-	}{{"default", false, false}, {"nosparse", true, false}, {"nostruct", false, true}} {
+		name                 string
+		noSparse, noIdx, raw bool
+	}{{"default", false, false, false}, {"nosparse", true, false, false}, {"nostruct", false, true, false}, {"raw", false, false, true}} {
 		kg := drainClient()
 		an, err := core.NewAnalysis[string, string, string](kg, drainProgram())
 		if err != nil {
@@ -284,14 +284,12 @@ func TestSparseKnobsInertInAsyncReplay(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.K = 1
 		cfg.ReplayTrace = trace
-		cfg.NoSparse = v.noSparse
-		cfg.NoStructIndex = v.noIdx
-		res := an.RunSwiftAsync(init, cfg)
+		res := an.RunSwiftAsync(init, applySparse(cfg, v.noSparse, v.noIdx, v.raw))
 		if res.Err != nil {
 			t.Fatalf("%s: replay failed: %v", v.name, res.Err)
 		}
 		if res.TD.Sparse.Enabled {
-			t.Errorf("%s: async hybrid reported a sparse run; it must stay dense", v.name)
+			t.Errorf("%s: async hybrid reported a sparse run; it must run dense on the compressed view", v.name)
 		}
 		if got := fingerprintResult(res, "main", init); got != recorded {
 			t.Errorf("%s: replay diverges from record\n--- record ---\n%s--- replay ---\n%s",

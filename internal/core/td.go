@@ -166,13 +166,8 @@ type interceptor[S cmp.Ordered] interface {
 // and its arena offset in starts[k]. For interned integer state types the
 // states arena is pointer-free, so the cache adds nothing to GC scan work,
 // and a miss costs two amortized appends instead of a handful of small
-// allocations.
-//
-// On the compressed view every set is canonical (sorted, deduplicated). On
-// the raw view the single set per entry is the client's raw Trans output
-// with order and duplicates preserved, so replaying a memo hit propagates
-// bit-for-bit like calling Trans again — the hybrid engines depend on that
-// (see DESIGN.md).
+// allocations. Every set is canonical (sorted, deduplicated), on either
+// view: traverse batch-merges them into the path-edge table.
 type seMemo[S cmp.Ordered] struct {
 	idx    map[S]int32
 	starts []int32
@@ -210,14 +205,12 @@ type tdSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	frontB []S
 	// compiler/cchains hold the client's compiled transfers
 	// (TransCompiler), resolved lazily per superedge into a chain of
-	// append-style functions indexed like se.Prims. Non-nil only on the
-	// compressed view: the raw view must observe raw Trans output verbatim
-	// for the hybrid engines' bit-exact memo replay.
+	// append-style functions indexed like se.Prims. Nil when the client
+	// compiles nothing.
 	compiler TransCompiler[S]
 	cchains  [][]func(S, []S) []S
-	// sp is the sparse scheduler state, nil for a dense run. Set only by
-	// the order-insensitive engines (td, bu): the hybrids observe pop
-	// order through their trigger sampling and always run dense.
+	// sp is the sparse scheduler state, nil for a dense run. Only td and
+	// bu set it; the hybrids run dense (see RunSwift).
 	sp *sparseState[S]
 	dl deadline
 }
@@ -234,8 +227,7 @@ const maxRetainedWork = 1 << 14
 
 // newTDSolver builds a solver over the view. sidx, when non-nil, selects
 // the sparse scheduler (see sparse.go); it must be a structure index of the
-// same view. Callers whose result order is observable mid-run (the hybrid
-// engines) must pass nil.
+// same view, and nil selects the dense FIFO.
 func newTDSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered](
 	client Client[S, R, P], view *ir.CFGView, config Config, hook interceptor[S],
 	sidx *ir.StructIndex,
@@ -262,11 +254,9 @@ func newTDSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered](
 		memo:    make([]*seMemo[S], view.NumSuperEdges),
 		dl:      newDeadline(config),
 	}
-	if view.Compressed {
-		if tc, ok := client.(TransCompiler[S]); ok {
-			t.compiler = tc
-			t.cchains = make([][]func(S, []S) []S, view.NumSuperEdges)
-		}
+	if tc, ok := client.(TransCompiler[S]); ok {
+		t.compiler = tc
+		t.cchains = make([][]func(S, []S) []S, view.NumSuperEdges)
 	}
 	if sidx != nil {
 		t.sp = newSparseState[S](sidx, config, &res.Sparse)
@@ -464,28 +454,10 @@ func (t *tdSolver[S, R, P]) step(item workItem[S]) error {
 // traverse pushes state out through a primitive superedge under entry
 // context in: interior nodes of a compressed chain receive their facts
 // eagerly (so every original-graph observation is preserved), and the
-// chain's final states propagate to the superedge target.
+// chain's final states propagate to the superedge target. Every engine and
+// both views walk chains here; a raw-view superedge is a chain without
+// interior nodes.
 func (t *tdSolver[S, R, P]) traverse(se *ir.SuperEdge, in, out S) error {
-	if !t.view.Compressed {
-		// Per-element, in raw Trans order: the hybrid engines replay memo
-		// hits bit-for-bit through this path (see seMemo).
-		if t.config.NoTransferMemo {
-			for _, s := range t.client.Trans(se.Prims[0], out) {
-				if err := t.propagate(se.To.ID, in, s); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		m, k := t.chainEntry(se, out)
-		start := m.starts[k]
-		for _, s := range m.states[start : start+m.lens[k]] {
-			if err := t.propagate(se.To.ID, in, s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	m, k := t.chainEntry(se, out)
 	rows := int32(len(se.Interior) + 1)
 	off, lrow := m.starts[k], k*rows
@@ -531,34 +503,11 @@ func (t *tdSolver[S, R, P]) chainEntry(se *ir.SuperEdge, s0 S) (*seMemo[S], int3
 }
 
 // computeChain composes the superedge's transfer functions on one state,
-// appending the resulting state sets to the memo's arenas and returning the
-// new entry's index.
+// appending the resulting canonical state sets to the memo's arenas and
+// returning the new entry's index.
 func (t *tdSolver[S, R, P]) computeChain(se *ir.SuperEdge, s0 S, m *seMemo[S]) int32 {
 	k := int32(len(m.starts))
 	m.starts = append(m.starts, int32(len(m.states)))
-	if len(se.Prims) == 1 {
-		if !t.view.Compressed {
-			// Raw Trans output, order and duplicates preserved: see seMemo.
-			finals := t.client.Trans(se.Prims[0], s0)
-			m.states = append(m.states, finals...)
-			m.lens = append(m.lens, int32(len(finals)))
-			return k
-		}
-		// The compressed traverse path batch-merges every set, which needs
-		// them canonical; order is unobservable off the raw view.
-		var front []S
-		if fs := t.chainFuncs(se); fs != nil {
-			front = fs[0](s0, t.frontA[:0])
-		} else {
-			front = append(t.frontA[:0], t.client.Trans(se.Prims[0], s0)...)
-		}
-		slices.Sort(front)
-		front = slices.Compact(front)
-		t.frontA = front[:0]
-		m.states = append(m.states, front...)
-		m.lens = append(m.lens, int32(len(front)))
-		return k
-	}
 	fs := t.chainFuncs(se)
 	front := append(t.frontA[:0], s0)
 	next := t.frontB[:0]

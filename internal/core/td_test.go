@@ -207,3 +207,31 @@ func TestCompressedViewSmallerOnChains(t *testing.T) {
 			comp.NumSuperEdges, raw.NumSuperEdges)
 	}
 }
+
+// TestHybridsRunOnCompressedView: both hybrids walk the compressed view
+// with the dense FIFO even when every td/bu ablation knob asks otherwise,
+// so a fresh Analysis never builds the raw view or a structure index for
+// them.
+func TestHybridsRunOnCompressedView(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.K = 1
+	cfg.RawCFG, cfg.NoStructIndex = true, true
+	for _, engine := range []string{"swift", "swift-async"} {
+		solver, taint := tdFixture(t, cfg)
+		a, err := NewAnalysis[string, string, string](taint, solver.cfg.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.RunEngine(engine, taint.Initial(), cfg)
+		if err != nil || res.Err != nil {
+			t.Fatalf("%s: %v / %v", engine, err, res.Err)
+		}
+		if a.compView == nil || a.rawView != nil || a.rawStruct != nil || a.compStruct != nil {
+			t.Errorf("%s: views built: compressed=%v raw=%v; structure indexes: %v %v",
+				engine, a.compView != nil, a.rawView != nil, a.rawStruct != nil, a.compStruct != nil)
+		}
+		if res.TD.Sparse.Enabled {
+			t.Errorf("%s: hybrid ran the sparse scheduler", engine)
+		}
+	}
+}

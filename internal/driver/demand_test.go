@@ -241,6 +241,40 @@ func TestSliceRunKeyDistinguishes(t *testing.T) {
 	}
 }
 
+// TestHybridKeysIgnoreViewKnobs: the hybrids ignore RawCFG, NoSparse and
+// NoStructIndex, so their result and slice-memo keys must not split over
+// them; td honours the knobs and keeps a distinct key per setting.
+func TestHybridKeysIgnoreViewKnobs(t *testing.T) {
+	b, err := FromSource(goodProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	knobs := map[string]func(*core.Config){
+		"rawCFG":        func(c *core.Config) { c.RawCFG = true },
+		"noSparse":      func(c *core.Config) { c.NoSparse = true },
+		"noStructIndex": func(c *core.Config) { c.NoStructIndex = true },
+	}
+	for name, set := range knobs {
+		kcfg := cfg
+		set(&kcfg)
+		for _, engine := range []string{"swift", "swift-async"} {
+			if ResultKey(b, engine, kcfg).ID() != ResultKey(b, engine, cfg).ID() {
+				t.Errorf("%s: %s result key split", engine, name)
+			}
+			if SliceRunKey(b, engine, kcfg, "h1").ID() != SliceRunKey(b, engine, cfg, "h1").ID() {
+				t.Errorf("%s: %s slice key split", engine, name)
+			}
+		}
+		if ResultKey(b, "td", kcfg).ID() == ResultKey(b, "td", cfg).ID() {
+			t.Errorf("td: %s result key aliases the default", name)
+		}
+		if SliceRunKey(b, "td", kcfg, "h1").ID() == SliceRunKey(b, "td", cfg, "h1").ID() {
+			t.Errorf("td: %s slice key aliases the default", name)
+		}
+	}
+}
+
 // TestAbortedSliceNotMemoized: a slice run that aborts on a budget fails
 // the Tables call with the slice named, and nothing is memoized — an
 // aborted run has no instantiated states and must never answer

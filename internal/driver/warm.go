@@ -78,16 +78,18 @@ type WarmStats struct {
 }
 
 // normalizeConfig mirrors core.RunEngine's per-engine overrides so store
-// keys are computed from the thresholds the engine actually runs with
-// (td always analyzes with K=∞, bu with θ=∞ — without this, td runs
-// requested with different K would occupy distinct keys for identical
-// artifacts).
+// keys are computed from the settings the engine actually runs with (td
+// always analyzes with K=∞, bu with θ=∞; the hybrids ignore RawCFG,
+// NoSparse and NoStructIndex). Without it, requests that differ only in an
+// ignored setting would occupy distinct keys for identical artifacts.
 func normalizeConfig(engine string, cfg core.Config) core.Config {
 	switch engine {
 	case "td":
 		cfg.K = core.Unlimited
 	case "bu":
 		cfg.Theta = core.Unlimited
+	case "swift", "swift-async":
+		cfg.RawCFG, cfg.NoSparse, cfg.NoStructIndex = false, false, false
 	}
 	return cfg
 }

@@ -52,17 +52,30 @@ type Key struct {
 	// knobs. They never change result tables, but keyed runs must not
 	// alias: a cached response reports the run's own telemetry, and an
 	// ablation request served from another knob setting's entry would
-	// silently skip the ablation.
+	// silently skip the ablation. Engines that ignore a knob (the hybrids
+	// ignore all but NoTransferMemo) get it zeroed by the driver, so their
+	// keys do not split over it.
 	RawCFG         bool
 	NoTransferMemo bool
 	NoSparse       bool
 	NoStructIndex  bool
 }
 
+// KeyVersion is the key-format version rendered into every ID. Bump it
+// whenever an engine's artifacts change for unchanged key fields, so a disk
+// store written by older code reads as empty instead of restoring
+// summaries and tables the new code would not produce. Version 2: the
+// hybrid engines moved to the compressed view, which changes when their
+// triggers fire.
+const KeyVersion = 2
+
 // ID returns the content address of the key: a hex SHA-256 over an
-// unambiguous (length-delimited) rendering of the fields.
+// unambiguous (length-delimited) rendering of the key-format version and
+// the fields. Version 1, the format from before versioning, rendered no
+// version at all.
 func (k Key) ID() string {
 	h := sha256.New()
+	fmt.Fprintf(h, "v%d;", KeyVersion)
 	for _, s := range []string{k.Kind, k.Proc, k.Body, k.Frozen, k.Engine} {
 		fmt.Fprintf(h, "%d:%s;", len(s), s)
 	}

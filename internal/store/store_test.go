@@ -1,6 +1,8 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,6 +46,21 @@ func TestKeyIDDistinct(t *testing.T) {
 	}
 	if base.ID() != k("summary", "p").ID() {
 		t.Error("identical keys produced different IDs")
+	}
+}
+
+// TestKeyVersionSeparatesIDs: the unversioned rendering that older code
+// used must address a different blob, so a store written by it reads as
+// empty.
+func TestKeyVersionSeparatesIDs(t *testing.T) {
+	base := k("summary", "p")
+	h := sha256.New()
+	for _, s := range []string{base.Kind, base.Proc, base.Body, base.Frozen, base.Engine} {
+		fmt.Fprintf(h, "%d:%s;", len(s), s)
+	}
+	fmt.Fprintf(h, "%d;%d;%t;%t;%t;%t", base.K, base.Theta, false, false, false, false)
+	if legacy := hex.EncodeToString(h.Sum(nil)); base.ID() == legacy {
+		t.Errorf("versioned ID %s equals the unversioned rendering", legacy)
 	}
 }
 

@@ -155,8 +155,9 @@ type analyzeRequest struct {
 	NoTransferMemo bool   `json:"noTransferMemo"`
 	// NoSparse pins the order-insensitive solvers to the dense FIFO
 	// worklist; NoStructIndex keeps the sparse scheduler but ignores loop
-	// structure. Both are A/B knobs: result tables are identical either
-	// way (the hybrids always run dense).
+	// structure. Both are td/bu A/B knobs: result tables are identical
+	// either way. The hybrids ignore them, and rawCFG, and share one cache
+	// entry whatever they say (see driver.ResultKey).
 	NoSparse      bool `json:"noSparse"`
 	NoStructIndex bool `json:"noStructIndex"`
 }

@@ -195,22 +195,31 @@ func (mm *memoMap[K, V]) put(k K, v V) {
 
 // ---- hashing ----
 
-// FNV-1a over the canonical encodings of interned values. The hash only
-// picks a lock stripe — it plays no part in ID assignment — so its quality
-// affects contention, never determinism.
+// FNV-style hashing over the canonical encodings of interned values. The
+// hash only picks a lock stripe — it plays no part in ID assignment — so
+// its quality affects contention, never determinism.
 
 const (
 	fnvOffset = 0xcbf29ce484222325
 	fnvPrime  = 0x100000001b3
 )
 
+// hashString folds s in eight bytes per multiply, then the remaining bytes
+// one at a time. A multiply only carries upward, so the final shift folds
+// the well-mixed high half into the low bits the stripe mask reads.
 func hashString(s string) uint64 {
 	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		h ^= uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+		h *= fnvPrime
+	}
+	for ; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= fnvPrime
 	}
-	return h
+	return h ^ h>>32
 }
 
 // mix folds one 64-bit lane into a running FNV-style hash.
