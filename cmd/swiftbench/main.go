@@ -16,8 +16,8 @@
 // -slices run analyzes concurrently (default GOMAXPROCS); the sliced table
 // too is byte-identical at any setting. -rawcfg and -nomemo time the
 // superblock/memo ablations; -nosparse falls back to the dense FIFO
-// worklist and -nostruct keeps the sparse scheduler but ignores loop
-// structure (plain RPO batching, no region memoization). All four
+// worklist and -nostruct keeps the sparse scheduler but drops loop-depth
+// priority (plain RPO batching). All four
 // ablations leave every table byte-identical — only timing and the stderr
 // telemetry change.
 // -cpuprofile/-memprofile write pprof profiles; every engine run is labeled
@@ -111,7 +111,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		rawcfg      = fs.Bool("rawcfg", false, "run order-insensitive solvers on the uncompressed CFG view (A/B ablation; tables are identical, only timing changes)")
 		nomemo      = fs.Bool("nomemo", false, "disable the per-superedge transfer caches (A/B ablation)")
 		nosparse    = fs.Bool("nosparse", false, "run order-insensitive solvers on the dense FIFO worklist instead of the structure-driven sparse scheduler (A/B ablation)")
-		nostruct    = fs.Bool("nostruct", false, "keep the sparse scheduler but ignore loop structure: plain RPO batching, no region memoization (A/B ablation)")
+		nostruct    = fs.Bool("nostruct", false, "keep the sparse scheduler but drop loop-depth priority: plain RPO batching (A/B ablation)")
 		record      = fs.String("record", "", "record one live swift-async schedule per benchmark into this directory")
 		replay      = fs.String("replay", "", "render the swift-async table by deterministically replaying the traces in this directory")
 		warmbench   = fs.Bool("warmbench", false, "run the cold-vs-warm summary-store benchmark")

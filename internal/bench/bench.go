@@ -49,8 +49,8 @@ type Budget struct {
 	NoTransferMemo bool
 
 	// NoSparse and NoStructIndex forward the sparse-scheduler ablation
-	// knobs: dense FIFO fact draining, or sparse draining without the
-	// loop-structure index (plain RPO batching, no region memoization).
+	// knobs: dense FIFO fact draining, or sparse draining without
+	// loop-depth priority (plain RPO batching).
 	// Like RawCFG, result tables are identical either way.
 	NoSparse      bool
 	NoStructIndex bool
@@ -286,14 +286,10 @@ func (s *Suite) RunConfig(name, engine string, cfg core.Config) (*EngineRun, err
 	if res.TD != nil && res.TD.Sparse.Enabled {
 		// Structure telemetry of the sparse scheduler. pops compares the
 		// priority worklist's node activations against the dense solver's
-		// per-fact pops (== Steps at completion); skipped counts facts the
-		// dirty frontier installed by region replay without ever scheduling
-		// their nodes.
+		// per-fact pops (== Steps at completion).
 		sp := res.TD.Sparse
-		s.telemetry("  struct %-10s %-6s regions=%d depth=%d memo=%d pops=%d/%d skipped=%d stale=%d rmemo=%d/%d/%d\n",
-			name, engine, sp.Regions, sp.MaxDepth, sp.MemoRegions,
-			sp.Pops, res.TD.Steps, sp.ReplayFacts, sp.StalePops,
-			sp.RegionHits, sp.RegionMisses, sp.RegionFallbacks)
+		s.telemetry("  struct %-10s %-6s regions=%d depth=%d pops=%d/%d stale=%d\n",
+			name, engine, sp.Regions, sp.MaxDepth, sp.Pops, res.TD.Steps, sp.StalePops)
 	}
 	return run, nil
 }

@@ -72,9 +72,8 @@ type Profile struct {
 	// (or 0) keeps the paper shape — a single while — while larger values
 	// wrap it in further while loops, each level reading the file again.
 	// The knob exists to stress the loop-structure index behind the sparse
-	// tabulation scheduler (deep nests exercise region priorities and
-	// region-level memoization); it leaves the protocol behaviour of the
-	// body unchanged.
+	// tabulation scheduler (deep nests exercise its loop-depth
+	// priorities); it leaves the protocol behaviour of the body unchanged.
 	LoopNest int
 	// Dispatch adds a registry class and routes every Nth utility call
 	// through it, merging utility variants into multi-target virtual

@@ -218,12 +218,11 @@ type Config struct {
 	// and always run dense (see RunSwift).
 	NoSparse bool
 
-	// NoStructIndex keeps the sparse scheduler but strips its use of the
-	// loop-structure index: nodes drain in plain reverse postorder with no
-	// region priority, and region-level closure memoization is disabled.
-	// An ablation knob isolating the structure index's contribution from
-	// plain batched RPO draining; results and counters are identical
-	// either way. Implied moot when NoSparse is set.
+	// NoStructIndex keeps the sparse scheduler but drops loop-depth
+	// priority: nodes drain in plain reverse postorder. An ablation knob
+	// isolating the loop nest's contribution from plain batched RPO
+	// draining; results and counters are identical either way. Implied
+	// moot when NoSparse is set.
 	NoStructIndex bool
 
 	// Fault, when non-nil, arms the deterministic fault-injection layer:
@@ -278,6 +277,14 @@ type Config struct {
 	// re-ranking against it tends to evict the dominant case (the ablation
 	// benchmarks record this).
 	Resummarize int
+}
+
+// Ablation reports whether any A/B knob is set (RawCFG, NoTransferMemo,
+// NoSparse, NoStructIndex). None of them changes a result, so store keys
+// leave them out; the driver keeps such runs away from the store and the
+// slice memo, where they would otherwise be answered by a default run.
+func (c Config) Ablation() bool {
+	return c.RawCFG || c.NoTransferMemo || c.NoSparse || c.NoStructIndex
 }
 
 // DefaultConfig returns the configuration used throughout the evaluation

@@ -286,7 +286,7 @@ func (a *Analysis[S, R, P]) RunSwift(initial S, config Config) *Result[S, R, P] 
 	// RawCFG, NoSparse and NoStructIndex say. Pop order decides when
 	// triggers fire and which EntrySeen sample they rank by, so this pins
 	// one schedule; Theorem 3.1 makes the error report independent of it.
-	// The sparse scheduler was measured and rejected here (DESIGN.md §13.5).
+	// The sparse scheduler was measured and rejected here (DESIGN.md §13.4).
 	t := newTDSolver(client, a.compressed(), config, h, nil)
 	h.td = t
 	res.TD = t.res

@@ -3,8 +3,8 @@ package core_test
 // Equivalence tests for the structure-driven sparse scheduler: on every
 // program we can get our hands on — the killgen fixture, randomized
 // killgen programs, the paper-mirror benchmarks and the deep-nest
-// structure stress — the sparse priority worklist (with and without the
-// loop-structure index and region memoization) must produce result tables
+// structure stress — the sparse priority worklist (with and without
+// loop-depth priority) must produce result tables
 // and counters byte-identical to the dense FIFO baseline, under every
 // engine and at every slice-worker count. The sparse path is purely a
 // scheduling optimization; these tests are the contract that makes the
@@ -24,7 +24,7 @@ import (
 
 // sparseConfigs are the scheduler/view combinations that must all be
 // observationally identical. The zero config is the default: sparse
-// scheduler over the compressed view with region memoization.
+// scheduler over the compressed view with loop-depth priority.
 var sparseConfigs = []struct {
 	name            string
 	noSparse, noIdx bool
@@ -220,15 +220,12 @@ func TestSparseMatchesDenseOnBenchSuite(t *testing.T) {
 
 // TestSparseStatsSanity pins that the scheduler's telemetry reflects real
 // work: batching must pop far fewer times than it propagates on loopy
-// programs, and the deep loop nest must exercise region memoization.
+// programs, the deep loop nest included.
 func TestSparseStatsSanity(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		wantRegion bool
-	}{{"elevator", false}, {"deep-nest", true}} {
-		p, ok := benchprog.ProfileByName(tc.name)
+	for _, name := range []string{"elevator", "deep-nest"} {
+		p, ok := benchprog.ProfileByName(name)
 		if !ok {
-			t.Fatalf("unknown profile %s", tc.name)
+			t.Fatalf("unknown profile %s", name)
 		}
 		prog, err := benchprog.Generate(p)
 		if err != nil {
@@ -243,24 +240,14 @@ func TestSparseStatsSanity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Err != nil {
-			t.Fatalf("%s: %v", tc.name, res.Err)
+			t.Fatalf("%s: %v", name, res.Err)
 		}
 		sp := res.TD.Sparse
 		if !sp.Enabled || sp.Regions == 0 || sp.MaxDepth == 0 {
-			t.Errorf("%s: structure index missing from stats: %+v", tc.name, sp)
+			t.Errorf("%s: structure index missing from stats: %+v", name, sp)
 		}
 		if sp.Pops == 0 || sp.Pops >= res.TD.Steps {
-			t.Errorf("%s: batching ineffective: %d pops for %d steps", tc.name, sp.Pops, res.TD.Steps)
-		}
-		if sp.RegionFallbacks != 0 {
-			t.Errorf("%s: %d region replay fallbacks", tc.name, sp.RegionFallbacks)
-		}
-		// RegionHits stays zero when every (region, seed) pair is unique —
-		// a repeated seed is filtered at the path-edge table before it can
-		// re-reach the header — so the engagement signal is computed images
-		// (misses) being replayed, not hits.
-		if tc.wantRegion && (sp.MemoRegions == 0 || sp.RegionMisses == 0 || sp.ReplayFacts == 0) {
-			t.Errorf("%s: region memoization did not engage: %+v", tc.name, sp)
+			t.Errorf("%s: batching ineffective: %d pops for %d steps", name, sp.Pops, res.TD.Steps)
 		}
 	}
 }

@@ -9,8 +9,7 @@ package core_test
 //     sparse scheduler off (Config.NoSparse), i.e. the dense FIFO that was
 //     the shipped configuration before the structure layer.
 //   - BenchmarkTabulationNoStruct — A/B control: sparse scheduler without
-//     the loop-structure index (Config.NoStructIndex): plain RPO batching,
-//     no region memoization.
+//     loop-depth priority (Config.NoStructIndex): plain RPO batching.
 //   - BenchmarkTabulationRaw — the pre-optimization solver preserved in
 //     legacy_bench_test.go: one edge per traversal, map[pathPair]bool
 //     table, no memo. This is the "before" the ratio is measured against.
@@ -35,8 +34,8 @@ import (
 
 // tabulationProfiles are the paper-mirror programs used for the benchmark
 // (small, medium and the largest profiles the TD baseline completes
-// quickly) plus deep-nest, the loop-structure stress fixture where region
-// memoization carries most of the propagation.
+// quickly) plus deep-nest, the loop-structure stress fixture where
+// loop-depth priority matters most.
 var tabulationProfiles = []string{"jpat-p", "elevator", "toba-s", "javasrc-p", "deep-nest"}
 
 func tabulationBuild(tb testing.TB, name string) *driver.Build {

@@ -185,7 +185,7 @@ func TestSliceMemoLRUEviction(t *testing.T) {
 }
 
 // TestDemandEvaluatorRejects covers constructor validation: unknown
-// engines and fault-armed configs are refused up front.
+// engines, fault-armed configs and ablation configs are refused up front.
 func TestDemandEvaluatorRejects(t *testing.T) {
 	b, err := FromSource(goodProgram)
 	if err != nil {
@@ -198,6 +198,13 @@ func TestDemandEvaluatorRejects(t *testing.T) {
 	cfg.Fault = &core.FaultPlan{Every: 3}
 	if _, err := NewDemandEvaluator(b, "td", cfg, nil); err == nil {
 		t.Error("fault-armed config should be rejected")
+	}
+	for name, set := range ablationKnobs {
+		cfg := core.DefaultConfig()
+		set(&cfg)
+		if _, err := NewDemandEvaluator(b, "td", cfg, nil); err == nil {
+			t.Errorf("%s config should be rejected", name)
+		}
 	}
 }
 
@@ -241,36 +248,34 @@ func TestSliceRunKeyDistinguishes(t *testing.T) {
 	}
 }
 
-// TestHybridKeysIgnoreViewKnobs: the hybrids ignore RawCFG, NoSparse and
-// NoStructIndex, so their result and slice-memo keys must not split over
-// them; td honours the knobs and keeps a distinct key per setting.
-func TestHybridKeysIgnoreViewKnobs(t *testing.T) {
+// ablationKnobs sets each of core.Config's A/B knobs in turn.
+var ablationKnobs = map[string]func(*core.Config){
+	"rawCFG":         func(c *core.Config) { c.RawCFG = true },
+	"noTransferMemo": func(c *core.Config) { c.NoTransferMemo = true },
+	"noSparse":       func(c *core.Config) { c.NoSparse = true },
+	"noStructIndex":  func(c *core.Config) { c.NoStructIndex = true },
+}
+
+// TestKeysIgnoreAblationKnobs: the ablation knobs never change an
+// artifact, so no knob splits the result or slice-memo key of any engine.
+// (Ablation runs stay out of the store and the memo instead; see
+// TestWarmAblationBypassesStore and TestDemandEvaluatorRejects.)
+func TestKeysIgnoreAblationKnobs(t *testing.T) {
 	b, err := FromSource(goodProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	knobs := map[string]func(*core.Config){
-		"rawCFG":        func(c *core.Config) { c.RawCFG = true },
-		"noSparse":      func(c *core.Config) { c.NoSparse = true },
-		"noStructIndex": func(c *core.Config) { c.NoStructIndex = true },
-	}
-	for name, set := range knobs {
+	for name, set := range ablationKnobs {
 		kcfg := cfg
 		set(&kcfg)
-		for _, engine := range []string{"swift", "swift-async"} {
+		for _, engine := range []string{"td", "bu", "swift", "swift-async"} {
 			if ResultKey(b, engine, kcfg).ID() != ResultKey(b, engine, cfg).ID() {
 				t.Errorf("%s: %s result key split", engine, name)
 			}
 			if SliceRunKey(b, engine, kcfg, "h1").ID() != SliceRunKey(b, engine, cfg, "h1").ID() {
 				t.Errorf("%s: %s slice key split", engine, name)
 			}
-		}
-		if ResultKey(b, "td", kcfg).ID() == ResultKey(b, "td", cfg).ID() {
-			t.Errorf("td: %s result key aliases the default", name)
-		}
-		if SliceRunKey(b, "td", kcfg, "h1").ID() == SliceRunKey(b, "td", cfg, "h1").ID() {
-			t.Errorf("td: %s slice key aliases the default", name)
 		}
 	}
 }

@@ -31,7 +31,9 @@ package driver
 //
 // Fault-injection runs (cfg.Fault != nil) bypass the store entirely: the
 // fault plan's operation indices count client calls, and warm-skipped
-// work would shift every subsequent fault site.
+// work would shift every subsequent fault site. Ablation runs
+// (cfg.Ablation()) bypass it too: store keys leave the knobs out, so a
+// stored artifact would answer the ablation with a default run's work.
 
 import (
 	"crypto/sha256"
@@ -78,18 +80,16 @@ type WarmStats struct {
 }
 
 // normalizeConfig mirrors core.RunEngine's per-engine overrides so store
-// keys are computed from the settings the engine actually runs with (td
-// always analyzes with K=∞, bu with θ=∞; the hybrids ignore RawCFG,
-// NoSparse and NoStructIndex). Without it, requests that differ only in an
-// ignored setting would occupy distinct keys for identical artifacts.
+// keys are computed from the thresholds the engine actually runs with (td
+// always analyzes with K=∞, bu with θ=∞). Without it, requests that differ
+// only in an ignored threshold would occupy distinct keys for identical
+// artifacts.
 func normalizeConfig(engine string, cfg core.Config) core.Config {
 	switch engine {
 	case "td":
 		cfg.K = core.Unlimited
 	case "bu":
 		cfg.Theta = core.Unlimited
-	case "swift", "swift-async":
-		cfg.RawCFG, cfg.NoSparse, cfg.NoStructIndex = false, false, false
 	}
 	return cfg
 }
@@ -97,14 +97,10 @@ func normalizeConfig(engine string, cfg core.Config) core.Config {
 // keyTemplate fills the key fields shared by every artifact of one run.
 func keyTemplate(b *Build, engine string, cfg core.Config) store.Key {
 	return store.Key{
-		Frozen:         b.TS.FrozenDigest(),
-		Engine:         engine,
-		K:              cfg.K,
-		Theta:          cfg.Theta,
-		RawCFG:         cfg.RawCFG,
-		NoTransferMemo: cfg.NoTransferMemo,
-		NoSparse:       cfg.NoSparse,
-		NoStructIndex:  cfg.NoStructIndex,
+		Frozen: b.TS.FrozenDigest(),
+		Engine: engine,
+		K:      cfg.K,
+		Theta:  cfg.Theta,
 	}
 }
 
@@ -215,9 +211,9 @@ func deterministicOutcome(err error) bool {
 // gets summary-level reuse.
 func (w Warm) Run(b *Build, engine string, cfg core.Config) (*Result, *WarmStats, error) {
 	stats := &WarmStats{}
-	if w.Store == nil || cfg.Fault != nil {
-		// No store, or fault injection armed (see file comment): run cold
-		// and unobserved.
+	if w.Store == nil || cfg.Fault != nil || cfg.Ablation() {
+		// No store, fault injection armed, or an ablation knob set (see
+		// file comment): run cold and unobserved.
 		res, err := b.Run(engine, cfg)
 		return res, stats, err
 	}

@@ -4,8 +4,8 @@ import "sort"
 
 // This file builds the per-procedure structure index consumed by the sparse
 // tabulation scheduler (internal/core): reverse-postorder numbering over a
-// CFGView plus the loop-nest hierarchy of natural loops, with per-region
-// member sets kept in original-graph terms. The index is pure graph
+// CFGView plus the loop-nest hierarchy of natural loops, which together
+// give every traversal point its priority key. The index is pure graph
 // structure — it never inspects abstract states — so, like the view itself,
 // one index is built per view and shared by every run over it (including
 // concurrent sliced runs; see core.RunSliceSet's pre-build).
@@ -17,40 +17,13 @@ type Region struct {
 	// ID is dense over the index: [0, len(Regions)).
 	ID   int
 	Proc string
-	// Header is the node ID of the loop header. For programs built by
-	// BuildCFG (structured loops, no break) it is the region's unique entry
-	// and exit boundary, but the index verifies that structurally rather
-	// than assuming it — see SingleEntry.
+	// Header is the node ID of the loop header.
 	Header int
 	// Parent is the ID of the innermost enclosing region, or -1 for an
 	// outermost loop.
 	Parent int
 	// Depth is the nesting depth: 1 for an outermost loop.
 	Depth int
-	// ViewNodes lists the region's traversal points (non-interior member
-	// nodes) in reverse postorder.
-	ViewNodes []int
-	// AllNodes lists every original node inside the region: the view
-	// members plus the chain interiors of primitive superedges that begin
-	// and end inside it, sorted by ID. This is the original-graph footprint
-	// a region-level replay fills in.
-	AllNodes []int
-	// Exits lists the superedges through which facts leave the region's
-	// interior propagation: From inside with To outside, plus call edges
-	// from inside (a call must always reach the solver's interceptor). The
-	// order is deterministic: ViewNodes order, then out-edge order.
-	Exits []*SuperEdge
-	// HasCall reports whether some superedge with both ends inside the
-	// region is a call edge.
-	HasCall bool
-	// SingleEntry reports whether every superedge entering the region from
-	// outside targets Header.
-	SingleEntry bool
-	// Memoizable marks regions eligible for region-level closure
-	// memoization: single entry at the header, call-free inside, and
-	// containing neither the procedure's entry nor its exit node (seeding
-	// and summary recording must stay on the generic solver path).
-	Memoizable bool
 }
 
 // StructIndex is the loop-structure overlay of one CFGView.
@@ -61,22 +34,17 @@ type StructIndex struct {
 	// Interior nodes of compressed chains — never traversal points — hold
 	// -1.
 	RPO []int32
-	// Depth is the innermost loop-nesting depth per node ID; 0 outside all
-	// loops. Chain interiors inherit the depth of the innermost region
-	// containing their superedge.
+	// Depth is the innermost loop-nesting depth per traversal point; 0
+	// outside all loops and at chain interiors.
 	Depth []int32
-	// RegionOf is the innermost region ID containing each node, or -1.
+	// RegionOf is the innermost region ID containing each traversal
+	// point, or -1 (also at chain interiors).
 	RegionOf []int32
-	// MemoHeader maps a node ID to the ID of the memoizable region it
-	// heads, or -1.
-	MemoHeader []int32
 	// Regions lists all loop regions, IDs dense in discovery order
 	// (procedures sorted by name, headers by RPO).
 	Regions []*Region
 	// MaxDepth is the deepest loop nesting in the program.
 	MaxDepth int
-	// MemoizableRegions counts regions with Memoizable set.
-	MemoizableRegions int
 }
 
 // BuildStructIndex computes the structure index of a view. The result
@@ -85,16 +53,14 @@ type StructIndex struct {
 func BuildStructIndex(v *CFGView) *StructIndex {
 	g := v.CFG
 	x := &StructIndex{
-		View:       v,
-		RPO:        make([]int32, g.NodeCount),
-		Depth:      make([]int32, g.NodeCount),
-		RegionOf:   make([]int32, g.NodeCount),
-		MemoHeader: make([]int32, g.NodeCount),
+		View:     v,
+		RPO:      make([]int32, g.NodeCount),
+		Depth:    make([]int32, g.NodeCount),
+		RegionOf: make([]int32, g.NodeCount),
 	}
 	for i := 0; i < g.NodeCount; i++ {
 		x.RPO[i] = -1
 		x.RegionOf[i] = -1
-		x.MemoHeader[i] = -1
 	}
 	rpoNext := int32(0)
 	for _, name := range g.Program.ProcNames() {
@@ -104,16 +70,13 @@ func BuildStructIndex(v *CFGView) *StructIndex {
 		if r.Depth > x.MaxDepth {
 			x.MaxDepth = r.Depth
 		}
-		if r.Memoizable {
-			x.MemoizableRegions++
-		}
 	}
 	return x
 }
 
 // buildProc indexes one procedure: DFS over the view's superedges for
 // postorder and back edges, natural-loop membership per back-edge target,
-// then nesting, member sets and memoizability.
+// then nesting and the per-node innermost region and depth.
 func (x *StructIndex) buildProc(pc *ProcCFG, rpoNext *int32) {
 	v := x.View
 	const (
@@ -198,7 +161,7 @@ func (x *StructIndex) buildProc(pc *ProcCFG, rpoNext *int32) {
 
 	regs := make([]*Region, len(heads))
 	for i, h := range heads {
-		regs[i] = &Region{ID: len(x.Regions), Proc: pc.Proc, Header: h, Parent: -1, SingleEntry: true}
+		regs[i] = &Region{ID: len(x.Regions), Proc: pc.Proc, Header: h, Parent: -1}
 		x.Regions = append(x.Regions, regs[i])
 	}
 	// Nesting: the parent of a region is the smallest other region whose
@@ -234,63 +197,6 @@ func (x *StructIndex) buildProc(pc *ProcCFG, rpoNext *int32) {
 		if i := innermost(n, -1); i >= 0 {
 			x.RegionOf[n] = int32(regs[i].ID)
 			x.Depth[n] = int32(regs[i].Depth)
-		}
-	}
-	// Member sets in RPO order, then the edge sweep: interiors, calls,
-	// exits and entry violations per region.
-	interiors := make([][]int, len(heads))
-	for i := len(post) - 1; i >= 0; i-- {
-		n := post[i]
-		for ri, h := range heads {
-			if members[h][n] {
-				regs[ri].ViewNodes = append(regs[ri].ViewNodes, n)
-			}
-		}
-		for _, se := range v.Out[n] {
-			to := se.To.ID
-			seInner := -1 // innermost region containing the whole superedge
-			for ri, h := range heads {
-				fromIn, toIn := members[h][n], members[h][to]
-				switch {
-				case fromIn && toIn:
-					if se.IsCall() {
-						regs[ri].HasCall = true
-						regs[ri].Exits = append(regs[ri].Exits, se)
-					} else {
-						for _, w := range se.Interior {
-							interiors[ri] = append(interiors[ri], w.ID)
-						}
-						if seInner == -1 || len(members[heads[seInner]]) > len(members[h]) {
-							seInner = ri
-						}
-					}
-				case fromIn:
-					regs[ri].Exits = append(regs[ri].Exits, se)
-				case toIn:
-					if to != h {
-						regs[ri].SingleEntry = false
-					}
-				}
-			}
-			if seInner >= 0 {
-				for _, w := range se.Interior {
-					x.RegionOf[w.ID] = int32(regs[seInner].ID)
-					x.Depth[w.ID] = int32(regs[seInner].Depth)
-				}
-			}
-		}
-	}
-	for ri := range regs {
-		r := regs[ri]
-		all := make([]int, 0, len(r.ViewNodes)+len(interiors[ri]))
-		all = append(all, r.ViewNodes...)
-		all = append(all, interiors[ri]...)
-		sort.Ints(all)
-		r.AllNodes = all
-		boundary := members[heads[ri]][pc.Entry.ID] || members[heads[ri]][pc.Exit.ID]
-		r.Memoizable = r.SingleEntry && !r.HasCall && !boundary
-		if r.Memoizable {
-			x.MemoHeader[r.Header] = int32(r.ID)
 		}
 	}
 }

@@ -28,9 +28,10 @@ import (
 // Key identifies one cached artifact. Every field that can change the
 // artifact's bytes must be part of it: the engines' outputs depend on the
 // procedure bodies analyzed (Body: a closure hash), the client's frozen
-// construction (Frozen: property layout and may-alias oracle digest), the
-// engine and its thresholds, and the ablation knobs (they do not change
-// result tables, but keys stay distinct so stats remain attributable).
+// construction (Frozen: property layout and may-alias oracle digest), and
+// the engine and its thresholds. The engines' ablation knobs are not part
+// of it: they never change an artifact, so the driver keeps ablation runs
+// out of the store instead.
 type Key struct {
 	// Kind separates artifact namespaces: "summary" (one trigger outcome),
 	// "tables" (intern-table snapshot + TD tables of a full run), "result"
@@ -48,17 +49,6 @@ type Key struct {
 	Engine string
 	K      int
 	Theta  int
-	// RawCFG, NoTransferMemo, NoSparse and NoStructIndex are the ablation
-	// knobs. They never change result tables, but keyed runs must not
-	// alias: a cached response reports the run's own telemetry, and an
-	// ablation request served from another knob setting's entry would
-	// silently skip the ablation. Engines that ignore a knob (the hybrids
-	// ignore all but NoTransferMemo) get it zeroed by the driver, so their
-	// keys do not split over it.
-	RawCFG         bool
-	NoTransferMemo bool
-	NoSparse       bool
-	NoStructIndex  bool
 }
 
 // KeyVersion is the key-format version rendered into every ID. Bump it
@@ -66,8 +56,9 @@ type Key struct {
 // store written by older code reads as empty instead of restoring
 // summaries and tables the new code would not produce. Version 2: the
 // hybrid engines moved to the compressed view, which changes when their
-// triggers fire.
-const KeyVersion = 2
+// triggers fire. Version 3: the four ablation-knob fields left the key, so
+// version-2 IDs no longer render the same way.
+const KeyVersion = 3
 
 // ID returns the content address of the key: a hex SHA-256 over an
 // unambiguous (length-delimited) rendering of the key-format version and
@@ -79,7 +70,7 @@ func (k Key) ID() string {
 	for _, s := range []string{k.Kind, k.Proc, k.Body, k.Frozen, k.Engine} {
 		fmt.Fprintf(h, "%d:%s;", len(s), s)
 	}
-	fmt.Fprintf(h, "%d;%d;%t;%t;%t;%t", k.K, k.Theta, k.RawCFG, k.NoTransferMemo, k.NoSparse, k.NoStructIndex)
+	fmt.Fprintf(h, "%d;%d", k.K, k.Theta)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -32,8 +32,6 @@ func TestKeyIDDistinct(t *testing.T) {
 	add(func(v *Key) { v.Engine = "td" })
 	add(func(v *Key) { v.K = 6 })
 	add(func(v *Key) { v.Theta = 2 })
-	add(func(v *Key) { v.RawCFG = true })
-	add(func(v *Key) { v.NoTransferMemo = true })
 	// Concatenation ambiguity: ("ab","c") vs ("a","bc").
 	add(func(v *Key) { v.Kind, v.Proc = "summaryp", "" })
 	seen := map[string]int{}
@@ -49,18 +47,25 @@ func TestKeyIDDistinct(t *testing.T) {
 	}
 }
 
-// TestKeyVersionSeparatesIDs: the unversioned rendering that older code
-// used must address a different blob, so a store written by it reads as
-// empty.
+// TestKeyVersionSeparatesIDs: the renderings older code used — version 1
+// (no version prefix) and version 2, both with the four ablation-knob
+// fields — must address different blobs, so a store written by that code
+// reads as empty.
 func TestKeyVersionSeparatesIDs(t *testing.T) {
 	base := k("summary", "p")
-	h := sha256.New()
-	for _, s := range []string{base.Kind, base.Proc, base.Body, base.Frozen, base.Engine} {
-		fmt.Fprintf(h, "%d:%s;", len(s), s)
-	}
-	fmt.Fprintf(h, "%d;%d;%t;%t;%t;%t", base.K, base.Theta, false, false, false, false)
-	if legacy := hex.EncodeToString(h.Sum(nil)); base.ID() == legacy {
-		t.Errorf("versioned ID %s equals the unversioned rendering", legacy)
+	for _, old := range []struct {
+		version int
+		prefix  string
+	}{{1, ""}, {2, "v2;"}} {
+		h := sha256.New()
+		h.Write([]byte(old.prefix))
+		for _, s := range []string{base.Kind, base.Proc, base.Body, base.Frozen, base.Engine} {
+			fmt.Fprintf(h, "%d:%s;", len(s), s)
+		}
+		fmt.Fprintf(h, "%d;%d;%t;%t;%t;%t", base.K, base.Theta, false, false, false, false)
+		if legacy := hex.EncodeToString(h.Sum(nil)); base.ID() == legacy {
+			t.Errorf("version-%d ID %s equals the current rendering", old.version, legacy)
+		}
 	}
 }
 

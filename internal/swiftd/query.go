@@ -28,14 +28,12 @@ import (
 // queryRequest is the POST /query body. Exactly one of "query" (single)
 // and "queries" (batch) must be present; config fields mirror /analyze.
 type queryRequest struct {
-	Source         string        `json:"source"`
-	Engine         string        `json:"engine"`
-	K              *int          `json:"k"`
-	Theta          *int          `json:"theta"`
-	RawCFG         bool          `json:"rawCFG"`
-	NoTransferMemo bool          `json:"noTransferMemo"`
-	Query          *query.Query  `json:"query,omitempty"`
-	Queries        []query.Query `json:"queries,omitempty"`
+	Source  string        `json:"source"`
+	Engine  string        `json:"engine"`
+	K       *int          `json:"k"`
+	Theta   *int          `json:"theta"`
+	Query   *query.Query  `json:"query,omitempty"`
+	Queries []query.Query `json:"queries,omitempty"`
 }
 
 // queryResponse is the POST /query reply. Answers align positionally with
@@ -113,8 +111,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Theta != nil {
 		cfg.Theta = *req.Theta
 	}
-	cfg.RawCFG = req.RawCFG
-	cfg.NoTransferMemo = req.NoTransferMemo
 
 	b, err := driver.FromSource(req.Source)
 	if err != nil {

@@ -134,32 +134,21 @@ type Server struct {
 
 	// Structure telemetry: cumulative sparse-scheduler counters across
 	// every /analyze engine run (see structureStats).
-	sparseRuns      atomic.Int64
-	denseRuns       atomic.Int64
-	sparsePops      atomic.Int64
-	sparseSteps     atomic.Int64
-	sparseReplay    atomic.Int64
-	regionHits      atomic.Int64
-	regionMisses    atomic.Int64
-	regionFallbacks atomic.Int64
+	sparseRuns  atomic.Int64
+	denseRuns   atomic.Int64
+	sparsePops  atomic.Int64
+	sparseSteps atomic.Int64
 }
 
 // analyzeRequest is the POST /analyze body. Absent k/theta default to
-// core.DefaultConfig's thresholds; engine defaults to "swift".
+// core.DefaultConfig's thresholds; engine defaults to "swift". Unknown
+// fields are rejected (see decodeBody): the engines' ablation knobs are
+// benchmark settings, not part of the API.
 type analyzeRequest struct {
-	Source         string `json:"source"`
-	Engine         string `json:"engine"`
-	K              *int   `json:"k"`
-	Theta          *int   `json:"theta"`
-	RawCFG         bool   `json:"rawCFG"`
-	NoTransferMemo bool   `json:"noTransferMemo"`
-	// NoSparse pins the order-insensitive solvers to the dense FIFO
-	// worklist; NoStructIndex keeps the sparse scheduler but ignores loop
-	// structure. Both are td/bu A/B knobs: result tables are identical
-	// either way. The hybrids ignore them, and rawCFG, and share one cache
-	// entry whatever they say (see driver.ResultKey).
-	NoSparse      bool `json:"noSparse"`
-	NoStructIndex bool `json:"noStructIndex"`
+	Source string `json:"source"`
+	Engine string `json:"engine"`
+	K      *int   `json:"k"`
+	Theta  *int   `json:"theta"`
 }
 
 // analyzeResponse is the POST /analyze reply.
@@ -239,13 +228,6 @@ type structureStats struct {
 	// work), so Steps/Pops is the realized batching factor.
 	Pops  int64 `json:"pops"`
 	Steps int64 `json:"steps"`
-	// ReplayFacts counts facts installed by region-closure replay;
-	// RegionHits/RegionMisses/RegionFallbacks are the region memo's
-	// lookup outcomes.
-	ReplayFacts     int64 `json:"replayFacts"`
-	RegionHits      int64 `json:"regionHits"`
-	RegionMisses    int64 `json:"regionMisses"`
-	RegionFallbacks int64 `json:"regionFallbacks"`
 }
 
 // statsResponse is the GET /stats reply.
@@ -392,9 +374,13 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // decodeBody decodes the JSON request body into v, mapping an oversized
-// body to a structured 413 and anything else malformed to 400.
+// body to a structured 413 and anything else malformed — unknown fields
+// included, so a misspelled or retired option fails loudly instead of
+// silently running the defaults — to 400.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.oversizedBodies.Add(1)
@@ -513,10 +499,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if req.Theta != nil {
 		cfg.Theta = *req.Theta
 	}
-	cfg.RawCFG = req.RawCFG
-	cfg.NoTransferMemo = req.NoTransferMemo
-	cfg.NoSparse = req.NoSparse
-	cfg.NoStructIndex = req.NoStructIndex
 
 	// The build (parse → points-to → lower → client construction) always
 	// runs: the cache keys are content digests of the built pipeline.
@@ -574,10 +556,6 @@ func (s *Server) computeAnalyze(ctx context.Context, b *driver.Build, req analyz
 		s.sparseRuns.Add(1)
 		s.sparsePops.Add(int64(sp.Pops))
 		s.sparseSteps.Add(int64(res.TD.Steps))
-		s.sparseReplay.Add(int64(sp.ReplayFacts))
-		s.regionHits.Add(int64(sp.RegionHits))
-		s.regionMisses.Add(int64(sp.RegionMisses))
-		s.regionFallbacks.Add(int64(sp.RegionFallbacks))
 	} else {
 		s.denseRuns.Add(1)
 	}
@@ -699,14 +677,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			OversizedBodies: s.oversizedBodies.Load(),
 		},
 		Structure: structureStats{
-			SparseRuns:      s.sparseRuns.Load(),
-			DenseRuns:       s.denseRuns.Load(),
-			Pops:            s.sparsePops.Load(),
-			Steps:           s.sparseSteps.Load(),
-			ReplayFacts:     s.sparseReplay.Load(),
-			RegionHits:      s.regionHits.Load(),
-			RegionMisses:    s.regionMisses.Load(),
-			RegionFallbacks: s.regionFallbacks.Load(),
+			SparseRuns: s.sparseRuns.Load(),
+			DenseRuns:  s.denseRuns.Load(),
+			Pops:       s.sparsePops.Load(),
+			Steps:      s.sparseSteps.Load(),
 		},
 		Store: s.store.Stats(),
 	})

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"swift/internal/core"
 	"swift/internal/driver"
+	"swift/internal/query"
 	"swift/internal/store"
 )
 
@@ -179,15 +181,14 @@ func TestAnalyzeRejectsBadRequests(t *testing.T) {
 }
 
 // TestStructureTelemetry: a td run engages the sparse scheduler and its
-// counters land in the /stats structure block; a hybrid run stays dense,
-// as does a td run with the noSparse knob set (which must also occupy its
-// own result-cache entry rather than aliasing the sparse run's — the
-// tables are identical, but the knobs are part of the config key).
+// counters land in the /stats structure block; a hybrid run stays dense.
+// The engines' ablation knobs are not request fields: a td request that
+// still asks for the dense worklist is rejected before any engine runs,
+// rather than being served the default run's cache entry.
 func TestStructureTelemetry(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	td, code := postAnalyze(t, ts.URL, analyzeRequest{Source: testProgram, Engine: "td"})
-	if code != http.StatusOK {
+	if _, code := postAnalyze(t, ts.URL, analyzeRequest{Source: testProgram, Engine: "td"}); code != http.StatusOK {
 		t.Fatalf("td status = %d", code)
 	}
 	stats := getStats(t, ts.URL)
@@ -198,26 +199,73 @@ func TestStructureTelemetry(t *testing.T) {
 	if st.Pops == 0 || st.Steps == 0 || st.Pops >= st.Steps {
 		t.Errorf("structure batching counters = %+v, want 0 < pops < steps", st)
 	}
-	if st.RegionFallbacks != 0 {
-		t.Errorf("structure reports %d region fallbacks", st.RegionFallbacks)
-	}
 
 	if _, code := postAnalyze(t, ts.URL, analyzeRequest{Source: testProgram, Engine: "swift"}); code != http.StatusOK {
 		t.Fatalf("swift status = %d", code)
 	}
-	dense, code := postAnalyze(t, ts.URL, analyzeRequest{Source: testProgram, Engine: "td", NoSparse: true})
-	if code != http.StatusOK {
-		t.Fatalf("td noSparse status = %d", code)
-	}
-	if dense.Cached {
-		t.Fatal("td noSparse aliased the sparse run's cache entry")
-	}
-	if dense.TablesDigest != td.TablesDigest {
-		t.Fatalf("noSparse tables digest %s != sparse %s", dense.TablesDigest, td.TablesDigest)
+	body, _ := json.Marshal(map[string]any{"source": testProgram, "engine": "td", "noSparse": true})
+	if code, msg := postRaw(t, ts.URL+"/analyze", body); code != http.StatusBadRequest {
+		t.Fatalf("td noSparse status = %d (%s), want 400", code, msg)
 	}
 	st = getStats(t, ts.URL).Structure
-	if st.SparseRuns != 1 || st.DenseRuns != 2 {
-		t.Errorf("structure after swift + dense td = %+v, want 1 sparse / 2 dense", st)
+	if st.SparseRuns != 1 || st.DenseRuns != 1 {
+		t.Errorf("structure after swift + rejected td = %+v, want 1 sparse / 1 dense", st)
+	}
+}
+
+// postRaw posts a raw JSON body and returns the status and the decoded
+// error message (empty on success).
+func postRaw(t *testing.T, url string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&out)
+	return resp.StatusCode, out.Error
+}
+
+// TestUnknownFieldsRejected: a body field the endpoint does not define —
+// a retired ablation knob, or a typo of a real option — is a 400 naming
+// the field, not a silent default run. Nested query objects are checked
+// too.
+func TestUnknownFieldsRejected(t *testing.T) {
+	_, ts := newTestServer(t)
+	isError := map[string]any{"kind": "isError", "site": "h1"}
+	for _, tc := range []struct {
+		path, field string
+		body        map[string]any
+	}{
+		{"/analyze", "noSparse", map[string]any{"source": testProgram, "engine": "td", "noSparse": true}},
+		{"/analyze", "rawCFG", map[string]any{"source": testProgram, "rawCFG": true}},
+		{"/analyze", "thetta", map[string]any{"source": testProgram, "thetta": 2}},
+		{"/query", "noTransferMemo", map[string]any{"source": testProgram, "query": isError, "noTransferMemo": true}},
+		{"/query", "thetta", map[string]any{"source": testProgram, "query": isError, "thetta": 2}},
+		{"/query", "sight", map[string]any{"source": testProgram, "query": map[string]any{"kind": "isError", "sight": "h1"}}},
+	} {
+		body, err := json.Marshal(tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, msg := postRaw(t, ts.URL+tc.path, body)
+		if code != http.StatusBadRequest || !strings.Contains(msg, tc.field) {
+			t.Errorf("%s with %q: status %d, error %q; want 400 naming the field", tc.path, tc.field, code, msg)
+		}
+	}
+	// The same bodies without the stray field are served.
+	if _, code := postAnalyze(t, ts.URL, analyzeRequest{Source: testProgram, Engine: "td"}); code != http.StatusOK {
+		t.Errorf("/analyze control status = %d", code)
+	}
+	q := query.Query{Kind: query.KindIsError, Site: "h1"}
+	if _, code := postQuery(t, ts.URL, queryRequest{Source: testProgram, Query: &q}); code != http.StatusOK {
+		t.Errorf("/query control status = %d", code)
+	}
+	if runs := getStats(t, ts.URL).Robustness.EngineRuns; runs != 2 {
+		t.Errorf("engineRuns = %d, want 2 (only the control requests run)", runs)
 	}
 }
 
