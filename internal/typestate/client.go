@@ -75,14 +75,14 @@ func NewAnalysis(prog *ir.Program, track map[string]*Property, oracle Oracle) (*
 			paths:       newInterner[path, path](hashPath),
 			rootedOf:    map[string][]PathID{},
 			fieldOf:     map[string][]PathID{},
-			sets:        newInterner[string, []PathID](hashString),
+			sets:        newSeqInterner(hashSeq[PathID]),
 			siteIDs:     map[string]SiteID{},
-			trans:       newInterner[string, []GState](hashString),
+			trans:       newSeqInterner(hashSeq[GState]),
 			methodTrans: newMemoMap[string, TransID](hashString),
 			composeMemo: newMemoMap[[2]TransID, TransID](hashTransPair),
-			setOpMemo:   newMemoMap[setOpKey, SetID](hashSetOp),
+			setOpMemo:   newMemoMap[uint64, SetID](fold),
 			abs:         newInterner[absState, absState](hashAbs),
-			forms:       newInterner[string, []literal](hashString),
+			forms:       newSeqInterner(hashSeq[literal]),
 		},
 		rels: newInterner[rel, rel](hashRel),
 	}

@@ -1,7 +1,6 @@
 package typestate
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -107,8 +106,8 @@ type tables struct {
 	rootedOf map[string][]PathID // variable → sorted paths rooted at it
 	fieldOf  map[string][]PathID // field → sorted paths carrying it
 
-	// path sets, keyed by the canonical i32key encoding
-	sets *interner[string, []PathID]
+	// path sets (sorted, duplicate-free)
+	sets *seqInterner[PathID]
 	// univSet is the set of all paths; it is the nc component of states
 	// with an empty must-not set.
 	univSet SetID
@@ -126,25 +125,25 @@ type tables struct {
 	localOfG []State
 	isErrorG []bool
 
-	// transformers, keyed by the canonical i32key encoding of the vector
-	trans       *interner[string, []GState]
+	// transformers, as dense GState vectors
+	trans       *seqInterner[GState]
 	idTrans     TransID
 	errTrans    TransID // per-property error; None stays None
 	methodTrans *memoMap[string, TransID]
 	composeMemo *memoMap[[2]TransID, TransID]
 
-	// setOpMemo caches union/minus results on interned operand pairs, so
-	// the compiled transfer path (compile.go) replaces the canonical
-	// encode-and-hash of internSet with one integer-keyed lookup for
-	// operand pairs it has seen before. Op results are deterministic, so
-	// racing puts are benign (see memoMap).
-	setOpMemo *memoMap[setOpKey, SetID]
+	// setOpMemo caches union/minus results on interned operand pairs,
+	// keyed by packSetOp, so the compiled transfer path (compile.go)
+	// replaces the merge and content hash of internSet with one
+	// uint64-keyed lookup for operand pairs it has seen before. Op results
+	// are deterministic, so racing puts are benign (see memoMap).
+	setOpMemo *memoMap[uint64, SetID]
 
 	// abstract states
 	abs *interner[absState, absState]
 
-	// formulas (sorted literal conjunctions, keyed by i32key encoding)
-	forms *interner[string, []literal]
+	// formulas (sorted literal conjunctions)
+	forms *seqInterner[literal]
 
 	// may-alias oracle matrix: mayAlias[p][h]
 	mayAlias [][]bool
@@ -154,15 +153,6 @@ type tables struct {
 	// apply, and the reason the paper's dominant relational case is "the
 	// identity function with a certain precondition".
 	relevant []bool
-}
-
-// i32key encodes an int32 slice as a compact map key.
-func i32key[T ~int32](xs []T) string {
-	b := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
-	}
-	return string(b)
 }
 
 // ---- paths ----
@@ -179,14 +169,7 @@ func (t *tables) pathString(p PathID) string { return t.pathAt(p).String() }
 
 // ---- path sets ----
 
-func (t *tables) internSet(sorted []PathID) SetID {
-	key := i32key(sorted)
-	return SetID(t.sets.intern(key, func() []PathID {
-		cp := make([]PathID, len(sorted))
-		copy(cp, sorted)
-		return cp
-	}))
-}
+func (t *tables) internSet(sorted []PathID) SetID { return SetID(t.sets.intern(sorted)) }
 
 func (t *tables) setElems(s SetID) []PathID { return t.sets.at(int32(s)) }
 
@@ -286,21 +269,16 @@ func (t *tables) setUnionElems(s SetID, add []PathID) SetID {
 	return t.setUnion(s, t.internSet(add))
 }
 
-// setOpKey identifies one memoized binary set operation.
-type setOpKey struct {
-	op   int8 // opUnion or opMinus
-	x, y SetID
-}
-
 const (
-	opUnion int8 = iota
+	opUnion uint64 = iota
 	opMinus
 )
 
-func hashSetOp(k setOpKey) uint64 {
-	h := mix(uint64(fnvOffset), uint64(uint8(k.op)))
-	h = mix(h, uint64(uint32(k.x)))
-	return mix(h, uint64(uint32(k.y)))
+// packSetOp packs one memoized binary set operation into a setOpMemo key:
+// the op in bit 63, x in bits 32–62 and y in the low word. Set IDs stay
+// below 2^26 (see pageCount), so the fields never overlap.
+func packSetOp(op uint64, x, y SetID) uint64 {
+	return op<<63 | uint64(x)<<32 | uint64(uint32(y))
 }
 
 // setUnionID is setUnion with the result memoized under the operand pair,
@@ -309,7 +287,7 @@ func (t *tables) setUnionID(a, b SetID) SetID {
 	if a == b {
 		return a
 	}
-	key := setOpKey{op: opUnion, x: a, y: b}
+	key := packSetOp(opUnion, a, b)
 	if id, ok := t.setOpMemo.get(key); ok {
 		return id
 	}
@@ -321,7 +299,7 @@ func (t *tables) setUnionID(a, b SetID) SetID {
 // setMinusID is setMinus with an interned subtrahend and the result
 // memoized under the operand pair.
 func (t *tables) setMinusID(s, rm SetID) SetID {
-	key := setOpKey{op: opMinus, x: s, y: rm}
+	key := packSetOp(opMinus, s, rm)
 	if id, ok := t.setOpMemo.get(key); ok {
 		return id
 	}
@@ -440,13 +418,7 @@ func (t *tables) internSite(name string, propIdx int) SiteID {
 
 // ---- transformers ----
 
-func (t *tables) internTrans(vec []GState) TransID {
-	return TransID(t.trans.intern(i32key(vec), func() []GState {
-		cp := make([]GState, len(vec))
-		copy(cp, vec)
-		return cp
-	}))
-}
+func (t *tables) internTrans(vec []GState) TransID { return TransID(t.trans.intern(vec)) }
 
 // applyTrans applies transformer ι to a global state.
 func (t *tables) applyTrans(id TransID, g GState) GState { return t.trans.at(int32(id))[g] }
@@ -508,11 +480,7 @@ func (t *tables) absOf(id AbsID) absState { return t.abs.at(int32(id)) }
 
 // internFormula interns a sorted, duplicate-free literal conjunction.
 func (t *tables) internFormula(sorted []literal) FormulaID {
-	return FormulaID(t.forms.intern(i32key(sorted), func() []literal {
-		cp := make([]literal, len(sorted))
-		copy(cp, sorted)
-		return cp
-	}))
+	return FormulaID(t.forms.intern(sorted))
 }
 
 // formLits returns the literal conjunction interned under f.

@@ -1,6 +1,8 @@
 package typestate
 
 import (
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -18,11 +20,12 @@ import (
 // Design: a two-phase lookup with a striped write path.
 //
 //   - The key→ID map of each table is hash-partitioned into shardCount
-//     shards, each guarded by its own RWMutex. A lookup hashes the value's
-//     canonical encoding, read-locks only that shard, and — on a miss —
-//     write-locks only that shard to install the new entry (with a
-//     double-check, so concurrent interns of the same value always return
-//     the same ID).
+//     shards, each guarded by its own RWMutex. A lookup hashes the value,
+//     read-locks only that shard, and — on a miss — write-locks only that
+//     shard to install the new entry (with a double-check, so concurrent
+//     interns of the same value always return the same ID). Fixed-size
+//     values are their own map keys; int32 sequences (seqInterner) are
+//     keyed by a 64-bit content hash and confirmed element by element.
 //   - Dense IDs are allocated from one atomic counter per table. A
 //     fetch-add is wait-free, so ID allocation never becomes the
 //     serialization point the old global write lock was.
@@ -155,6 +158,92 @@ func (it *interner[K, V]) at(id int32) V { return it.store.get(id) }
 // is a lower bound on published entries plus in-flight reservations.
 func (it *interner[K, V]) size() int { return int(it.n.Load()) }
 
+// seqInterner assigns dense int32 IDs to unique int32 sequences — path
+// sets, transformer vectors and formulas. It is keyed by a 64-bit content
+// hash and confirmed by comparing elements, so each sequence is stored
+// once (in the paged store) and the shard maps hold only fixed-size keys.
+// Two distinct sequences that share a full hash are both kept: the first
+// ID sits in m, later ones in the shard's overflow chain. Locking, ID
+// allocation and publication follow interner exactly.
+type seqInterner[E ~int32] struct {
+	hash   func([]E) uint64
+	n      atomic.Int32
+	store  pagedStore[[]E]
+	shards [shardCount]seqShard
+}
+
+// seqShard is one lock stripe of a seqInterner. more is allocated on the
+// first full-hash collision and is nil in practice.
+type seqShard struct {
+	mu   sync.RWMutex
+	m    map[uint64]int32
+	more map[uint64][]int32
+	_    [24]byte
+}
+
+func newSeqInterner[E ~int32](hash func([]E) uint64) *seqInterner[E] {
+	it := &seqInterner[E]{hash: hash, store: newPagedStore[[]E]()}
+	for i := range it.shards {
+		it.shards[i].m = map[uint64]int32{}
+	}
+	return it
+}
+
+// find returns the ID of xs in sh, whose lock the caller holds.
+func (it *seqInterner[E]) find(sh *seqShard, h uint64, xs []E) (int32, bool) {
+	id, ok := sh.m[h]
+	if !ok {
+		return 0, false
+	}
+	if slices.Equal(it.store.get(id), xs) {
+		return id, true
+	}
+	for _, id := range sh.more[h] {
+		if slices.Equal(it.store.get(id), xs) {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+// intern returns the dense ID of xs, storing a copy on first intern only;
+// the caller keeps ownership of xs. Concurrent interns of equal sequences
+// return the same ID.
+func (it *seqInterner[E]) intern(xs []E) int32 {
+	h := it.hash(xs)
+	sh := &it.shards[h&shardMask]
+	sh.mu.RLock()
+	id, ok := it.find(sh, h, xs)
+	sh.mu.RUnlock()
+	if ok {
+		return id
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if id, ok := it.find(sh, h, xs); ok {
+		return id
+	}
+	id = it.n.Add(1) - 1
+	cp := make([]E, len(xs))
+	copy(cp, xs)
+	it.store.set(id, cp)
+	if _, taken := sh.m[h]; taken {
+		if sh.more == nil {
+			sh.more = map[uint64][]int32{}
+		}
+		sh.more[h] = append(sh.more[h], id)
+	} else {
+		sh.m[h] = id
+	}
+	return id
+}
+
+// at returns the sequence interned under id; callers must not modify it.
+func (it *seqInterner[E]) at(id int32) []E { return it.store.get(id) }
+
+// size returns the number of interned sequences (see interner.size).
+func (it *seqInterner[E]) size() int { return int(it.n.Load()) }
+
 // memoMap is a sharded memoization map for derived values that carry no
 // ID of their own (transformer composition, method transformers). Both
 // sides of a racing put compute equal values — the memoized functions are
@@ -195,9 +284,11 @@ func (mm *memoMap[K, V]) put(k K, v V) {
 
 // ---- hashing ----
 
-// FNV-style hashing over the canonical encodings of interned values. The
-// hash only picks a lock stripe — it plays no part in ID assignment — so
-// its quality affects contention, never determinism.
+// FNV-style hashing over the canonical encodings of interned values. A
+// hash picks a lock stripe and, for seqInterner and the set-op memo, is the
+// shard map's key; it plays no part in ID assignment (IDs follow
+// first-intern order), so its quality affects contention and chain length,
+// never determinism.
 
 const (
 	fnvOffset = 0xcbf29ce484222325
@@ -226,6 +317,28 @@ func hashString(s string) uint64 {
 func mix(h, x uint64) uint64 {
 	h ^= x
 	h *= fnvPrime
+	return h
+}
+
+// fold mixes one 64-bit lane with a full 64×64→128-bit multiply whose
+// halves are xored, so every input bit reaches the low bits the stripe mask
+// reads and full-hash collisions (a chain walk, see seqInterner) stay rare.
+func fold(x uint64) uint64 {
+	hi, lo := bits.Mul64(x, 0x9e3779b97f4a7c15)
+	return hi ^ lo
+}
+
+// hashSeq hashes an int32 sequence two elements per multiply. The length
+// seeds the state, so sequences that differ only by trailing zeros differ.
+func hashSeq[E ~int32](xs []E) uint64 {
+	h := uint64(fnvOffset) ^ uint64(len(xs))
+	i := 0
+	for ; i+2 <= len(xs); i += 2 {
+		h = fold(h ^ (uint64(uint32(xs[i])) | uint64(uint32(xs[i+1]))<<32))
+	}
+	if i < len(xs) {
+		h = fold(h ^ uint64(uint32(xs[i])))
+	}
 	return h
 }
 

@@ -1,14 +1,16 @@
 package typestate
 
 // Tests and benchmarks for the sharded interning substrate (shard.go):
-// concurrent ID agreement against a serial oracle, a -race hammer over the
-// full client surface, serial-engine determinism, and the contention
-// microbenchmark comparing the sharded interner with the old
-// single-RWMutex discipline.
+// concurrent ID agreement against a serial oracle, the full-hash collision
+// chain of seqInterner, a -race hammer over the full client surface,
+// serial-engine determinism, and the contention microbenchmark comparing
+// the sharded interner with the old single-RWMutex discipline.
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,7 +37,7 @@ func workloadSets(ts *Analysis, n int, seed int64) [][]PathID {
 		// Salt with out-of-universe paths so n distinct sets exist even for
 		// small universes; the interner never dereferences path IDs.
 		s = append(s, PathID(ts.tab.numPaths()+rng.Intn(4*n)))
-		k := i32key(s)
+		k := fmt.Sprint(s)
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, s)
@@ -49,7 +51,9 @@ func workloadSets(ts *Analysis, n int, seed int64) [][]PathID {
 // receive the same dense IDs, the ID space stays dense (one ID per unique
 // value), every ID dereferences back to its value, and a serial oracle run
 // interning the same values in first-occurrence order receives exactly the
-// IDs the old map+slice implementation would have assigned.
+// IDs the old map+slice implementation would have assigned. A seqInterner
+// with a constant hash takes the same concurrent traffic, so its collision
+// chain is exercised under -race too.
 func TestShardedInternerAgreement(t *testing.T) {
 	ts, _ := conditionsAnalysis(t)
 	sets := workloadSets(ts, 256, 1)
@@ -66,6 +70,8 @@ func TestShardedInternerAgreement(t *testing.T) {
 
 	const workers = 8
 	ids := make([][]SetID, workers)
+	chainIDs := make([][]int32, workers)
+	chain := newSeqInterner(constHash[PathID])
 	preSize := ts.tab.sets.size()
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -73,11 +79,13 @@ func TestShardedInternerAgreement(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			ids[g] = make([]SetID, len(sets))
+			chainIDs[g] = make([]int32, len(sets))
 			// Each worker visits every value, rotated so different workers
 			// race on different values at any instant.
 			for i := range sets {
 				j := (i + g*len(sets)/workers) % len(sets)
 				ids[g][j] = ts.tab.internSet(sets[j])
+				chainIDs[g][j] = chain.intern(sets[j])
 			}
 		}(g)
 	}
@@ -88,6 +96,22 @@ func TestShardedInternerAgreement(t *testing.T) {
 			if ids[g][i] != ids[0][i] {
 				t.Fatalf("worker %d disagrees on set %d: %d vs %d", g, i, ids[g][i], ids[0][i])
 			}
+			if chainIDs[g][i] != chainIDs[0][i] {
+				t.Fatalf("worker %d disagrees on chained set %d: %d vs %d", g, i, chainIDs[g][i], chainIDs[0][i])
+			}
+		}
+	}
+	if got := chain.size(); got != len(sets) {
+		t.Fatalf("chained table size %d, want %d", got, len(sets))
+	}
+	chainSeen := map[int32]bool{}
+	for i, id := range chainIDs[0] {
+		if id < 0 || int(id) >= len(sets) || chainSeen[id] {
+			t.Fatalf("chained set %d: id %d out of range or reused", i, id)
+		}
+		chainSeen[id] = true
+		if !slices.Equal(chain.at(id), sets[i]) {
+			t.Fatalf("chained set %d: id %d dereferences to a different value", i, id)
 		}
 	}
 	if got, want := ts.tab.sets.size(), preSize+len(sets); got != want {
@@ -102,9 +126,104 @@ func TestShardedInternerAgreement(t *testing.T) {
 			t.Fatalf("set %d: id %d assigned to two distinct values", i, id)
 		}
 		seen[id] = true
-		if got := i32key(ts.tab.setElems(id)); got != i32key(sets[i]) {
+		if !slices.Equal(ts.tab.setElems(id), sets[i]) {
 			t.Fatalf("set %d: id %d dereferences to a different value", i, id)
 		}
+	}
+}
+
+// constHash sends every sequence to one shard and one full hash, so each
+// intern after the first walks seqInterner's overflow chain.
+func constHash[E ~int32]([]E) uint64 { return 42 }
+
+// checkChain interns seqs (which repeat values) into a constant-hash
+// seqInterner and checks the collision path: dense IDs in first-intern
+// order, equal contents sharing an ID, distinct contents never sharing
+// one, and at round-tripping every ID.
+func checkChain[E ~int32](t *testing.T, what string, seqs [][]E) {
+	t.Helper()
+	it := newSeqInterner(constHash[E])
+	first := map[string]int32{}
+	for i, s := range seqs {
+		id := it.intern(s)
+		k := fmt.Sprint(s)
+		want, seen := first[k]
+		if !seen {
+			want = int32(len(first))
+			first[k] = want
+		}
+		if id != want {
+			t.Fatalf("%s %d (%v): id %d, want %d", what, i, s, id, want)
+		}
+		if !slices.Equal(it.at(id), s) {
+			t.Fatalf("%s %d: at(%d) = %v, want %v", what, i, id, it.at(id), s)
+		}
+	}
+	if it.size() != len(first) {
+		t.Fatalf("%s: size %d, want %d distinct", what, it.size(), len(first))
+	}
+	if len(first) < 3 {
+		t.Fatalf("%s: only %d distinct values, the chain is not exercised", what, len(first))
+	}
+}
+
+// TestSeqInternerCollisionChain forces every path set, transformer vector
+// and formula of a seeded workload into one collision chain.
+func TestSeqInternerCollisionChain(t *testing.T) {
+	ts, _ := conditionsAnalysis(t)
+	sets := workloadSets(ts, 64, 3)
+	// Repeat every value, plus the empty set and a prefix of another set.
+	sets = append(append(sets, sets...), nil, sets[0][:1])
+	checkChain(t, "set", sets)
+
+	rng := rand.New(rand.NewSource(5))
+	var vecs [][]GState
+	for i := 0; i < 128; i++ {
+		v := make([]GState, ts.tab.numG)
+		for g := range v {
+			v[g] = GState(rng.Intn(ts.tab.numG))
+		}
+		vecs = append(vecs, v)
+	}
+	vecs = append(vecs, vecs[:64]...)
+	checkChain(t, "transformer", vecs)
+
+	var forms [][]literal
+	for i := 0; i < 128; i++ {
+		var f []literal
+		for p := 0; p < ts.tab.numPaths(); p++ {
+			if rng.Intn(4) == 0 {
+				f = append(f, mkLit(PathID(p), litKind(rng.Intn(6))))
+			}
+		}
+		forms = append(forms, f)
+	}
+	forms = append(forms, forms[:64]...)
+	checkChain(t, "formula", forms)
+}
+
+// forceCollisions replaces a fresh analysis's mutable interners and memos
+// with empty ones whose sets, transformers and formulas all share one
+// full hash, then reseeds them.
+func forceCollisions(a *Analysis) {
+	t := a.tab
+	t.sets = newSeqInterner(constHash[PathID])
+	t.trans = newSeqInterner(constHash[GState])
+	t.forms = newSeqInterner(constHash[literal])
+	t.abs = newInterner[absState, absState](hashAbs)
+	t.methodTrans = newMemoMap[string, TransID](hashString)
+	t.composeMemo = newMemoMap[[2]TransID, TransID](hashTransPair)
+	t.setOpMemo = newMemoMap[uint64, SetID](fold)
+	a.rels = newInterner[rel, rel](hashRel)
+	a.initMutable()
+}
+
+// TestSeqInternerCollisionEngineRun runs the serial SWIFT engine with every
+// set, transformer and formula in one collision chain: results, interned
+// IDs and the table snapshot must match a run on the real hash.
+func TestSeqInternerCollisionEngineRun(t *testing.T) {
+	if a, b := renderRun(t, nil), renderRun(t, forceCollisions); a != b {
+		t.Fatalf("collision-chain run differs:\n--- real hash ---\n%s--- constant hash ---\n%s", a, b)
 	}
 }
 
@@ -192,15 +311,19 @@ func determinismFixture() (*ir.Program, map[string]*Property) {
 	return prog, map[string]*Property{"h1": FileProperty()}
 }
 
-// renderRun runs the serial SWIFT engine on a fresh analysis and renders
-// everything observable — exit states, per-procedure summaries, ignored
-// sets, counters — into one string.
-func renderRun(t *testing.T) string {
+// renderRun runs the serial SWIFT engine on a fresh analysis, after
+// prepare when it is non-nil, and renders everything observable — exit
+// states, per-procedure summaries, ignored sets, counters, the intern-table
+// snapshot — into one string.
+func renderRun(t *testing.T, prepare func(*Analysis)) string {
 	t.Helper()
 	prog, track := determinismFixture()
 	ts, err := NewAnalysis(prog, track, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if prepare != nil {
+		prepare(ts)
 	}
 	an, err := core.NewAnalysis[AbsID, RelID, FormulaID](ts, prog)
 	if err != nil {
@@ -234,6 +357,7 @@ func renderRun(t *testing.T) string {
 	fmt.Fprintf(&b, "counts paths=%d sites=%d states=%d rels=%d\n",
 		ts.PathCount(), ts.SiteCount(), ts.StateCount(), ts.RelCount())
 	fmt.Fprintf(&b, "stats %+v td=%d\n", res.BUStats, res.TD.Steps)
+	fmt.Fprintf(&b, "tables %x\n", sha256.Sum256(ts.EncodeTables()))
 	return b.String()
 }
 
@@ -242,7 +366,7 @@ func renderRun(t *testing.T) string {
 // first-intern order, so two fresh serial runs — including the interned
 // IDs embedded in the rendering — are byte-identical.
 func TestSerialEngineDeterminism(t *testing.T) {
-	a, b := renderRun(t), renderRun(t)
+	a, b := renderRun(t, nil), renderRun(t, nil)
 	if a != b {
 		t.Fatalf("serial runs differ:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
 	}
