@@ -41,7 +41,7 @@ type Analysis struct {
 	slice SiteID
 
 	// relation interning
-	rels  *interner[rel, rel]
+	rels  *interner[rel]
 	idRel RelID
 
 	// compiled transfer cache (compile.go), lazily populated
@@ -72,7 +72,7 @@ func NewAnalysis(prog *ir.Program, track map[string]*Property, oracle Oracle) (*
 		track: track,
 		slice: -1,
 		tab: &tables{
-			paths:       newInterner[path, path](hashPath),
+			paths:       newInterner(hashPath),
 			rootedOf:    map[string][]PathID{},
 			fieldOf:     map[string][]PathID{},
 			sets:        newSeqInterner(hashSeq[PathID]),
@@ -81,10 +81,10 @@ func NewAnalysis(prog *ir.Program, track map[string]*Property, oracle Oracle) (*
 			methodTrans: newMemoMap[string, TransID](hashString),
 			composeMemo: newMemoMap[[2]TransID, TransID](hashTransPair),
 			setOpMemo:   newMemoMap[uint64, SetID](fold),
-			abs:         newInterner[absState, absState](hashAbs),
+			abs:         newInterner(hashAbs),
 			forms:       newSeqInterner(hashSeq[literal]),
 		},
-		rels: newInterner[rel, rel](hashRel),
+		rels: newInterner(hashRel),
 	}
 	t := a.tab
 	a.buildProperties()

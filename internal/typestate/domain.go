@@ -102,7 +102,7 @@ func (t *tables) inMustNot(s absState, p PathID) bool { return !t.setHas(s.nc, p
 // NewAnalysis and immutable afterwards.
 type tables struct {
 	// paths (interned during construction only; lookups at runtime)
-	paths    *interner[path, path]
+	paths    *interner[path]
 	rootedOf map[string][]PathID // variable → sorted paths rooted at it
 	fieldOf  map[string][]PathID // field → sorted paths carrying it
 
@@ -140,7 +140,7 @@ type tables struct {
 	setOpMemo *memoMap[uint64, SetID]
 
 	// abstract states
-	abs *interner[absState, absState]
+	abs *interner[absState]
 
 	// formulas (sorted literal conjunctions)
 	forms *seqInterner[literal]
@@ -158,7 +158,7 @@ type tables struct {
 // ---- paths ----
 
 func (t *tables) internPath(p path) PathID {
-	return PathID(t.paths.intern(p, func() path { return p }))
+	return PathID(t.paths.intern(p))
 }
 
 func (t *tables) pathAt(id PathID) path { return t.paths.at(int32(id)) }
@@ -471,7 +471,7 @@ func (t *tables) methodTransformer(m string) TransID {
 // ---- abstract states ----
 
 func (t *tables) internAbs(s absState) AbsID {
-	return AbsID(t.abs.intern(s, func() absState { return s }))
+	return AbsID(t.abs.intern(s))
 }
 
 func (t *tables) absOf(id AbsID) absState { return t.abs.at(int32(id)) }

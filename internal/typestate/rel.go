@@ -54,7 +54,7 @@ func (a *Analysis) internRel(r rel) RelID {
 			r.nK = t.coMinus(r.nK, g)
 		}
 	}
-	return RelID(a.rels.intern(r, func() rel { return r }))
+	return RelID(a.rels.intern(r))
 }
 
 func (a *Analysis) relOf(id RelID) rel { return a.rels.at(int32(id)) }

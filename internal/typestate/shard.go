@@ -100,27 +100,27 @@ type internShard[K comparable] struct {
 	_  [24]byte
 }
 
-// interner assigns dense int32 IDs to unique values of a comparable key
-// type. Safe for concurrent use; see the file comment for the scheme.
-type interner[K comparable, V any] struct {
+// interner assigns dense int32 IDs to unique values of a comparable type,
+// which serve as their own map keys. Safe for concurrent use; see the file
+// comment for the scheme.
+type interner[K comparable] struct {
 	hash   func(K) uint64
 	n      atomic.Int32
-	store  pagedStore[V]
+	store  pagedStore[K]
 	shards [shardCount]internShard[K]
 }
 
-func newInterner[K comparable, V any](hash func(K) uint64) *interner[K, V] {
-	it := &interner[K, V]{hash: hash, store: newPagedStore[V]()}
+func newInterner[K comparable](hash func(K) uint64) *interner[K] {
+	it := &interner[K]{hash: hash, store: newPagedStore[K]()}
 	for i := range it.shards {
 		it.shards[i].m = map[K]int32{}
 	}
 	return it
 }
 
-// intern returns the dense ID of k, calling value to materialize the
-// stored form on first intern only. Concurrent interns of equal keys
+// intern returns the dense ID of k. Concurrent interns of equal values
 // return the same ID.
-func (it *interner[K, V]) intern(k K, value func() V) int32 {
+func (it *interner[K]) intern(k K) int32 {
 	sh := &it.shards[it.hash(k)&shardMask]
 	sh.mu.RLock()
 	id, ok := sh.m[k]
@@ -136,13 +136,13 @@ func (it *interner[K, V]) intern(k K, value func() V) int32 {
 	id = it.n.Add(1) - 1
 	// The slot is written before the ID is published via the map (or the
 	// return value), so holders of an ID can always dereference it.
-	it.store.set(id, value())
+	it.store.set(id, k)
 	sh.m[k] = id
 	return id
 }
 
 // lookup returns the ID of k without interning.
-func (it *interner[K, V]) lookup(k K) (int32, bool) {
+func (it *interner[K]) lookup(k K) (int32, bool) {
 	sh := &it.shards[it.hash(k)&shardMask]
 	sh.mu.RLock()
 	id, ok := sh.m[k]
@@ -152,11 +152,11 @@ func (it *interner[K, V]) lookup(k K) (int32, bool) {
 
 // at returns the value interned under id. The caller must hold a
 // legitimately published id.
-func (it *interner[K, V]) at(id int32) V { return it.store.get(id) }
+func (it *interner[K]) at(id int32) K { return it.store.get(id) }
 
 // size returns the number of interned values. Concurrently with writers it
 // is a lower bound on published entries plus in-flight reservations.
-func (it *interner[K, V]) size() int { return int(it.n.Load()) }
+func (it *interner[K]) size() int { return int(it.n.Load()) }
 
 // seqInterner assigns dense int32 IDs to unique int32 sequences — path
 // sets, transformer vectors and formulas. It is keyed by a 64-bit content

@@ -210,21 +210,12 @@ func forceCollisions(a *Analysis) {
 	t.sets = newSeqInterner(constHash[PathID])
 	t.trans = newSeqInterner(constHash[GState])
 	t.forms = newSeqInterner(constHash[literal])
-	t.abs = newInterner[absState, absState](hashAbs)
+	t.abs = newInterner(hashAbs)
 	t.methodTrans = newMemoMap[string, TransID](hashString)
 	t.composeMemo = newMemoMap[[2]TransID, TransID](hashTransPair)
 	t.setOpMemo = newMemoMap[uint64, SetID](fold)
-	a.rels = newInterner[rel, rel](hashRel)
+	a.rels = newInterner(hashRel)
 	a.initMutable()
-}
-
-// TestSeqInternerCollisionEngineRun runs the serial SWIFT engine with every
-// set, transformer and formula in one collision chain: results, interned
-// IDs and the table snapshot must match a run on the real hash.
-func TestSeqInternerCollisionEngineRun(t *testing.T) {
-	if a, b := renderRun(t, nil), renderRun(t, forceCollisions); a != b {
-		t.Fatalf("collision-chain run differs:\n--- real hash ---\n%s--- constant hash ---\n%s", a, b)
-	}
 }
 
 // TestClientOpsRaceHammer drives the full client surface — Trans, RTrans,
@@ -364,11 +355,16 @@ func renderRun(t *testing.T, prepare func(*Analysis)) string {
 // TestSerialEngineDeterminism pins the ID-stability argument of shard.go:
 // in a single-threaded run the atomic ID counter assigns IDs in exactly
 // first-intern order, so two fresh serial runs — including the interned
-// IDs embedded in the rendering — are byte-identical.
+// IDs embedded in the rendering — are byte-identical. So is a run with
+// every set, transformer and formula in one collision chain: the hash
+// never decides an ID.
 func TestSerialEngineDeterminism(t *testing.T) {
 	a, b := renderRun(t, nil), renderRun(t, nil)
 	if a != b {
 		t.Fatalf("serial runs differ:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
+	}
+	if c := renderRun(t, forceCollisions); c != a {
+		t.Fatalf("collision-chain run differs:\n--- real hash ---\n%s--- constant hash ---\n%s", a, c)
 	}
 	if !strings.Contains(a, "bu use") {
 		t.Fatalf("fixture did not summarize the callee:\n%s", a)

@@ -92,10 +92,10 @@ func (a *Analysis) sliceClone(sid SiteID) *Analysis {
 			methodTrans: newMemoMap[string, TransID](hashString),
 			composeMemo: newMemoMap[[2]TransID, TransID](hashTransPair),
 			setOpMemo:   newMemoMap[uint64, SetID](fold),
-			abs:         newInterner[absState, absState](hashAbs),
+			abs:         newInterner(hashAbs),
 			forms:       newSeqInterner(hashSeq[literal]),
 		},
-		rels: newInterner[rel, rel](hashRel),
+		rels: newInterner(hashRel),
 	}
 	b.initMutable()
 	return b
