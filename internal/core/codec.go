@@ -2,7 +2,7 @@ package core
 
 import (
 	"cmp"
-	"fmt"
+	"slices"
 	"sort"
 
 	"swift/internal/wire"
@@ -12,11 +12,12 @@ import (
 // codec access to the framework's result shapes whose representation is
 // unexported: RSet construction from decoded parts, and a versioned,
 // canonical encoding of TDResult tables. Canonical means independent of
-// map iteration order — procedures, entry contexts and states are written
-// sorted — so encoding the same tables twice, or re-encoding a decoded
-// copy, is byte-identical. State values S are translated through
-// caller-supplied enc/dec functions, since only the client knows what its
-// IDs mean (the typestate client's are dense interned int32s).
+// map iteration order and of the order contexts arrived in — procedures,
+// entry contexts and states are written sorted — so runs that reach the
+// same tables under different schedules encode byte-identically. State
+// values S are translated through a caller-supplied enc function, since
+// only the client knows what its IDs mean (the typestate client's are
+// dense interned int32s).
 
 const tdMagic = "SWTD1"
 
@@ -41,9 +42,42 @@ func RSetParts[R cmp.Ordered, P cmp.Ordered](x RSet[R, P]) (rels []R, sigma []P)
 // not part of the encoding.
 func EncodeTDResult[S cmp.Ordered](w *wire.Writer, r *TDResult[S], enc func(S) int64) {
 	w.Raw([]byte(tdMagic))
-	w.Uint(uint64(len(r.PathEdges)))
-	for _, byIn := range r.PathEdges {
-		writeStateMap(w, byIn, enc)
+	w.Uint(uint64(len(r.rows)))
+	// byState[p] lists procedure p's context indices in state order, so
+	// each node writes its contexts sorted without a per-node sort.
+	byState := make([][]int32, len(r.ctxs))
+	for p, pc := range r.ctxs {
+		order := make([]int32, len(pc.list))
+		for c := range order {
+			order[c] = int32(c)
+		}
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(pc.list[a], pc.list[b]) })
+		byState[p] = order
+	}
+	var buf []S
+	for node, row := range r.rows {
+		n := 0
+		for _, cell := range row {
+			if cell.many != 0 {
+				n++
+			}
+		}
+		w.Uint(uint64(n))
+		if n == 0 {
+			continue
+		}
+		proc := r.procOf[node]
+		for _, c := range byState[proc] {
+			if int(c) >= len(row) || row[c].many == 0 {
+				continue
+			}
+			buf = r.appendCell(buf[:0], row[c])
+			w.Int(enc(r.ctxs[proc].list[c]))
+			w.Uint(uint64(len(buf)))
+			for _, s := range buf {
+				w.Int(enc(s))
+			}
+		}
 	}
 	procs := sortedKeys(r.Summaries)
 	w.Uint(uint64(len(procs)))
@@ -72,8 +106,7 @@ func EncodeTDResult[S cmp.Ordered](w *wire.Writer, r *TDResult[S], enc func(S) i
 	w.Int(int64(r.Steps))
 }
 
-// writeStateMap encodes a context → state-set bucket map in sorted
-// context order.
+// writeStateMap encodes a state → state-set map in sorted key order.
 func writeStateMap[S cmp.Ordered](w *wire.Writer, m map[S]sortedSet[S], enc func(S) int64) {
 	ins := make([]S, 0, len(m))
 	for in := range m {
@@ -89,100 +122,6 @@ func writeStateMap[S cmp.Ordered](w *wire.Writer, m map[S]sortedSet[S], enc func
 			w.Int(enc(s))
 		}
 	}
-}
-
-// DecodeTDResult decodes an EncodeTDResult record. dec must reject values
-// that are not valid states (the store treats any error as a cache miss).
-// Decoded state sets are re-canonicalized, so a well-formed record decodes
-// into tables upholding the solver invariants regardless of how it was
-// produced.
-func DecodeTDResult[S cmp.Ordered](data []byte, dec func(int64) (S, error)) (*TDResult[S], error) {
-	r := wire.NewReader(data)
-	r.Expect(tdMagic)
-	res := &TDResult[S]{
-		Summaries: map[string]map[S]sortedSet[S]{},
-		EntrySeen: map[string]multiset[S]{},
-	}
-	nNodes := r.Len()
-	res.PathEdges = make([]map[S]sortedSet[S], 0, nNodes)
-	for i := 0; i < nNodes && r.Err() == nil; i++ {
-		m, err := readStateMap(r, dec)
-		if err != nil {
-			return nil, err
-		}
-		res.PathEdges = append(res.PathEdges, m)
-	}
-	nProcs := r.Len()
-	for i := 0; i < nProcs && r.Err() == nil; i++ {
-		name := r.String()
-		m, err := readStateMap(r, dec)
-		if err != nil {
-			return nil, err
-		}
-		res.Summaries[name] = m
-	}
-	nProcs = r.Len()
-	for i := 0; i < nProcs && r.Err() == nil; i++ {
-		name := r.String()
-		n := r.Len()
-		m := make(multiset[S], n)
-		for j := 0; j < n && r.Err() == nil; j++ {
-			s, err := decodeState(r, dec)
-			if err != nil {
-				return nil, err
-			}
-			count := r.Int()
-			if r.Err() == nil && count <= 0 {
-				return nil, fmt.Errorf("core: non-positive multiset count %d", count)
-			}
-			m[s] = int(count)
-		}
-		res.EntrySeen[name] = m
-	}
-	res.NumPathEdges = int(r.Int())
-	res.NumSummaries = int(r.Int())
-	res.Steps = int(r.Int())
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-func readStateMap[S cmp.Ordered](r *wire.Reader, dec func(int64) (S, error)) (map[S]sortedSet[S], error) {
-	n := r.Len()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	m := make(map[S]sortedSet[S], n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		in, err := decodeState(r, dec)
-		if err != nil {
-			return nil, err
-		}
-		k := r.Len()
-		outs := make([]S, 0, k)
-		for j := 0; j < k && r.Err() == nil; j++ {
-			s, err := decodeState(r, dec)
-			if err != nil {
-				return nil, err
-			}
-			outs = append(outs, s)
-		}
-		m[in] = newSortedSet(outs)
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	return m, nil
-}
-
-func decodeState[S cmp.Ordered](r *wire.Reader, dec func(int64) (S, error)) (S, error) {
-	v := r.Int()
-	if err := r.Err(); err != nil {
-		var zero S
-		return zero, err
-	}
-	return dec(v)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -9,12 +9,14 @@ package core_test
 // hybrid.
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"swift/internal/benchprog"
@@ -22,10 +24,13 @@ import (
 	"swift/internal/driver"
 	"swift/internal/ir"
 	"swift/internal/killgen"
+	"swift/internal/wire"
 )
 
 // sameTD asserts two tabulation results are identical: the full path-edge
-// table, summaries, entry multisets and every counter.
+// table, summaries, entry multisets and every counter. Entry contexts are
+// numbered in arrival order, which differs between schedulers and views,
+// so the path-edge tables are compared through their canonical encoding.
 func sameTD[S cmp.Ordered](t *testing.T, label string, a, b *core.TDResult[S]) {
 	t.Helper()
 	if a.NumPathEdges != b.NumPathEdges || a.NumSummaries != b.NumSummaries || a.Steps != b.Steps {
@@ -33,7 +38,7 @@ func sameTD[S cmp.Ordered](t *testing.T, label string, a, b *core.TDResult[S]) {
 			a.NumPathEdges, a.NumSummaries, a.Steps,
 			b.NumPathEdges, b.NumSummaries, b.Steps)
 	}
-	if !reflect.DeepEqual(a.PathEdges, b.PathEdges) {
+	if enc := canonicalTD(a, b); !bytes.Equal(enc[0], enc[1]) {
 		t.Errorf("%s: path-edge tables differ", label)
 	}
 	if !reflect.DeepEqual(a.Summaries, b.Summaries) {
@@ -42,6 +47,36 @@ func sameTD[S cmp.Ordered](t *testing.T, label string, a, b *core.TDResult[S]) {
 	if !reflect.DeepEqual(a.EntrySeen, b.EntrySeen) {
 		t.Errorf("%s: entry multisets differ", label)
 	}
+}
+
+// canonicalTD encodes tabulation results with every state numbered by its
+// rank among the states any of them mentions, so two results encode
+// equally exactly when their tables are equal.
+func canonicalTD[S cmp.Ordered](rs ...*core.TDResult[S]) [][]byte {
+	seen := map[S]bool{}
+	var states []S
+	collect := func(s S) int64 {
+		if !seen[s] {
+			seen[s] = true
+			states = append(states, s)
+		}
+		return 0
+	}
+	for _, r := range rs {
+		core.EncodeTDResult(&wire.Writer{}, r, collect)
+	}
+	slices.Sort(states)
+	rank := func(s S) int64 {
+		i, _ := slices.BinarySearch(states, s)
+		return int64(i)
+	}
+	out := make([][]byte, len(rs))
+	for i, r := range rs {
+		var w wire.Writer
+		core.EncodeTDResult(&w, r, rank)
+		out[i] = w.Bytes()
+	}
+	return out
 }
 
 // tdVariants runs RunTD under all four view/memo combinations and asserts

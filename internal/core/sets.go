@@ -72,8 +72,8 @@ func (s sortedSet[T]) union(t sortedSet[T]) sortedSet[T] {
 
 // mergeAppend merges sorted set src into dst in place, reusing dst's
 // capacity when it suffices (callers must own dst exclusively — the solver's
-// path-edge buckets qualify during a run, since results are only read after
-// the drain). Newly added elements are appended to buf, which is returned
+// wide path-edge cells qualify during a run, since results are only read
+// after the drain). Newly added elements are appended to buf, which is returned
 // so callers can reuse it as a scratch buffer; when src ⊆ dst the call
 // performs one linear scan and no allocation. src is never modified.
 func mergeAppend[T cmp.Ordered](dst sortedSet[T], src sortedSet[T], buf []T) (sortedSet[T], []T) {

@@ -3,8 +3,8 @@ package core_test
 // Tabulation hot-path benchmarks on the paper-mirror programs:
 //
 //   - BenchmarkTabulationCompressed — the shipped solver: superblock view,
-//     chain transfer memo, per-node map[in]sortedSet path-edge table,
-//     structure-driven sparse scheduler (DESIGN.md §13).
+//     chain transfer memo, per-node rows of entry-context cells as the
+//     path-edge table, structure-driven sparse scheduler (DESIGN.md §13).
 //   - BenchmarkTabulationDense — A/B control: the shipped solver with the
 //     sparse scheduler off (Config.NoSparse), i.e. the dense FIFO that was
 //     the shipped configuration before the structure layer.

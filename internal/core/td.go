@@ -23,16 +23,27 @@ type callerRec[S cmp.Ordered] struct {
 	in  S
 }
 
+// pathCell is one (node, entry context) cell of the path-edge table. It is
+// empty (many == 0), holds the single state one (many < 0), or holds the
+// wide set wide[many-1] (many > 0). On measured runs almost every cell
+// holds one state, so the common case costs no heap object; for interned
+// integer state types a cell is pointer-free and rows add no GC scan work.
+type pathCell[S cmp.Ordered] struct {
+	one  S
+	many int32
+}
+
+// procContexts numbers the entry contexts of one procedure densely, in
+// order of first arrival.
+type procContexts[S cmp.Ordered] struct {
+	idx  map[S]int32
+	list []S
+}
+
 // TDResult holds the output of the top-down tabulation: the td map, the
 // procedure summary table, and the incoming-state bookkeeping used by SWIFT
 // for triggering and for ranking relational cases.
 type TDResult[S cmp.Ordered] struct {
-	// PathEdges is the td map, indexed by CFG node ID: entry context of the
-	// enclosing procedure → sorted set of states reached at the node under
-	// that context. This groups the paper's td: PC → 2^(S×S) pairs by their
-	// first component, so summary resumption and NodeStatesIn read one
-	// bucket instead of scanning every pair at the node.
-	PathEdges []map[S]sortedSet[S]
 	// Summaries maps procedure → entry state → exit states. Each (entry,
 	// exit) pair is one "top-down summary" in the paper's accounting.
 	Summaries map[string]map[S]sortedSet[S]
@@ -58,6 +69,19 @@ type TDResult[S cmp.Ordered] struct {
 	// run was dense). Observational only: excluded from EncodeTDResult.
 	Sparse SparseStats
 
+	// The td map — the paper's td: PC → 2^(S×S) — as one row per CFG
+	// node: rows[n][c] holds the states reached at n under entry context c
+	// of n's procedure, whose state is ctxs[procOf[n]].list[c]. Every
+	// context of a procedure typically reaches every node of it, so rows
+	// are dense; a row grows on the first fact under a context beyond its
+	// end. Context numbers follow arrival order, which differs between
+	// schedulers and views, so only the accessors and EncodeTDResult
+	// (which sorts contexts) are canonical.
+	procOf []int32
+	ctxs   []procContexts[S]
+	rows   [][]pathCell[S]
+	wide   []sortedSet[S]
+
 	// version counts path-edge insertions; the snapshot caches below are
 	// dropped when it moves. The accessors memoize because clients call
 	// them per check (error scans, per-node property tests); they are not
@@ -70,6 +94,111 @@ type TDResult[S cmp.Ordered] struct {
 	nodeSnap  map[int]sortedSet[S]
 	nodeSnapV int
 }
+
+// newPathTable returns a result with an empty path-edge table over nodes
+// whose procedure indices (in [0, procs)) are procOf.
+func newPathTable[S cmp.Ordered](procOf []int32, procs int) *TDResult[S] {
+	r := &TDResult[S]{
+		procOf: procOf,
+		ctxs:   make([]procContexts[S], procs),
+		rows:   make([][]pathCell[S], len(procOf)),
+	}
+	for i := range r.ctxs {
+		r.ctxs[i].idx = map[S]int32{}
+	}
+	return r
+}
+
+// context returns the index of entry context in of node's procedure,
+// numbering it on first arrival.
+func (r *TDResult[S]) context(node int, in S) int32 {
+	pc := &r.ctxs[r.procOf[node]]
+	c, ok := pc.idx[in]
+	if !ok {
+		c = int32(len(pc.list))
+		pc.idx[in] = c
+		pc.list = append(pc.list, in)
+	}
+	return c
+}
+
+// cell returns the table cell of (node, context c), growing the node's row
+// to its procedure's current context count when c lies beyond it. The
+// pointer is valid until the row next grows.
+func (r *TDResult[S]) cell(node int, c int32) *pathCell[S] {
+	row := r.rows[node]
+	if int(c) >= len(row) {
+		n := len(r.ctxs[r.procOf[node]].list)
+		row = append(row, make([]pathCell[S], n-len(row))...)
+		r.rows[node] = row
+	}
+	return &row[c]
+}
+
+// insert adds state out to a cell, reporting whether it was new.
+func (r *TDResult[S]) insert(p *pathCell[S], out S) bool {
+	switch {
+	case p.many == 0:
+		p.one, p.many = out, -1
+	case p.many < 0:
+		if p.one == out {
+			return false
+		}
+		pair := sortedSet[S]{p.one, out}
+		if out < p.one {
+			pair[0], pair[1] = out, p.one
+		}
+		r.wide = append(r.wide, pair)
+		p.many = int32(len(r.wide))
+	default:
+		set := r.wide[p.many-1]
+		i, ok := slices.BinarySearch(set, out)
+		if ok {
+			return false
+		}
+		r.wide[p.many-1] = slices.Insert(set, i, out)
+	}
+	return true
+}
+
+// insertSet merges the sorted set states into a cell and appends the new
+// states to buf[:0] exactly as mergeAppend would: in descending order.
+// states is never retained.
+func (r *TDResult[S]) insertSet(p *pathCell[S], states sortedSet[S], buf []S) []S {
+	buf = buf[:0]
+	switch {
+	case p.many > 0:
+		r.wide[p.many-1], buf = mergeAppend(r.wide[p.many-1], states, buf)
+	case p.many == 0 && len(states) == 1:
+		p.one, p.many = states[0], -1
+		buf = append(buf, states[0])
+	case p.many < 0 && len(states) == 1 && states[0] == p.one:
+		// Already present.
+	default: // the cell turns wide
+		var dst, set sortedSet[S]
+		if p.many < 0 {
+			dst = append(make(sortedSet[S], 0, len(states)+1), p.one)
+		}
+		set, buf = mergeAppend(dst, states, buf)
+		r.wide = append(r.wide, set)
+		p.many = int32(len(r.wide))
+	}
+	return buf
+}
+
+// appendCell appends the states of a cell to dst.
+func (r *TDResult[S]) appendCell(dst []S, p pathCell[S]) []S {
+	switch {
+	case p.many < 0:
+		return append(dst, p.one)
+	case p.many > 0:
+		return append(dst, r.wide[p.many-1]...)
+	}
+	return dst
+}
+
+// NumNodes returns the number of CFG nodes the path-edge table covers.
+func (r *TDResult[S]) NumNodes() int { return len(r.rows) }
 
 // SummaryCount returns the number of top-down summaries recorded for the
 // procedure.
@@ -99,10 +228,12 @@ func (r *TDResult[S]) NodeStates(node int) []S {
 	if s, ok := snap[node]; ok {
 		return s
 	}
-	var s sortedSet[S]
-	for _, outs := range r.PathEdges[node] {
-		s = s.union(outs)
+	var s []S
+	for _, p := range r.rows[node] {
+		s = r.appendCell(s, p)
 	}
+	slices.Sort(s)
+	s = slices.Compact(s)
 	snap[node] = s
 	return s
 }
@@ -118,27 +249,39 @@ func (r *TDResult[S]) AllStates() []S {
 	}
 	seen := map[S]bool{}
 	var out []S
-	for _, byIn := range r.PathEdges {
-		for _, outs := range byIn {
-			for _, s := range outs {
-				if !seen[s] {
-					seen[s] = true
-					out = append(out, s)
+	visit := func(s S) {
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	for _, row := range r.rows {
+		for _, p := range row {
+			if p.many < 0 {
+				visit(p.one)
+			} else if p.many > 0 {
+				for _, s := range r.wide[p.many-1] {
+					visit(s)
 				}
 			}
 		}
 	}
-	r.allSnap = newSortedSet(out)
+	slices.Sort(out)
+	r.allSnap = out
 	r.allSnapV = r.version
 	r.allSnapOK = true
 	return r.allSnap
 }
 
 // NodeStatesIn returns the sorted abstract states recorded at a CFG node
-// for one entry context of the enclosing procedure. The returned slice is
-// the solver's own bucket; callers must not mutate it.
+// for one entry context of the enclosing procedure, or nil if none were.
+// Callers must not mutate the result.
 func (r *TDResult[S]) NodeStatesIn(node int, in S) []S {
-	return r.PathEdges[node][in]
+	c, ok := r.ctxs[r.procOf[node]].idx[in]
+	if !ok || int(c) >= len(r.rows[node]) {
+		return nil
+	}
+	return r.appendCell(nil, r.rows[node][c])
 }
 
 // EntryStates returns the sorted distinct incoming states of a procedure.
@@ -233,12 +376,17 @@ func newTDSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered](
 	sidx *ir.StructIndex,
 ) *tdSolver[S, R, P] {
 	cfg := view.CFG
-	res := &TDResult[S]{
-		PathEdges: make([]map[S]sortedSet[S], cfg.NodeCount),
-		Summaries: map[string]map[S]sortedSet[S]{},
-		EntrySeen: map[string]multiset[S]{},
+	names := cfg.Program.ProcNames()
+	procOf := make([]int32, cfg.NodeCount)
+	for i, name := range names {
+		for _, n := range cfg.ByProc[name].Nodes {
+			procOf[n.ID] = int32(i)
+		}
 	}
-	for _, name := range cfg.Program.ProcNames() {
+	res := newPathTable[S](procOf, len(names))
+	res.Summaries = map[string]map[S]sortedSet[S]{}
+	res.EntrySeen = map[string]multiset[S]{}
+	for _, name := range names {
 		res.Summaries[name] = map[S]sortedSet[S]{}
 		res.EntrySeen[name] = multiset[S]{}
 	}
@@ -281,19 +429,12 @@ func (t *tdSolver[S, R, P]) chainFuncs(se *ir.SuperEdge) []func(S, []S) []S {
 	return fs
 }
 
-// insertFact records state out at node under entry context in, reporting
+// insertFact records state out at node under entry context c, reporting
 // whether it was new and charging the path-edge budget.
-func (t *tdSolver[S, R, P]) insertFact(node int, in, out S) (bool, error) {
-	m := t.res.PathEdges[node]
-	if m == nil {
-		m = make(map[S]sortedSet[S], 4)
-		t.res.PathEdges[node] = m
-	}
-	outs, added := m[in].insert(out)
-	if !added {
+func (t *tdSolver[S, R, P]) insertFact(node int, c int32, out S) (bool, error) {
+	if !t.res.insert(t.res.cell(node, c), out) {
 		return false, nil
 	}
-	m[in] = outs
 	t.res.version++
 	t.res.NumPathEdges++
 	if t.sp != nil {
@@ -309,7 +450,7 @@ func (t *tdSolver[S, R, P]) insertFact(node int, in, out S) (bool, error) {
 
 // propagate inserts a path edge and schedules it if new.
 func (t *tdSolver[S, R, P]) propagate(node int, in, out S) error {
-	added, err := t.insertFact(node, in, out)
+	added, err := t.insertFact(node, t.res.context(node, in), out)
 	if err != nil || !added {
 		return err
 	}
@@ -324,27 +465,22 @@ func (t *tdSolver[S, R, P]) propagate(node int, in, out S) error {
 // batched inserts below serve the compressed chain walk; the per-fact
 // insertFact/propagate pair above serves every worklist-driven path.
 
-// insertFactSet batch-inserts a sorted set of states at (node, in): one
-// bucket fetch and one in-place merge instead of a fetch, binary search and
-// fresh slice per state. The returned slice of new states is the solver's
-// scratch buffer — valid until the next insertFactSet call. On a budget
-// trip the counter lands on exactly MaxPathEdges+1, matching where the
-// per-fact path stops, so the two views agree on NumPathEdges at an abort.
-func (t *tdSolver[S, R, P]) insertFactSet(node int, in S, states sortedSet[S]) ([]S, error) {
+// insertFactSet batch-inserts a sorted set of states at (node, context c):
+// one cell fetch and one merge instead of a fetch and binary search per
+// state. The returned slice of new states, in descending order, is the
+// solver's scratch buffer — valid until the next insertFactSet call. On a
+// budget trip the counter lands on exactly MaxPathEdges+1, matching where
+// the per-fact path stops, so the two views agree on NumPathEdges at an
+// abort.
+func (t *tdSolver[S, R, P]) insertFactSet(node int, c int32, states sortedSet[S]) ([]S, error) {
 	if len(states) == 0 {
 		return nil, nil
 	}
-	m := t.res.PathEdges[node]
-	if m == nil {
-		m = make(map[S]sortedSet[S], 4)
-		t.res.PathEdges[node] = m
-	}
-	merged, added := mergeAppend(m[in], states, t.addbuf)
+	added := t.res.insertSet(t.res.cell(node, c), states, t.addbuf)
 	t.addbuf = added
 	if len(added) == 0 {
 		return nil, nil
 	}
-	m[in] = merged
 	t.res.version++
 	if t.sp != nil {
 		t.res.Steps += len(added) // per-fact step charge; see insertFact
@@ -361,8 +497,8 @@ func (t *tdSolver[S, R, P]) insertFactSet(node int, in S, states sortedSet[S]) (
 // compressed chain. These facts never enter the worklist — the chain walk
 // carries them forward — so the pops the raw solver would have performed
 // are charged here, keeping Steps in original-graph units.
-func (t *tdSolver[S, R, P]) recordInteriorSet(node int, in S, states sortedSet[S]) (int, error) {
-	added, err := t.insertFactSet(node, in, states)
+func (t *tdSolver[S, R, P]) recordInteriorSet(node int, c int32, states sortedSet[S]) (int, error) {
+	added, err := t.insertFactSet(node, c, states)
 	if t.sp == nil {
 		t.res.Steps += len(added) // sparse charged these in insertFactSet
 	}
@@ -375,10 +511,10 @@ func (t *tdSolver[S, R, P]) recordInteriorSet(node int, in S, states sortedSet[S
 	return len(added), t.dl.check()
 }
 
-// propagateSet batch-inserts path edges at (node, in) and schedules the new
-// ones.
-func (t *tdSolver[S, R, P]) propagateSet(node int, in S, states sortedSet[S]) error {
-	added, err := t.insertFactSet(node, in, states)
+// propagateSet batch-inserts path edges at node under entry context in,
+// whose index is c, and schedules the new ones.
+func (t *tdSolver[S, R, P]) propagateSet(node int, in S, c int32, states sortedSet[S]) error {
+	added, err := t.insertFactSet(node, c, states)
 	if t.sp != nil {
 		for _, s := range added {
 			t.sp.enqueue(node, pathPair[S]{in: in, out: s})
@@ -459,12 +595,13 @@ func (t *tdSolver[S, R, P]) step(item workItem[S]) error {
 // interior nodes.
 func (t *tdSolver[S, R, P]) traverse(se *ir.SuperEdge, in, out S) error {
 	m, k := t.chainEntry(se, out)
+	c := t.res.context(se.From.ID, in) // one procedure, so one context index
 	rows := int32(len(se.Interior) + 1)
 	off, lrow := m.starts[k], k*rows
 	for i, w := range se.Interior {
 		set := m.states[off : off+m.lens[lrow+int32(i)]]
 		off += m.lens[lrow+int32(i)]
-		n, err := t.recordInteriorSet(w.ID, in, set)
+		n, err := t.recordInteriorSet(w.ID, c, set)
 		if err != nil {
 			return err
 		}
@@ -477,7 +614,7 @@ func (t *tdSolver[S, R, P]) traverse(se *ir.SuperEdge, in, out S) error {
 			return nil
 		}
 	}
-	return t.propagateSet(se.To.ID, in, m.states[off:off+m.lens[lrow+rows-1]])
+	return t.propagateSet(se.To.ID, in, c, m.states[off:off+m.lens[lrow+rows-1]])
 }
 
 // chainEntry returns the memo holding the image of state s0 under the

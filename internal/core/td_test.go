@@ -6,11 +6,16 @@ package core
 // caches must be reused until the next insertion invalidates them.
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"swift/internal/ir"
 	"swift/internal/killgen"
+	"swift/internal/wire"
 )
 
 // tdFixture builds a solver over a small taint program with a loop and a
@@ -81,19 +86,18 @@ func TestRunReleasesOversizedWorklist(t *testing.T) {
 	}
 }
 
-// syntheticResult builds a TDResult with nodes×contexts×width facts.
+// syntheticResult builds a TDResult with nodes×contexts×width facts, all
+// nodes in one procedure.
 func syntheticResult(nodes, contexts, width int) *TDResult[int] {
-	r := &TDResult[int]{PathEdges: make([]map[int]sortedSet[int], nodes)}
+	r := newPathTable[int](make([]int32, nodes), 1)
 	for n := 0; n < nodes; n++ {
-		m := map[int]sortedSet[int]{}
 		for c := 0; c < contexts; c++ {
 			outs := make(sortedSet[int], width)
-			for w := 0; w < width; w++ {
+			for w := range outs {
 				outs[w] = n + c + w
 			}
-			m[c] = newSortedSet(outs)
+			r.insertSet(r.cell(n, r.context(n, c)), outs, nil)
 		}
-		r.PathEdges[n] = m
 		r.version += contexts * width
 	}
 	return r
@@ -112,11 +116,9 @@ func TestAllStatesMemoized(t *testing.T) {
 	}
 	// Simulate what insertFact does: new fact, version bump.
 	const novel = 1 << 20
-	outs, added := r.PathEdges[0][0].insert(novel)
-	if !added {
+	if !r.insert(r.cell(0, r.context(0, 0)), novel) {
 		t.Fatal("novel state not added")
 	}
-	r.PathEdges[0][0] = outs
 	r.version++
 	second := r.AllStates()
 	if len(second) != len(first)+1 {
@@ -233,5 +235,241 @@ func TestHybridsRunOnCompressedView(t *testing.T) {
 		if res.TD.Sparse.Enabled {
 			t.Errorf("%s: hybrid ran the sparse scheduler", engine)
 		}
+	}
+}
+
+// pathEdgeSolver returns a bare solver over an empty path-edge table whose
+// node i lies in procedure procOf[i]; only the insert paths may be used.
+func pathEdgeSolver(maxEdges int, procOf ...int32) *tdSolver[int, int, int] {
+	procs := 0
+	for _, p := range procOf {
+		procs = max(procs, int(p)+1)
+	}
+	cfg := TDConfig()
+	cfg.MaxPathEdges = maxEdges
+	return &tdSolver[int, int, int]{res: newPathTable[int](procOf, procs), config: cfg}
+}
+
+// cellKind names the representation of a cell: empty, single or wide.
+func cellKind(r *TDResult[int], node int, c int32) string {
+	if int(c) >= len(r.rows[node]) {
+		return "empty"
+	}
+	switch p := r.rows[node][c]; {
+	case p.many < 0:
+		return "single"
+	case p.many > 0:
+		return "wide"
+	}
+	return "empty"
+}
+
+// TestPathEdgeCellTransitions walks cells through empty → single → wide via
+// both insert paths, checking the new states each insert reports (in
+// mergeAppend's descending order), the cell's representation and contents,
+// and the path-edge count.
+func TestPathEdgeCellTransitions(t *testing.T) {
+	s := pathEdgeSolver(1000, 0, 0, 0, 0)
+	c := s.res.context(0, 7)
+	for i, st := range []struct {
+		out   int
+		added bool
+		kind  string
+		want  []int
+	}{
+		{5, true, "single", []int{5}},
+		{5, false, "single", []int{5}},
+		{3, true, "wide", []int{3, 5}},
+		{9, true, "wide", []int{3, 5, 9}},
+		{3, false, "wide", []int{3, 5, 9}},
+	} {
+		added, err := s.insertFact(0, c, st.out)
+		if err != nil || added != st.added {
+			t.Fatalf("insertFact step %d: added=%v err=%v, want %v", i, added, err, st.added)
+		}
+		if k := cellKind(s.res, 0, c); k != st.kind {
+			t.Errorf("insertFact step %d: cell is %s, want %s", i, k, st.kind)
+		}
+		if got := s.res.NodeStatesIn(0, 7); !slices.Equal(got, st.want) {
+			t.Errorf("insertFact step %d: states %v, want %v", i, got, st.want)
+		}
+	}
+	for i, st := range []struct {
+		node  int
+		in    sortedSet[int]
+		added []int
+		kind  string
+		want  []int
+	}{
+		{1, sortedSet[int]{4}, []int{4}, "single", []int{4}},
+		{1, sortedSet[int]{4}, nil, "single", []int{4}},
+		{1, sortedSet[int]{2, 4, 6}, []int{6, 2}, "wide", []int{2, 4, 6}},
+		{1, sortedSet[int]{1, 6, 8}, []int{8, 1}, "wide", []int{1, 2, 4, 6, 8}},
+		{2, sortedSet[int]{3, 5}, []int{5, 3}, "wide", []int{3, 5}},
+		{3, sortedSet[int]{4}, []int{4}, "single", []int{4}},
+		{3, sortedSet[int]{5}, []int{5}, "wide", []int{4, 5}},
+	} {
+		added, err := s.insertFactSet(st.node, c, st.in)
+		if err != nil || !slices.Equal(added, st.added) {
+			t.Fatalf("insertFactSet step %d: added %v err=%v, want %v", i, added, err, st.added)
+		}
+		if k := cellKind(s.res, st.node, c); k != st.kind {
+			t.Errorf("insertFactSet step %d: cell is %s, want %s", i, k, st.kind)
+		}
+		if got := s.res.NodeStatesIn(st.node, 7); !slices.Equal(got, st.want) {
+			t.Errorf("insertFactSet step %d: states %v, want %v", i, got, st.want)
+		}
+	}
+	if want := 3 + 5 + 2 + 2; s.res.NumPathEdges != want {
+		t.Errorf("NumPathEdges = %d, want %d", s.res.NumPathEdges, want)
+	}
+}
+
+// TestPathEdgeNewStatesMatchMergeAppend drives random cells through random
+// inserts on both paths against a plain sorted-set model: every insert must
+// report exactly the new states mergeAppend reports, in its order, and
+// leave the cell holding the merged set.
+func TestPathEdgeNewStatesMatchMergeAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := pathEdgeSolver(1<<30, 0)
+	for trial := 0; trial < 300; trial++ {
+		c := s.res.context(0, trial)
+		var model sortedSet[int]
+		for op := 0; op < 6; op++ {
+			if rng.Intn(3) == 0 {
+				x := rng.Intn(12)
+				want, wantAdded := model.insert(x)
+				added, err := s.insertFact(0, c, x)
+				if err != nil || added != wantAdded {
+					t.Fatalf("trial %d: insertFact(%d) = %v, %v; want %v", trial, x, added, err, wantAdded)
+				}
+				model = want
+			} else {
+				src := make([]int, rng.Intn(5))
+				for i := range src {
+					src[i] = rng.Intn(12)
+				}
+				set := newSortedSet(src)
+				want, wantAdded := mergeAppend(slices.Clone(model), set, nil)
+				added, err := s.insertFactSet(0, c, set)
+				if err != nil || !slices.Equal(added, wantAdded) {
+					t.Fatalf("trial %d: insertFactSet(%v) into %v added %v, mergeAppend %v",
+						trial, set, model, added, wantAdded)
+				}
+				model = want
+			}
+			if got := s.res.NodeStatesIn(0, trial); !slices.Equal(got, model) {
+				t.Fatalf("trial %d: cell holds %v, want %v", trial, got, model)
+			}
+		}
+	}
+}
+
+// TestPathEdgeBudgetTrip checks that both insert paths stop the path-edge
+// count at exactly MaxPathEdges+1.
+func TestPathEdgeBudgetTrip(t *testing.T) {
+	s := pathEdgeSolver(5, 0, 0)
+	c := s.res.context(0, 0)
+	if _, err := s.insertFactSet(0, c, sortedSet[int]{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	added, err := s.insertFactSet(1, c, sortedSet[int]{1, 2, 3, 4})
+	if !errors.Is(err, ErrBudget) || len(added) != 4 {
+		t.Fatalf("batch over budget: added %v, err %v", added, err)
+	}
+	if s.res.NumPathEdges != 6 {
+		t.Errorf("batch trip: NumPathEdges = %d, want 6", s.res.NumPathEdges)
+	}
+
+	s = pathEdgeSolver(5, 0)
+	c = s.res.context(0, 0)
+	for i := 0; ; i++ {
+		if _, err := s.insertFact(0, c, i); err != nil {
+			if !errors.Is(err, ErrBudget) || i != 5 {
+				t.Fatalf("per-fact trip at insert %d: %v", i, err)
+			}
+			break
+		}
+	}
+	if s.res.NumPathEdges != 6 {
+		t.Errorf("per-fact trip: NumPathEdges = %d, want 6", s.res.NumPathEdges)
+	}
+}
+
+// TestPathEdgeLateContextRow reaches a node first under its procedure's
+// second context: the row grows to the context count with an empty cell in
+// front, every accessor reads it back, and the encoding lists contexts in
+// state order rather than arrival order.
+func TestPathEdgeLateContextRow(t *testing.T) {
+	s := pathEdgeSolver(100, 0, 0, 0)
+	late, early := s.res.context(0, 20), s.res.context(0, 10)
+	if _, err := s.insertFact(0, late, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.insertFact(0, early, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.insertFactSet(2, early, sortedSet[int]{3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	r := s.res
+	if row := r.rows[2]; len(row) != 2 || row[late].many != 0 {
+		t.Fatalf("row of node 2 = %+v, want an empty cell under context 20", row)
+	}
+	if got := r.NodeStatesIn(2, 10); !slices.Equal(got, []int{3, 4}) {
+		t.Errorf("NodeStatesIn(2, 10) = %v", got)
+	}
+	if got := r.NodeStatesIn(2, 20); got != nil {
+		t.Errorf("NodeStatesIn(2, 20) = %v, want nil", got)
+	}
+	if got := r.NodeStates(2); !slices.Equal(got, []int{3, 4}) {
+		t.Errorf("NodeStates(2) = %v", got)
+	}
+	if got := r.AllStates(); !slices.Equal(got, []int{1, 2, 3, 4}) {
+		t.Errorf("AllStates() = %v", got)
+	}
+
+	var want wire.Writer
+	want.Raw([]byte(tdMagic))
+	want.Uint(3)
+	cell := func(in int64, states ...int64) {
+		want.Int(in)
+		want.Uint(uint64(len(states)))
+		for _, s := range states {
+			want.Int(s)
+		}
+	}
+	want.Uint(2) // node 0: both contexts, in state order
+	cell(10, 2)
+	cell(20, 1)
+	want.Uint(0) // node 1: unreached
+	want.Uint(1) // node 2: context 10 only
+	cell(10, 3, 4)
+	want.Uint(0) // summaries
+	want.Uint(0) // entry multisets
+	want.Int(4)  // NumPathEdges
+	want.Int(0)  // NumSummaries
+	want.Int(0)  // Steps
+	var got wire.Writer
+	EncodeTDResult(&got, r, func(s int) int64 { return int64(s) })
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("encoding\n got %v\nwant %v", got.Bytes(), want.Bytes())
+	}
+}
+
+// TestPathEdgeNodeStatesInUnseenContext: a context never seen by the
+// node's procedure, or seen but never reaching the node, reads back nil.
+func TestPathEdgeNodeStatesInUnseenContext(t *testing.T) {
+	s := pathEdgeSolver(100, 0, 0, 1)
+	if _, err := s.insertFact(0, s.res.context(0, 1), 5); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct{ node, in int }{{0, 2}, {1, 1}, {2, 1}} {
+		if got := s.res.NodeStatesIn(q.node, q.in); got != nil {
+			t.Errorf("NodeStatesIn(%d, %d) = %v, want nil", q.node, q.in, got)
+		}
+	}
+	if got := s.res.NodeStatesIn(0, 1); !slices.Equal(got, []int{5}) {
+		t.Errorf("NodeStatesIn(0, 1) = %v", got)
 	}
 }

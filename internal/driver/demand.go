@@ -95,7 +95,7 @@ func buildSliceTable(sl *core.SliceRun[typestate.AbsID, typestate.RelID, typesta
 	t := &SliceTable{
 		Engine:   res.Engine,
 		Site:     site,
-		StatesAt: make([][]string, len(res.TD.PathEdges)),
+		StatesAt: make([][]string, res.TD.NumNodes()),
 		Work:     res.WorkUnits(),
 	}
 	for _, s := range ts.ErrorSites(res.TD.AllStates()) {
