@@ -42,7 +42,9 @@ type procContexts[S cmp.Ordered] struct {
 
 // TDResult holds the output of the top-down tabulation: the td map, the
 // procedure summary table, and the incoming-state bookkeeping used by SWIFT
-// for triggering and for ranking relational cases.
+// for triggering and for ranking relational cases. The td map is
+// unexported; NodeStates, NodeStatesIn, AllStates, NumNodes and
+// EncodeTDResult read it.
 type TDResult[S cmp.Ordered] struct {
 	// Summaries maps procedure → entry state → exit states. Each (entry,
 	// exit) pair is one "top-down summary" in the paper's accounting.
