@@ -39,19 +39,11 @@ type Budget struct {
 	Relations int
 	Timeout   time.Duration
 
-	// RawCFG and NoTransferMemo forward the corresponding core.Config A/B
-	// knobs: run the order-insensitive solvers on the uncompressed
-	// control-flow view and/or without the per-superedge transfer caches.
-	// Result tables are identical either way (budgets are counted in
-	// original-graph units); the knobs exist so the experiment harness can
-	// time the ablations.
-	RawCFG         bool
-	NoTransferMemo bool
-
 	// NoSparse and NoStructIndex forward the sparse-scheduler ablation
 	// knobs: dense FIFO fact draining, or sparse draining without
-	// loop-depth priority (plain RPO batching).
-	// Like RawCFG, result tables are identical either way.
+	// loop-depth priority (plain RPO batching). Result tables are
+	// identical either way; the knobs exist so the experiment harness can
+	// time the ablations.
 	NoSparse      bool
 	NoStructIndex bool
 
@@ -96,8 +88,6 @@ func (b Budget) config(k, theta int) core.Config {
 	cfg.MaxPathEdges = b.PathEdges
 	cfg.MaxRelations = b.Relations
 	cfg.Timeout = b.Timeout
-	cfg.RawCFG = b.RawCFG
-	cfg.NoTransferMemo = b.NoTransferMemo
 	cfg.NoSparse = b.NoSparse
 	cfg.NoStructIndex = b.NoStructIndex
 	if b.FaultEvery > 0 {

@@ -718,7 +718,7 @@ func (a *Analysis[S, R, P]) RunSwiftAsync(initial S, config Config) *Result[S, R
 		h.rec.reset(a.Prog.Entry, config)
 	}
 	// The same view and scheduler as RunSwift, for the same reasons.
-	t := newTDSolver(client, a.compressed(), config, h, nil)
+	t := newTDSolver(client, a.cfgView(), config, h, nil)
 	res.TD = t.res
 	err := func() (err error) {
 		defer contain(&err)

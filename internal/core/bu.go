@@ -75,14 +75,7 @@ type buSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	eta    map[string]RSet[R, P]
 	stats  *BUStats
 	budget Config
-	// rmemo caches RTrans images per primitive, lazily allocated. One
-	// bottom-up invocation re-evaluates procedure bodies to a fixpoint, so
-	// the same (prim, relation) pair recurs every outer round and every
-	// loop iteration. Budget charges are unchanged on hits — the solver
-	// charges materialized relations whether or not they came from the
-	// cache — so BUStats is identical with and without it.
-	rmemo map[*ir.Prim]map[R][]R
-	dl    deadline
+	dl     deadline
 }
 
 // runBU computes bottom-up summaries for the procedures in F (sorted), using
@@ -183,7 +176,7 @@ func (b *buSolver[S, R, P]) eval(f string, c ir.Cmd, x RSet[R, P]) (RSet[R, P], 
 	case *ir.Prim:
 		var rels []R
 		for _, r := range x.Rels {
-			out := b.rtrans(c, r)
+			out := b.client.RTrans(c, r)
 			if err := b.charge(len(out)); err != nil {
 				return x, err
 			}
@@ -254,30 +247,6 @@ func (b *buSolver[S, R, P]) eval(f string, c ir.Cmd, x RSet[R, P]) (RSet[R, P], 
 		return b.prune(f, b.clean(RSet[R, P]{Rels: newSortedSet(rels), Sigma: sigma})), nil
 	}
 	panic("core: eval on invalid command")
-}
-
-// rtrans answers rtrans(c)(r) from the memo when possible. RTrans is
-// required to be a deterministic function of its arguments, so the cached
-// slice — which callers never mutate — is indistinguishable from a fresh
-// call.
-func (b *buSolver[S, R, P]) rtrans(c *ir.Prim, r R) []R {
-	if b.budget.NoTransferMemo {
-		return b.client.RTrans(c, r)
-	}
-	if b.rmemo == nil {
-		b.rmemo = map[*ir.Prim]map[R][]R{}
-	}
-	byRel := b.rmemo[c]
-	if byRel == nil {
-		byRel = map[R][]R{}
-		b.rmemo[c] = byRel
-	}
-	out, ok := byRel[r]
-	if !ok {
-		out = b.client.RTrans(c, r)
-		byRel[r] = out
-	}
-	return out
 }
 
 // join is the domain join ⊔: union both components, then clean.

@@ -192,30 +192,14 @@ type Config struct {
 	// only supported signal; sending on it does nothing.
 	Cancel <-chan struct{}
 
-	// RawCFG forces the order-insensitive solvers (RunTD, and RunBU's
-	// instantiation pass) onto the raw one-superedge-per-edge control-flow
-	// view instead of the compressed superblock view. Both views produce
-	// identical result tables and identical counters — budgets are counted
-	// in original-graph units either way — so this is an A/B knob for
-	// benchmarking and for the equivalence property tests, not a semantic
-	// switch. The hybrid engines ignore it: they always run on the
-	// compressed view (see RunSwift).
-	RawCFG bool
-
-	// NoTransferMemo disables the per-superedge transfer caches (the
-	// top-down chain memo and the bottom-up RTrans memo), making every
-	// traversal call the client afresh — the pre-memoization behaviour.
-	// Like RawCFG, results and counters are identical either way.
-	NoTransferMemo bool
-
 	// NoSparse forces the order-insensitive solvers (RunTD, and RunBU's
 	// instantiation pass) onto the dense FIFO fact worklist instead of the
 	// structure-driven sparse scheduler (sparse.go). Both schedulers
 	// produce identical result tables and identical counters — budgets and
-	// Steps are counted in original-graph units either way — so, like
-	// RawCFG, this is an A/B knob for benchmarking and the equivalence
-	// property tests, not a semantic switch. The hybrid engines ignore it
-	// and always run dense (see RunSwift).
+	// Steps are counted in original-graph units either way — so this is an
+	// A/B knob for benchmarking and the equivalence property tests, not a
+	// semantic switch. The hybrid engines ignore it and always run dense
+	// (see RunSwift).
 	NoSparse bool
 
 	// NoStructIndex keeps the sparse scheduler but drops loop-depth
@@ -279,12 +263,12 @@ type Config struct {
 	Resummarize int
 }
 
-// Ablation reports whether any A/B knob is set (RawCFG, NoTransferMemo,
-// NoSparse, NoStructIndex). None of them changes a result, so store keys
-// leave them out; the driver keeps such runs away from the store and the
-// slice memo, where they would otherwise be answered by a default run.
+// Ablation reports whether any A/B knob is set (NoSparse, NoStructIndex).
+// Neither changes a result, so store keys leave them out; the driver keeps
+// such runs away from the store and the slice memo, where they would
+// otherwise be answered by a default run.
 func (c Config) Ablation() bool {
-	return c.RawCFG || c.NoTransferMemo || c.NoSparse || c.NoStructIndex
+	return c.NoSparse || c.NoStructIndex
 }
 
 // DefaultConfig returns the configuration used throughout the evaluation

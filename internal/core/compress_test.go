@@ -1,12 +1,11 @@
 package core_test
 
-// Equivalence tests for the superblock-compressed solver view and the
-// transfer memo: on every program we can get our hands on — the killgen
-// fixture, randomized killgen programs, testdata/, and generated
-// paper-mirror benchmarks — the compressed and raw solvers must produce
-// identical TDResult tables and identical counters, and the memo must be
-// observably transparent in every engine including the order-sensitive
-// hybrid.
+// Equivalence tests for the superblock-compressed solver view: on every
+// program we can get our hands on — the killgen fixture, randomized
+// killgen programs, testdata/, and generated paper-mirror benchmarks — td
+// and bu must produce identical TDResult tables and identical counters on
+// the compressed view and on the raw one-superedge-per-edge view, which
+// only these tests run (core.RawViewAnalysis).
 
 import (
 	"bytes"
@@ -79,29 +78,19 @@ func canonicalTD[S cmp.Ordered](rs ...*core.TDResult[S]) [][]byte {
 	return out
 }
 
-// tdVariants runs RunTD under all four view/memo combinations and asserts
-// they are indistinguishable. The default (compressed+memo) is returned.
+// tdVariants runs RunTD on the compressed and the raw view and asserts
+// they are indistinguishable. The compressed result is returned.
 func tdVariants[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered](
 	t *testing.T, label string, an *core.Analysis[S, R, P], init S, cfg core.Config,
 ) *core.Result[S, R, P] {
 	t.Helper()
 	base := an.RunTD(init, cfg)
-	for _, v := range []struct {
-		name      string
-		raw, nomo bool
-	}{
-		{"raw+nomemo", true, true}, {"raw", true, false}, {"nomemo", false, true},
-	} {
-		c := cfg
-		c.RawCFG = v.raw
-		c.NoTransferMemo = v.nomo
-		got := an.RunTD(init, c)
-		if !errors.Is(got.Err, base.Err) && !errors.Is(base.Err, got.Err) {
-			t.Errorf("%s/%s: err = %v, want %v", label, v.name, got.Err, base.Err)
-			continue
-		}
-		sameTD(t, label+"/"+v.name, base.TD, got.TD)
+	got := core.RawViewAnalysis(an).RunTD(init, cfg)
+	if !errors.Is(got.Err, base.Err) && !errors.Is(base.Err, got.Err) {
+		t.Errorf("%s/raw: err = %v, want %v", label, got.Err, base.Err)
+		return base
 	}
+	sameTD(t, label+"/raw", base.TD, got.TD)
 	return base
 }
 
@@ -115,10 +104,7 @@ func TestCompressedMatchesRawOnFixture(t *testing.T) {
 
 	// The bottom-up baseline's instantiation pass uses the same solver.
 	buBase := an.RunBU(init, core.BUConfig())
-	buCfg := core.BUConfig()
-	buCfg.RawCFG = true
-	buCfg.NoTransferMemo = true
-	buRaw := an.RunBU(init, buCfg)
+	buRaw := core.RawViewAnalysis(an).RunBU(init, core.BUConfig())
 	if !buBase.Completed() || !buRaw.Completed() {
 		t.Fatalf("bu: %v / %v", buBase.Err, buRaw.Err)
 	}
@@ -139,43 +125,12 @@ func TestBudgetAbortAgreesAcrossViews(t *testing.T) {
 	cfg := core.TDConfig()
 	cfg.MaxPathEdges = 7
 	comp := an.RunTD(init, cfg)
-	cfg.RawCFG = true
-	cfg.NoTransferMemo = true
-	raw := an.RunTD(init, cfg)
+	raw := core.RawViewAnalysis(an).RunTD(init, cfg)
 	if !errors.Is(comp.Err, core.ErrBudget) || !errors.Is(raw.Err, core.ErrBudget) {
 		t.Fatalf("budget did not fire: %v / %v", comp.Err, raw.Err)
 	}
 	if comp.TD.NumPathEdges != raw.TD.NumPathEdges {
 		t.Errorf("path edges at abort: %d vs %d", comp.TD.NumPathEdges, raw.TD.NumPathEdges)
-	}
-}
-
-// TestMemoTransparentInHybrid asserts the transfer memo changes nothing
-// observable in the order-sensitive hybrid engine: every counter, the
-// trigger set and the full tabulation tables must be bit-identical with
-// the memo on and off.
-func TestMemoTransparentInHybrid(t *testing.T) {
-	an, taint := newAnalysis(t)
-	init := taint.Initial()
-	cfg := core.DefaultConfig()
-	cfg.K = 1
-	base := an.RunSwift(init, cfg)
-	cfg.NoTransferMemo = true
-	plain := an.RunSwift(init, cfg)
-	if !base.Completed() || !plain.Completed() {
-		t.Fatalf("swift: %v / %v", base.Err, plain.Err)
-	}
-	sameTD(t, "swift", base.TD, plain.TD)
-	if !reflect.DeepEqual(base.Triggered, plain.Triggered) {
-		t.Errorf("Triggered differs: %v vs %v", base.Triggered, plain.Triggered)
-	}
-	if base.BUStats != plain.BUStats {
-		t.Errorf("BUStats differs: %+v vs %+v", base.BUStats, plain.BUStats)
-	}
-	got := [4]int{base.CallsViaBU, base.CallsViaTD, base.CallsInSigma, base.Resummarized}
-	want := [4]int{plain.CallsViaBU, plain.CallsViaTD, plain.CallsInSigma, plain.Resummarized}
-	if got != want {
-		t.Errorf("call counters differ: %v vs %v", got, want)
 	}
 }
 
@@ -254,19 +209,6 @@ func TestCompressedMatchesRawRandomPrograms(t *testing.T) {
 		init := taint.Initial()
 		label := fmt.Sprintf("trial%d", trial)
 		tdVariants(t, label, an, init, core.TDConfig())
-
-		cfg := core.DefaultConfig()
-		cfg.K = 1
-		base := an.RunSwift(init, cfg)
-		cfg.NoTransferMemo = true
-		plain := an.RunSwift(init, cfg)
-		if base.Err != nil || plain.Err != nil {
-			t.Fatalf("%s: swift: %v / %v", label, base.Err, plain.Err)
-		}
-		sameTD(t, label+"/swift", base.TD, plain.TD)
-		if base.BUStats != plain.BUStats || !reflect.DeepEqual(base.Triggered, plain.Triggered) {
-			t.Errorf("%s: swift diverged with memo disabled", label)
-		}
 	}
 }
 
@@ -289,9 +231,7 @@ func TestCompressedMatchesRawOnTestdata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.RawCFG = true
-	cfg.NoTransferMemo = true
-	raw, err := b.Run("td", cfg)
+	raw, err := core.RawViewAnalysis(b.Core).RunEngine("td", b.TS.InitialState(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,10 +272,11 @@ func TestCompressedMatchesRawOnBenchSuite(t *testing.T) {
 				t.Fatal(err)
 			}
 			run := func(raw bool) *driver.Result {
-				cfg := core.DefaultConfig()
-				cfg.RawCFG = raw
-				cfg.NoTransferMemo = raw
-				res, err := b.Run(tc.engine, cfg)
+				an := b.Core
+				if raw {
+					an = core.RawViewAnalysis(an)
+				}
+				res, err := an.RunEngine(tc.engine, b.TS.InitialState(), core.DefaultConfig())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -17,19 +17,16 @@ type Analysis[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	Prog   *ir.Program
 	CFG    *ir.CFG
 
-	// rawView and compView are the two solver-facing traversal overlays of
-	// CFG (see ir.RawView/ir.CompressedView), built lazily and shared by
-	// every run on this Analysis. Every engine runs on the compressed view;
-	// the raw one only backs the td/bu Config.RawCFG ablation.
-	rawView  *ir.CFGView
-	compView *ir.CFGView
+	// view is the solver-facing traversal overlay of CFG, the superblock
+	// view (ir.CompressedView), built lazily and shared by every run on
+	// this Analysis.
+	view *ir.CFGView
 
-	// rawStruct and compStruct are the loop-structure indexes of the two
-	// views, built lazily for the sparse scheduler. Pure graph structure,
-	// so — like the views — one instance is shared by every run, including
-	// concurrent sliced runs (RunSliceSet pre-builds them).
-	rawStruct  *ir.StructIndex
-	compStruct *ir.StructIndex
+	// structIdx is the loop-structure index of view, built lazily for the
+	// sparse scheduler. Pure graph structure, so — like the view — one
+	// instance is shared by every run, including concurrent sliced runs
+	// (RunSliceSet pre-builds it).
+	structIdx *ir.StructIndex
 
 	// Warm, when non-nil, is consulted before every run_bu invocation and
 	// offered every deterministic outcome (see warm.go). Sliced runs do not
@@ -49,53 +46,26 @@ func NewAnalysis[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered](
 	return &Analysis[S, R, P]{Client: client, Prog: prog, CFG: ir.BuildCFG(prog)}, nil
 }
 
-// raw returns the raw traversal view, building it on first use. Engine
+// cfgView returns the traversal view, building it on first use. Engine
 // entry points run on the caller's goroutine, so no locking is needed.
-func (a *Analysis[S, R, P]) raw() *ir.CFGView {
-	if a.rawView == nil {
-		a.rawView = ir.RawView(a.CFG)
+func (a *Analysis[S, R, P]) cfgView() *ir.CFGView {
+	if a.view == nil {
+		a.view = ir.CompressedView(a.CFG)
 	}
-	return a.rawView
+	return a.view
 }
 
-// compressed returns the superblock view, building it on first use.
-func (a *Analysis[S, R, P]) compressed() *ir.CFGView {
-	if a.compView == nil {
-		a.compView = ir.CompressedView(a.CFG)
-	}
-	return a.compView
-}
-
-// tdView returns the traversal view of RunTD and RunBU's instantiation
-// pass: the compressed view, or the raw one under the Config.RawCFG
-// ablation. Their fact sets, summary tables, entry multiplicities and
-// original-graph-unit counters are closure properties, independent of the
-// view and of pop order, so the knob never changes a result. The hybrids
-// ignore it and always take the compressed view (see RunSwift).
-func (a *Analysis[S, R, P]) tdView(config Config) *ir.CFGView {
-	if config.RawCFG {
-		return a.raw()
-	}
-	return a.compressed()
-}
-
-// sparseIndex returns the structure index matching tdView(config), or nil
+// sparseIndex returns the structure index of the traversal view, or nil
 // when the sparse scheduler is disabled (Config.NoSparse). Only td and bu
 // call it; the hybrids always pass newTDSolver a nil index (see RunSwift).
 func (a *Analysis[S, R, P]) sparseIndex(config Config) *ir.StructIndex {
 	if config.NoSparse {
 		return nil
 	}
-	if config.RawCFG {
-		if a.rawStruct == nil {
-			a.rawStruct = ir.BuildStructIndex(a.raw())
-		}
-		return a.rawStruct
+	if a.structIdx == nil {
+		a.structIdx = ir.BuildStructIndex(a.cfgView())
 	}
-	if a.compStruct == nil {
-		a.compStruct = ir.BuildStructIndex(a.tdView(config))
-	}
-	return a.compStruct
+	return a.structIdx
 }
 
 // Result is the outcome of one engine run.
@@ -192,7 +162,7 @@ func (r *Result[S, R, P]) ExitStates(entry string, initial S) []S {
 func (a *Analysis[S, R, P]) RunTD(initial S, config Config) *Result[S, R, P] {
 	start := time.Now()
 	client := effectiveClient(a.Client, config)
-	t := newTDSolver(client, a.tdView(config), config, nil, a.sparseIndex(config))
+	t := newTDSolver(client, a.cfgView(), config, nil, a.sparseIndex(config))
 	res := &Result[S, R, P]{Engine: "td", TD: t.res}
 	err := func() (err error) {
 		defer contain(&err)
@@ -236,7 +206,7 @@ func (a *Analysis[S, R, P]) RunBU(initial S, config Config) *Result[S, R, P] {
 		}
 		res.BU = eta
 		inst := &buInstantiator[S, R, P]{client: client, eta: eta, res: res}
-		t := newTDSolver(client, a.tdView(config), config, inst, a.sparseIndex(config))
+		t := newTDSolver(client, a.cfgView(), config, inst, a.sparseIndex(config))
 		res.TD = t.res
 		if err := t.seed(initial); err != nil {
 			return err
@@ -282,12 +252,12 @@ func (a *Analysis[S, R, P]) RunSwift(initial S, config Config) *Result[S, R, P] 
 		pending:  map[string]bool{},
 		panicked: map[string]int{},
 	}
-	// Always the compressed view and the dense FIFO (nil index), whatever
-	// RawCFG, NoSparse and NoStructIndex say. Pop order decides when
-	// triggers fire and which EntrySeen sample they rank by, so this pins
-	// one schedule; Theorem 3.1 makes the error report independent of it.
-	// The sparse scheduler was measured and rejected here (DESIGN.md §13.4).
-	t := newTDSolver(client, a.compressed(), config, h, nil)
+	// Always the dense FIFO (nil index), whatever NoSparse and
+	// NoStructIndex say. Pop order decides when triggers fire and which
+	// EntrySeen sample they rank by, so this pins one schedule; Theorem 3.1
+	// makes the error report independent of it. The sparse scheduler was
+	// measured and rejected here (DESIGN.md §13.4).
+	t := newTDSolver(client, a.cfgView(), config, h, nil)
 	h.td = t
 	res.TD = t.res
 	err := func() (err error) {

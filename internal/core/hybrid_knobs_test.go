@@ -1,11 +1,10 @@
 package core_test
 
-// The hybrid engines always run on the compressed view with the dense
-// FIFO, so the td/bu ablation knobs (RawCFG, NoSparse, NoStructIndex) must
-// be inert for them, and NoTransferMemo must be unobservable like in every
-// engine. These tests pin that as byte identity of the encoded result
-// tables, for swift directly and for swift-async through record/replay
-// (a live async run's counters are timing-dependent; its replay is not).
+// The hybrid engines always run with the dense FIFO, so the td/bu
+// scheduler knobs (NoSparse, NoStructIndex) must be inert for them. These
+// tests pin that as byte identity of the encoded result tables, for swift
+// directly and for swift-async through record/replay (a live async run's
+// counters are timing-dependent; its replay is not).
 
 import (
 	"bytes"
@@ -26,10 +25,8 @@ var hybridKnobs = []struct {
 	name string
 	set  func(*core.Config)
 }{
-	{"rawCFG", func(c *core.Config) { c.RawCFG = true }},
 	{"noSparse", func(c *core.Config) { c.NoSparse = true }},
 	{"noStructIndex", func(c *core.Config) { c.NoStructIndex = true }},
-	{"noTransferMemo", func(c *core.Config) { c.NoTransferMemo = true }},
 }
 
 // killgenTables encodes a kill/gen result: the full tabulation tables,

@@ -183,15 +183,14 @@ func (a *Analysis[S, R, P]) RunEngine(engine string, initial S, config Config) (
 	return nil, fmt.Errorf("core: unknown engine %q (want td, bu, swift or swift-async)", engine)
 }
 
-// withClient returns an Analysis over the same program and traversal views
-// but a different client. The views must already be built (see RunSliced):
+// withClient returns an Analysis over the same program and traversal view
+// but a different client. The view must already be built (see RunSliced):
 // the lazy builders are unlocked, so a derived Analysis handed to another
 // goroutine must never be the first to build one.
 func (a *Analysis[S, R, P]) withClient(client Client[S, R, P]) *Analysis[S, R, P] {
 	return &Analysis[S, R, P]{
 		Client: client, Prog: a.Prog, CFG: a.CFG,
-		rawView: a.rawView, compView: a.compView,
-		rawStruct: a.rawStruct, compStruct: a.compStruct,
+		view: a.view, structIdx: a.structIdx,
 	}
 }
 
@@ -222,16 +221,16 @@ func (a *Analysis[S, R, P]) RunSliceSet(engine string, config Config, subset []S
 	if !ok {
 		return nil, fmt.Errorf("core: client %T does not support slicing", a.Client)
 	}
-	// Build the traversal views (and, for the order-insensitive engines,
+	// Build the traversal view (and, for the order-insensitive engines,
 	// the structure index) the engine will use on this goroutine, before
 	// any worker can race to build them lazily. Both are immutable once
 	// built, so the slice runs share them freely.
 	switch engine {
 	case "td", "bu":
-		a.tdView(config)
+		a.cfgView()
 		a.sparseIndex(config)
 	case "swift", "swift-async":
-		a.compressed()
+		a.cfgView()
 	default:
 		return nil, fmt.Errorf("core: unknown engine %q (want td, bu, swift or swift-async)", engine)
 	}

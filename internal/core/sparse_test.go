@@ -24,11 +24,12 @@ import (
 
 // sparseConfigs are the scheduler/view combinations that must all be
 // observationally identical. The zero config is the default: sparse
-// scheduler over the compressed view with loop-depth priority.
+// scheduler over the compressed view with loop-depth priority. The raw
+// rows run on the test-only raw view (core.RawViewAnalysis).
 var sparseConfigs = []struct {
 	name            string
 	noSparse, noIdx bool
-	rawCFG          bool
+	raw             bool
 }{
 	{"sparse+compressed", false, false, false},
 	{"dense", true, false, false},
@@ -37,11 +38,18 @@ var sparseConfigs = []struct {
 	{"dense+raw", true, false, true},
 }
 
-func applySparse(cfg core.Config, noSparse, noIdx, raw bool) core.Config {
+func applySparse(cfg core.Config, noSparse, noIdx bool) core.Config {
 	cfg.NoSparse = noSparse
 	cfg.NoStructIndex = noIdx
-	cfg.RawCFG = raw
 	return cfg
+}
+
+// onView returns an, or its raw-view oracle when raw is set.
+func onView(an *core.Analysis[string, string, string], raw bool) *core.Analysis[string, string, string] {
+	if raw {
+		return core.RawViewAnalysis(an)
+	}
+	return an
 }
 
 // sparseVariants runs RunTD under every scheduler/view combination and
@@ -50,12 +58,12 @@ func applySparse(cfg core.Config, noSparse, noIdx, raw bool) core.Config {
 // (sparse) result is returned.
 func sparseVariants(t *testing.T, label string, an *core.Analysis[string, string, string], init string, cfg core.Config) *core.Result[string, string, string] {
 	t.Helper()
-	base := an.RunTD(init, applySparse(cfg, false, false, false))
+	base := an.RunTD(init, applySparse(cfg, false, false))
 	if !base.TD.Sparse.Enabled {
 		t.Errorf("%s: sparse scheduler did not engage on the default config", label)
 	}
 	for _, v := range sparseConfigs[1:] {
-		got := an.RunTD(init, applySparse(cfg, v.noSparse, v.noIdx, v.rawCFG))
+		got := onView(an, v.raw).RunTD(init, applySparse(cfg, v.noSparse, v.noIdx))
 		if !errors.Is(got.Err, base.Err) && !errors.Is(base.Err, got.Err) {
 			t.Errorf("%s/%s: err = %v, want %v", label, v.name, got.Err, base.Err)
 			continue
@@ -81,7 +89,7 @@ func TestSparseMatchesDenseOnFixture(t *testing.T) {
 	// it must be equally indifferent to the scheduler.
 	buBase := an.RunBU(init, core.BUConfig())
 	for _, v := range sparseConfigs[1:] {
-		got := an.RunBU(init, applySparse(core.BUConfig(), v.noSparse, v.noIdx, v.rawCFG))
+		got := onView(an, v.raw).RunBU(init, applySparse(core.BUConfig(), v.noSparse, v.noIdx))
 		if !buBase.Completed() || !got.Completed() {
 			t.Fatalf("bu/%s: %v / %v", v.name, buBase.Err, got.Err)
 		}
@@ -110,7 +118,7 @@ func TestSparseMatchesDenseRandomPrograms(t *testing.T) {
 		sparseVariants(t, label, an, init, core.TDConfig())
 
 		buBase := an.RunBU(init, core.BUConfig())
-		buDense := an.RunBU(init, applySparse(core.BUConfig(), true, false, false))
+		buDense := an.RunBU(init, applySparse(core.BUConfig(), true, false))
 		if buBase.Err != nil || buDense.Err != nil {
 			t.Fatalf("%s: bu: %v / %v", label, buBase.Err, buDense.Err)
 		}
@@ -122,7 +130,7 @@ func TestSparseMatchesDenseRandomPrograms(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.K = 1
 		swBase := an.RunSwift(init, cfg)
-		swKnob := an.RunSwift(init, applySparse(cfg, true, true, true))
+		swKnob := an.RunSwift(init, applySparse(cfg, true, true))
 		if swBase.Err != nil || swKnob.Err != nil {
 			t.Fatalf("%s: swift: %v / %v", label, swBase.Err, swKnob.Err)
 		}
@@ -253,15 +261,14 @@ func TestSparseStatsSanity(t *testing.T) {
 }
 
 // TestSparseKnobsInertInAsyncReplay covers the fourth engine: the
-// asynchronous hybrid always runs the dense FIFO over the compressed view,
-// so a recorded schedule must replay bit-identically whatever the sparse
-// and view knobs say.
+// asynchronous hybrid always runs the dense FIFO, so a recorded schedule
+// must replay bit-identically whatever the sparse knobs say.
 func TestSparseKnobsInertInAsyncReplay(t *testing.T) {
 	trace, recorded := recordRun(t, drainProgram)
 	for _, v := range []struct {
-		name                 string
-		noSparse, noIdx, raw bool
-	}{{"default", false, false, false}, {"nosparse", true, false, false}, {"nostruct", false, true, false}, {"raw", false, false, true}} {
+		name            string
+		noSparse, noIdx bool
+	}{{"default", false, false}, {"nosparse", true, false}, {"nostruct", false, true}} {
 		kg := drainClient()
 		an, err := core.NewAnalysis[string, string, string](kg, drainProgram())
 		if err != nil {
@@ -271,7 +278,7 @@ func TestSparseKnobsInertInAsyncReplay(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.K = 1
 		cfg.ReplayTrace = trace
-		res := an.RunSwiftAsync(init, applySparse(cfg, v.noSparse, v.noIdx, v.raw))
+		res := an.RunSwiftAsync(init, applySparse(cfg, v.noSparse, v.noIdx))
 		if res.Err != nil {
 			t.Fatalf("%s: replay failed: %v", v.name, res.Err)
 		}

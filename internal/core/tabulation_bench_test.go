@@ -3,8 +3,9 @@ package core_test
 // Tabulation hot-path benchmarks on the paper-mirror programs:
 //
 //   - BenchmarkTabulationCompressed — the shipped solver: superblock view,
-//     chain transfer memo, per-node rows of entry-context cells as the
-//     path-edge table, structure-driven sparse scheduler (DESIGN.md §13).
+//     one chain walk per superedge traversal, per-node rows of
+//     entry-context cells as the path-edge table, structure-driven sparse
+//     scheduler (DESIGN.md §13).
 //   - BenchmarkTabulationDense — A/B control: the shipped solver with the
 //     sparse scheduler off (Config.NoSparse), i.e. the dense FIFO that was
 //     the shipped configuration before the structure layer.
@@ -12,10 +13,10 @@ package core_test
 //     loop-depth priority (Config.NoStructIndex): plain RPO batching.
 //   - BenchmarkTabulationRaw — the pre-optimization solver preserved in
 //     legacy_bench_test.go: one edge per traversal, map[pathPair]bool
-//     table, no memo. This is the "before" the ratio is measured against.
+//     table. This is the "before" the ratio is measured against.
 //   - BenchmarkTabulationRawView — A/B control: the shipped solver on the
-//     raw view with the memo off, isolating how much of the win comes from
-//     compression+memo versus the path-edge table rework.
+//     test-only raw view (core.RawViewAnalysis), isolating how much of the
+//     win comes from compression versus the path-edge table rework.
 //
 // Run with:
 //
@@ -129,15 +130,14 @@ func BenchmarkTabulationRawView(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			bl := tabulationBuild(b, name)
 			cfg := core.TDConfig()
-			cfg.RawCFG = true
-			cfg.NoTransferMemo = true
-			if res, err := bl.Run("td", cfg); err != nil || res.Err != nil {
+			an, init := core.RawViewAnalysis(bl.Core), bl.TS.InitialState()
+			if res, err := an.RunEngine("td", init, cfg); err != nil || res.Err != nil {
 				b.Fatalf("warmup: %v / %v", err, res.Err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := bl.Run("td", cfg)
+				res, err := an.RunEngine("td", init, cfg)
 				if err != nil || res.Err != nil {
 					b.Fatalf("%v / %v", err, res.Err)
 				}

@@ -305,17 +305,12 @@ type interceptor[S cmp.Ordered] interface {
 	afterCall(callee string, s S) error
 }
 
-// seMemo caches chain images for one superedge as flat arenas rather than
-// per-state objects: entry k stores its len(Interior)+1 state sets
-// back-to-back in states, with per-set lengths in lens[k*rows:(k+1)*rows]
-// and its arena offset in starts[k]. For interned integer state types the
-// states arena is pointer-free, so the cache adds nothing to GC scan work,
-// and a miss costs two amortized appends instead of a handful of small
-// allocations. Every set is canonical (sorted, deduplicated), on either
-// view: traverse batch-merges them into the path-edge table.
-type seMemo[S cmp.Ordered] struct {
-	idx    map[S]int32
-	starts []int32
+// chainBuf holds the image of one state under a superedge's primitive
+// sequence: position i's canonical (sorted, deduplicated) state set is
+// states[sum(lens[:i]) : sum(lens[:i+1])]. One buffer per solver is reused
+// by every chain walk, and for interned integer state types it is
+// pointer-free.
+type chainBuf[S cmp.Ordered] struct {
 	lens   []int32
 	states []S
 }
@@ -333,15 +328,8 @@ type tdSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	callers map[string]map[S][]callerRec[S]
 	work    []workItem[S]
 	head    int
-	// memo caches chain images per superedge ID; entries are allocated on
-	// first traversal. A state reached under N entry contexts pays for the
-	// Trans composition once. Safe because Trans is required to be a
-	// deterministic function of (prim, state): repeated calls return the
-	// same slice contents, so skipping them is unobservable.
-	memo []*seMemo[S]
-	// scratch backs chain walks when NoTransferMemo disables caching; it is
-	// reset before every walk.
-	scratch seMemo[S]
+	// chain is the chain walk's image buffer, reset before every walk.
+	chain chainBuf[S]
 	// addbuf is the scratch buffer insertFactSet hands to mergeAppend; it
 	// holds the newly added states of the latest batch only. frontA/frontB
 	// are the chain walk's frontier double-buffer.
@@ -401,7 +389,6 @@ func newTDSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered](
 		hook:    hook,
 		res:     res,
 		callers: map[string]map[S][]callerRec[S]{},
-		memo:    make([]*seMemo[S], view.NumSuperEdges),
 		dl:      newDeadline(config),
 	}
 	if tc, ok := client.(TransCompiler[S]); ok {
@@ -592,17 +579,16 @@ func (t *tdSolver[S, R, P]) step(item workItem[S]) error {
 // traverse pushes state out through a primitive superedge under entry
 // context in: interior nodes of a compressed chain receive their facts
 // eagerly (so every original-graph observation is preserved), and the
-// chain's final states propagate to the superedge target. Every engine and
-// both views walk chains here; a raw-view superedge is a chain without
-// interior nodes.
+// chain's final states propagate to the superedge target. Every engine
+// walks chains here; a raw-view superedge is a chain without interior
+// nodes.
 func (t *tdSolver[S, R, P]) traverse(se *ir.SuperEdge, in, out S) error {
-	m, k := t.chainEntry(se, out)
+	m := t.walkChain(se, out)
 	c := t.res.context(se.From.ID, in) // one procedure, so one context index
-	rows := int32(len(se.Interior) + 1)
-	off, lrow := m.starts[k], k*rows
+	off := int32(0)
 	for i, w := range se.Interior {
-		set := m.states[off : off+m.lens[lrow+int32(i)]]
-		off += m.lens[lrow+int32(i)]
+		set := m.states[off : off+m.lens[i]]
+		off += m.lens[i]
 		n, err := t.recordInteriorSet(w.ID, c, set)
 		if err != nil {
 			return err
@@ -616,37 +602,15 @@ func (t *tdSolver[S, R, P]) traverse(se *ir.SuperEdge, in, out S) error {
 			return nil
 		}
 	}
-	return t.propagateSet(se.To.ID, in, c, m.states[off:off+m.lens[lrow+rows-1]])
+	return t.propagateSet(se.To.ID, in, c, m.states[off:])
 }
 
-// chainEntry returns the memo holding the image of state s0 under the
-// superedge's primitive sequence, and the entry index of s0 within it,
-// computing and caching the image on a miss.
-func (t *tdSolver[S, R, P]) chainEntry(se *ir.SuperEdge, s0 S) (*seMemo[S], int32) {
-	if t.config.NoTransferMemo {
-		m := &t.scratch
-		m.starts, m.lens, m.states = m.starts[:0], m.lens[:0], m.states[:0]
-		return m, t.computeChain(se, s0, m)
-	}
-	m := t.memo[se.ID]
-	if m == nil {
-		m = &seMemo[S]{idx: make(map[S]int32, 8)}
-		t.memo[se.ID] = m
-	}
-	if k, ok := m.idx[s0]; ok {
-		return m, k
-	}
-	k := t.computeChain(se, s0, m)
-	m.idx[s0] = k
-	return m, k
-}
-
-// computeChain composes the superedge's transfer functions on one state,
-// appending the resulting canonical state sets to the memo's arenas and
-// returning the new entry's index.
-func (t *tdSolver[S, R, P]) computeChain(se *ir.SuperEdge, s0 S, m *seMemo[S]) int32 {
-	k := int32(len(m.starts))
-	m.starts = append(m.starts, int32(len(m.states)))
+// walkChain composes the superedge's transfer functions on state s0 and
+// returns the solver's chain buffer holding the image at every position,
+// valid until the next walk.
+func (t *tdSolver[S, R, P]) walkChain(se *ir.SuperEdge, s0 S) *chainBuf[S] {
+	m := &t.chain
+	m.lens, m.states = m.lens[:0], m.states[:0]
 	fs := t.chainFuncs(se)
 	front := append(t.frontA[:0], s0)
 	next := t.frontB[:0]
@@ -669,7 +633,7 @@ func (t *tdSolver[S, R, P]) computeChain(se *ir.SuperEdge, s0 S, m *seMemo[S]) i
 		front, next = next, front
 	}
 	t.frontA, t.frontB = front[:0], next[:0]
-	return k
+	return m
 }
 
 // recordSummary adds (in → out) to the summary table of proc and resumes all

@@ -150,48 +150,6 @@ func benchmarkAllStates(b *testing.B, fresh bool) {
 func BenchmarkAllStatesMemoized(b *testing.B) { benchmarkAllStates(b, false) }
 func BenchmarkAllStatesFresh(b *testing.B)    { benchmarkAllStates(b, true) }
 
-// TestTransferMemoHits sanity-checks that the chain memo actually engages
-// on a looping program (the perf claim depends on it): after a run, at
-// least one superedge must have seen more than one distinct input state,
-// and re-traversing a memoized edge returns the identical cached object.
-func TestTransferMemoHits(t *testing.T) {
-	s, taint := tdFixture(t, TDConfig())
-	if err := s.seed(taint.Initial()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.run(); err != nil {
-		t.Fatal(err)
-	}
-	populated := 0
-	for id, mm := range s.memo {
-		if mm == nil || len(mm.idx) == 0 {
-			continue
-		}
-		populated++
-		var se *ir.SuperEdge
-		for _, out := range s.view.Out {
-			for _, cand := range out {
-				if cand.ID == id {
-					se = cand
-				}
-			}
-		}
-		states := len(mm.states)
-		for s0, want := range mm.idx {
-			got, k := s.chainEntry(se, s0)
-			if got != mm || k != want {
-				t.Fatalf("superedge %d: memo miss on cached state %v", id, s0)
-			}
-		}
-		if len(mm.states) != states {
-			t.Fatalf("superedge %d: hits grew the arena", id)
-		}
-	}
-	if populated == 0 {
-		t.Fatal("no superedge memo was populated")
-	}
-}
-
 // TestCompressedViewSmallerOnChains is the structural payoff check: on a
 // straight-line-heavy program the compressed view must have strictly fewer
 // superedges than the raw view has edges.
@@ -212,12 +170,12 @@ func TestCompressedViewSmallerOnChains(t *testing.T) {
 
 // TestHybridsRunOnCompressedView: both hybrids walk the compressed view
 // with the dense FIFO even when every td/bu ablation knob asks otherwise,
-// so a fresh Analysis never builds the raw view or a structure index for
+// so a fresh Analysis builds the view but never a structure index for
 // them.
 func TestHybridsRunOnCompressedView(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.K = 1
-	cfg.RawCFG, cfg.NoStructIndex = true, true
+	cfg.NoStructIndex = true
 	for _, engine := range []string{"swift", "swift-async"} {
 		solver, taint := tdFixture(t, cfg)
 		a, err := NewAnalysis[string, string, string](taint, solver.cfg.Program)
@@ -228,9 +186,12 @@ func TestHybridsRunOnCompressedView(t *testing.T) {
 		if err != nil || res.Err != nil {
 			t.Fatalf("%s: %v / %v", engine, err, res.Err)
 		}
-		if a.compView == nil || a.rawView != nil || a.rawStruct != nil || a.compStruct != nil {
-			t.Errorf("%s: views built: compressed=%v raw=%v; structure indexes: %v %v",
-				engine, a.compView != nil, a.rawView != nil, a.rawStruct != nil, a.compStruct != nil)
+		if a.view == nil || a.structIdx != nil {
+			t.Errorf("%s: view built: %v; structure index built: %v",
+				engine, a.view != nil, a.structIdx != nil)
+		} else if want := ir.CompressedView(a.CFG).NumSuperEdges; a.view.NumSuperEdges != want {
+			t.Errorf("%s: view has %d superedges, compressed view has %d",
+				engine, a.view.NumSuperEdges, want)
 		}
 		if res.TD.Sparse.Enabled {
 			t.Errorf("%s: hybrid ran the sparse scheduler", engine)

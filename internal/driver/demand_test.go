@@ -250,10 +250,8 @@ func TestSliceRunKeyDistinguishes(t *testing.T) {
 
 // ablationKnobs sets each of core.Config's A/B knobs in turn.
 var ablationKnobs = map[string]func(*core.Config){
-	"rawCFG":         func(c *core.Config) { c.RawCFG = true },
-	"noTransferMemo": func(c *core.Config) { c.NoTransferMemo = true },
-	"noSparse":       func(c *core.Config) { c.NoSparse = true },
-	"noStructIndex":  func(c *core.Config) { c.NoStructIndex = true },
+	"noSparse":      func(c *core.Config) { c.NoSparse = true },
+	"noStructIndex": func(c *core.Config) { c.NoStructIndex = true },
 }
 
 // TestKeysIgnoreAblationKnobs: the ablation knobs never change an

@@ -3,12 +3,12 @@ package ir
 // This file builds the solver-facing views of a CFG. The original
 // node/edge graph (cfg.go) stays untouched — the interpreter, checkers and
 // diagnostics keep walking it — while the tabulation solver traverses a
-// CFGView: either a raw view with one superedge per original edge, or a
-// compressed view in which maximal chains of single-predecessor/
-// single-successor primitive edges are collapsed into one superedge
-// carrying the whole primitive sequence. Compression lets the solver pay
-// one worklist item per straight-line region instead of one per edge, and
-// gives the transfer-memoization layer a coarse unit to cache.
+// CFGView: the compressed view, in which maximal chains of
+// single-predecessor/single-successor primitive edges are collapsed into
+// one superedge carrying the whole primitive sequence, or the raw view
+// with one superedge per original edge, which the equivalence tests use as
+// the compressed view's oracle. Compression lets the solver pay one
+// worklist item per straight-line region instead of one per edge.
 
 // SuperEdge is one traversal unit of a CFGView: either a single call edge
 // (never compressed) or a chain of one or more primitive edges.
@@ -59,8 +59,8 @@ type CFGView struct {
 }
 
 // RawView builds the one-superedge-per-edge view: traversing it is
-// step-for-step identical to walking the original graph, which is what the
-// order-sensitive hybrid engines require (see DESIGN.md).
+// step-for-step identical to walking the original graph. No engine runs on
+// it; the compressed ≡ raw equivalence tests do (DESIGN.md §6.1).
 func RawView(g *CFG) *CFGView {
 	v := &CFGView{
 		CFG:      g,
