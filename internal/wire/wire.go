@@ -112,7 +112,7 @@ func (r *Reader) Uint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
+	if !r.canonical(n) {
 		r.fail("bad uvarint at offset %d", r.pos)
 		return 0
 	}
@@ -126,12 +126,20 @@ func (r *Reader) Int() int64 {
 		return 0
 	}
 	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
+	if !r.canonical(n) {
 		r.fail("bad varint at offset %d", r.pos)
 		return 0
 	}
 	r.pos += n
 	return v
+}
+
+// canonical reports whether the n-byte varint at the read position is one
+// the Writer emits. encoding/binary also accepts overlong forms padded
+// with 0x80 bytes (80 00 decodes to 0), which would re-encode to fewer
+// bytes; the shortest form never ends in a 0x00 byte after the first.
+func (r *Reader) canonical(n int) bool {
+	return n == 1 || n > 1 && r.data[r.pos+n-1] != 0
 }
 
 // Bool consumes a one-byte boolean.
