@@ -7,14 +7,14 @@ import (
 	"swift/internal/ir"
 )
 
-// The solvers in internal/core memoize Trans per superedge chain and RTrans
-// per primitive (the transfer memo introduced with the superblock-compressed
-// CFG view). That is only sound if the transfer functions are pure: the
-// result for a given (primitive, input) pair must not depend on when the
-// call happens, how often, or what other transfers ran in between. The
-// kill/gen clients are the ones served by the generic memo path (the
-// type-state client additionally compiles transfers, tested in
-// internal/typestate), so pin the property down here.
+// The solvers in internal/core evaluate the same (primitive, input) pairs
+// in different orders and numbers on each CFG view and scheduler, and
+// require identical results. That holds only if the transfer functions are
+// pure: the result for a given pair must not depend on when the call
+// happens, how often, or what other transfers ran in between. The kill/gen
+// clients run the generic Trans/RTrans path (the type-state client
+// additionally compiles transfers, tested in internal/typestate), so pin
+// the property down here.
 
 func TestTaintTransPure(t *testing.T) {
 	_, taint, prims := taintFixture()
@@ -62,8 +62,8 @@ func TestTaintTransPure(t *testing.T) {
 		}
 	}
 
-	// Mutating a returned slice must not poison later calls (the memo
-	// stores returned slices verbatim).
+	// Mutating a returned slice must not poison later calls (a caller may
+	// keep or reuse the slice it was handed).
 	for _, c := range prims {
 		for s := range seen {
 			out := taint.Trans(c, s)
