@@ -20,15 +20,9 @@
 // table byte-identical — only timing and the stderr telemetry change.
 // -cpuprofile/-memprofile write pprof profiles; every engine run is labeled
 // with its suite, engine and (when sliced) slice, so `go tool pprof -tags`
-// attributes samples.
-//
-//	swiftbench -record DIR   record one live swift-async schedule per benchmark
-//	swiftbench -replay DIR   render the swift-async table by replaying DIR
-//
-// Replay is bit-deterministic: the same trace directory renders the same
-// table bytes at any -parallel setting. -faultevery N (with -faultseed)
-// arms the chaos mode, injecting roughly one seeded client fault per N
-// operations into every run; aborted runs render as DNF cells.
+// attributes samples. -faultevery N (with -faultseed) arms the chaos mode,
+// injecting roughly one seeded client fault per N operations into every
+// run; aborted runs render as DNF cells.
 //
 //	swiftbench -warmbench -storedir DIR   cold-vs-warm summary-store benchmark
 //
@@ -42,7 +36,7 @@
 //
 // -editbench runs a deterministic edit stream (seeded single-procedure
 // mutations) over one benchmark, analyzing each program version cold and
-// incrementally against the store in -storedir, across all four engines.
+// incrementally against the store in -storedir, across all three engines.
 // It verifies that reverting the edit reproduces the base run's result
 // tables byte for byte under every engine and that the hybrid engine
 // answers triggers with untouched call-graph closures from the store.
@@ -108,8 +102,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		sliceWkrs   = fs.Int("sliceworkers", runtime.GOMAXPROCS(0), "max concurrent slices per -slices run (1 = serial)")
 		nosparse    = fs.Bool("nosparse", false, "run order-insensitive solvers on the dense FIFO worklist instead of the structure-driven sparse scheduler (A/B ablation)")
 		nostruct    = fs.Bool("nostruct", false, "keep the sparse scheduler but drop loop-depth priority: plain RPO batching (A/B ablation)")
-		record      = fs.String("record", "", "record one live swift-async schedule per benchmark into this directory")
-		replay      = fs.String("replay", "", "render the swift-async table by deterministically replaying the traces in this directory")
 		warmbench   = fs.Bool("warmbench", false, "run the cold-vs-warm summary-store benchmark")
 		editbench   = fs.Bool("editbench", false, "run the edit-stream incremental re-analysis benchmark")
 		editBench   = fs.String("editbenchmark", "toba-s", "benchmark the -editbench edit stream mutates")
@@ -256,8 +248,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 			}
 			return bench.Soak(stdout, soakCfg)
 		}},
-		{"record", *record != "", func() error { return s.RecordAsync(*record, budget) }},
-		{"replay", *replay != "", func() error { return s.AsyncReplayTable(stdout, budget, *replay) }},
 	}
 	selected := false
 	for _, st := range steps {

@@ -34,6 +34,8 @@ func TestFlagValidation(t *testing.T) {
 		{"storedir without warmbench", []string{"-table", "1", "-storedir", "/tmp/x"}, "-storedir is only meaningful"},
 		{"edits below one", []string{"-editbench", "-edits", "0"}, "-edits 0 must be at least 1"},
 		{"unknown flag", []string{"-frobnicate"}, "flag provided but not defined"},
+		{"record removed", []string{"-record", "/tmp/x"}, "flag provided but not defined: -record"},
+		{"replay removed", []string{"-replay", "/tmp/x"}, "flag provided but not defined: -replay"},
 		{"queries without querybench", []string{"-table", "1", "-queries", "10"}, "-queries is only meaningful"},
 		{"queryseed without querybench", []string{"-table", "1", "-queryseed", "3"}, "-queryseed is only meaningful"},
 		{"querykinds without querybench", []string{"-table", "1", "-querykinds", "isError"}, "-querykinds is only meaningful"},
@@ -102,11 +104,11 @@ func TestCPUProfileFlushedOnStepFailure(t *testing.T) {
 	profile := filepath.Join(t.TempDir(), "cpu.pprof")
 	code, _, stderr := runCLI(t,
 		"-quick", "-cpuprofile", profile,
-		"-replay", filepath.Join(t.TempDir(), "no-such-traces"))
+		"-editbench", "-editbenchmark", "no-such-benchmark")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(stderr, "replay") {
+	if !strings.Contains(stderr, "editbench") {
 		t.Errorf("stderr does not name the failing step:\n%s", stderr)
 	}
 	if len(readGzipProfile(t, profile)) == 0 {
@@ -188,19 +190,19 @@ func TestSoakFlag(t *testing.T) {
 }
 
 // TestQuerybenchFlag smokes the -querybench step end to end on a small
-// benchmark: all four engines, the table renders, and the break-even
+// benchmark: all three engines, the table renders, and the break-even
 // column is populated (the exhaustive runs complete under -quick on
 // elevator, so a uniformly random stream must cross the exhaustive cost).
 func TestQuerybenchFlag(t *testing.T) {
 	if testing.Short() {
-		t.Skip("four exhaustive runs plus query streams")
+		t.Skip("three exhaustive runs plus query streams")
 	}
 	code, stdout, stderr := runCLI(t, "-quick", "-querybench",
 		"-querybenchmark", "elevator", "-queries", "100", "-queryseed", "2")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
 	}
-	for _, want := range []string{"Querybench:", "break-even", "elevator", "swift-async"} {
+	for _, want := range []string{"Querybench:", "break-even", "elevator", "swift"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("querybench output lacks %q:\n%s", want, stdout)
 		}
@@ -220,7 +222,7 @@ func TestEditbenchFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(stdout, "revert byte-identical under td/bu/swift/swift-async") {
+	if !strings.Contains(stdout, "revert byte-identical under td/bu/swift,") {
 		t.Errorf("editbench summary missing:\n%s", stdout)
 	}
 }

@@ -1,7 +1,6 @@
 // Package bench is the experiment harness of the reproduction: it runs the
 // engines over the synthetic benchmark suite and renders every table and
-// figure of the paper's evaluation section (Tables 1–4 and Figure 5), plus
-// the asynchronous engine's record/replay table (async.go).
+// figure of the paper's evaluation section (Tables 1–4 and Figure 5).
 //
 // Runs are independent — each gets its own freshly built pipeline — so the
 // harness executes them on a bounded worker pool (Suite.Parallel) and

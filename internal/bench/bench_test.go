@@ -108,3 +108,20 @@ func TestTableRenderer(t *testing.T) {
 		t.Errorf("missing rule: %q", lines[1])
 	}
 }
+
+// TestFaultBudgetChaosTable smokes the chaos mode: with a seeded fault
+// plan armed on every run, Table 2 must still render — runs that abort
+// become DNF cells instead of failing the experiment.
+func TestFaultBudgetChaosTable(t *testing.T) {
+	s := smallSuite(2)
+	budget := QuickBudget()
+	budget.FaultEvery = 5000
+	budget.FaultSeed = 7
+	var b strings.Builder
+	if err := s.Table2(&b, budget); err != nil {
+		t.Fatalf("chaos table: %v", err)
+	}
+	if !strings.Contains(b.String(), "jpat-p") {
+		t.Errorf("unexpected chaos table:\n%s", b.String())
+	}
+}

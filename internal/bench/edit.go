@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"swift/internal/benchprog"
-	"swift/internal/core"
 	"swift/internal/driver"
 	"swift/internal/store"
 )
@@ -15,7 +14,7 @@ import (
 // EditTable is the edit-stream incremental benchmark: a deterministic
 // stream of single-procedure edits to one benchmark program
 // (benchprog.EditStream), each analyzed cold and incrementally against a
-// shared store, across all four engines. The version sequence is the
+// shared store, across all three engines. The version sequence is the
 // base program, each edit applied to the base in isolation, and a final
 // revert (the base again). Per version the table reports the
 // invalidation frontier (procedures whose call-graph-closure digest
@@ -27,8 +26,7 @@ import (
 //
 //   - On the revert, every engine must restore the base run's tables
 //     snapshot, reuse its summaries without a miss, and reproduce its
-//     result tables byte for byte (swift-async via record/replay of the
-//     base run's schedule).
+//     result tables byte for byte.
 //   - The hybrid engine must answer at least one trigger from the store
 //     on the closure-preserving edits (those that keep the frozen
 //     digest) — the incremental-reuse acceptance criterion.
@@ -101,7 +99,7 @@ func (s *Suite) EditTable(w io.Writer, budget Budget, dir, benchmark string, see
 		v.frozenSame = b.TS.FrozenDigest() == baseFrozen
 	}
 
-	engines := []string{"td", "bu", "swift", "swift-async"}
+	engines := []string{"td", "bu", "swift"}
 	var rows [][]string
 	var swiftPreservingHits, preservingEdits int
 	for _, v := range versions[1 : len(versions)-1] {
@@ -111,7 +109,6 @@ func (s *Suite) EditTable(w io.Writer, budget Budget, dir, benchmark string, see
 	}
 
 	for _, engine := range engines {
-		var trace *core.Trace
 		var baseEnc []byte
 		for vi, v := range versions {
 			revert := vi == len(versions)-1
@@ -126,24 +123,13 @@ func (s *Suite) EditTable(w io.Writer, budget Budget, dir, benchmark string, see
 				return err
 			}
 
-			// Incremental run against the shared store. The base
-			// swift-async run records its schedule; the revert replays it,
-			// which is what makes async byte-identity checkable.
-			cfgInc := cfg
-			if engine == "swift-async" {
-				if vi == 0 {
-					trace = &core.Trace{}
-					cfgInc.RecordTrace = trace
-				} else if revert {
-					cfgInc.ReplayTrace = trace
-				}
-			}
+			// Incremental run against the shared store.
 			start := time.Now()
 			bInc, err := build(v)
 			if err != nil {
 				return err
 			}
-			resInc, stats, err := driver.Warm{Store: st}.Run(bInc, engine, cfgInc)
+			resInc, stats, err := driver.Warm{Store: st}.Run(bInc, engine, cfg)
 			if err != nil {
 				return err
 			}
@@ -170,18 +156,12 @@ func (s *Suite) EditTable(w io.Writer, budget Budget, dir, benchmark string, see
 				if !stats.RestoredTables {
 					return fmt.Errorf("bench: %s: revert did not restore the base tables snapshot", engine)
 				}
-				// Two engines may legitimately re-miss on the revert: bu does
-				// not publish budget-aborted outcomes (the abort is its
-				// terminal result, recomputed identically), and swift-async's
-				// intermediate edit runs — live schedules — overwrite
-				// shared-key summaries with frontiers from their own
-				// schedules, which the replayed base schedule then rejects.
-				// Byte-identity below is the binding check for both.
-				if resInc.Completed() && engine != "swift-async" && stats.SummaryMisses != 0 {
+				// bu may legitimately re-miss on the revert: it does not
+				// publish budget-aborted outcomes (the abort is its terminal
+				// result, recomputed identically). Byte-identity below is the
+				// binding check for it.
+				if resInc.Completed() && stats.SummaryMisses != 0 {
 					return fmt.Errorf("bench: %s: revert had %d summary misses", engine, stats.SummaryMisses)
-				}
-				if engine == "swift-async" && stats.SummaryHits == 0 {
-					return fmt.Errorf("bench: swift-async: replayed revert reused no summaries")
 				}
 				if !bytes.Equal(baseEnc, enc) {
 					return fmt.Errorf("bench: %s: reverted result tables differ from the base run", engine)
@@ -198,7 +178,7 @@ func (s *Suite) EditTable(w io.Writer, budget Budget, dir, benchmark string, see
 		return fmt.Errorf("bench: swift reused no summaries across %d closure-preserving edits", preservingEdits)
 	}
 	sst := st.Stats()
-	fmt.Fprintf(w, "\neditbench: %d edits (%d closure-preserving), revert byte-identical under td/bu/swift/swift-async, swift reused %d summaries on closure-preserving edits\n",
+	fmt.Fprintf(w, "\neditbench: %d edits (%d closure-preserving), revert byte-identical under td/bu/swift, swift reused %d summaries on closure-preserving edits\n",
 		nEdits, preservingEdits, swiftPreservingHits)
 	fmt.Fprintf(w, "store: mem %d hits / %d misses, disk %d hits / %d misses, %d puts, %d deletes, %d evictions\n",
 		sst.MemHits, sst.MemMisses, sst.DiskHits, sst.DiskMisses, sst.Puts, sst.Deletes, sst.Evictions)

@@ -14,10 +14,8 @@ package bench
 //
 // Cost cells are deterministic work units like every other table (the
 // query stream is a pure function of program and seed, and memo hits
-// depend only on the stream); wall clock goes to Telemetry. The
-// swift-async engine's work counters are timing-dependent, so its cost and
-// break-even cells — unlike its answers — can vary between runs; the
-// deterministic engines' rows are byte-identical at any worker count.
+// depend only on the stream); wall clock goes to Telemetry. Every row is
+// byte-identical at any worker count.
 //
 // Every isError answer is checked against the exhaustive run's error
 // report on the fly (when that run completed): a divergence fails the
@@ -36,7 +34,7 @@ import (
 )
 
 // queryEngines is every engine the query table exercises.
-var queryEngines = []string{"td", "bu", "swift", "swift-async"}
+var queryEngines = []string{"td", "bu", "swift"}
 
 // QueryBenchRun is the outcome of the query stream for one benchmark and
 // engine.
@@ -164,7 +162,7 @@ func (s *Suite) queryBenchOne(name, engine string, cfg core.Config, seed int64,
 }
 
 // QueryBench runs the demand-vs-exhaustive experiment for one benchmark
-// across all four engines.
+// across all three engines.
 func (s *Suite) QueryBench(name string, cfg core.Config, queries int, seed int64,
 	kinds []query.Kind) ([]*QueryBenchRun, error) {
 	runs := make([]*QueryBenchRun, 0, len(queryEngines))

@@ -18,7 +18,7 @@ func TestQueryBenchTableRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"Querybench:", "break-even", "elevator", "td", "bu", "swift", "swift-async"} {
+	for _, want := range []string{"Querybench:", "break-even", "elevator", "td", "bu", "swift"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("table lacks %q:\n%s", want, got)
 		}
@@ -31,8 +31,8 @@ func TestQueryBenchTableRenders(t *testing.T) {
 }
 
 // TestQueryBenchDeterministicEngineRows pins the harness convention for
-// the new table: the deterministic engines' rows are byte-identical at any
-// -sliceworkers setting and across repeated runs (the stream is a pure
+// the table: every engine's row is byte-identical at any -sliceworkers
+// setting and across repeated runs (the stream is a pure
 // function of program and seed; costs are work units, not wall clock).
 func TestQueryBenchDeterministicEngineRows(t *testing.T) {
 	rows := func(workers int) map[string]string {
@@ -44,7 +44,7 @@ func TestQueryBenchDeterministicEngineRows(t *testing.T) {
 		got := map[string]string{}
 		for _, line := range strings.Split(out.String(), "\n") {
 			f := strings.Fields(line)
-			if len(f) > 2 && f[0] == "elevator" && f[1] != "swift-async" {
+			if len(f) > 2 && f[0] == "elevator" {
 				got[f[1]] = line
 			}
 		}

@@ -26,10 +26,7 @@ import (
 	"swift/internal/driver"
 )
 
-// slicedEngines are the engines the sliced table compares. The async
-// engine is excluded: its counters are timing-dependent, so its cells
-// would not be byte-identical across runs (its sliced *report* is still
-// covered by the equivalence tests in internal/driver).
+// slicedEngines are the engines the sliced table compares.
 var slicedEngines = []string{"td", "swift"}
 
 // SlicedRun is the outcome of one sliced engine run on one benchmark.

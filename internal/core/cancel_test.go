@@ -89,7 +89,7 @@ func closedChan() chan struct{} {
 // fraction of the full run's work, and leak nothing.
 func TestCancelPreClosedAbortsAllEngines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for _, engine := range []string{"td", "bu", "swift", "swift-async"} {
+	for _, engine := range []string{"td", "bu", "swift"} {
 		t.Run(engine, func(t *testing.T) {
 			an, taint := cancelAnalysis(t, 40, 8)
 			cfg := core.DefaultConfig()
@@ -127,10 +127,10 @@ func TestCancelPreClosedAbortsAllEngines(t *testing.T) {
 	checkNoLeakedGoroutines(t, before)
 }
 
-// TestCancelMidRunAsync closes the cancel channel while RunSwiftAsync is
-// in flight: the run must return promptly with ErrCanceled and wait out
-// all of its workers (no goroutine outlives the run).
-func TestCancelMidRunAsync(t *testing.T) {
+// TestCancelMidRun closes the cancel channel while a swift run is in
+// flight on another goroutine: the run must return promptly with
+// ErrCanceled.
+func TestCancelMidRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	an, taint := cancelAnalysis(t, 60, 8)
 	cfg := core.DefaultConfig()
@@ -140,7 +140,7 @@ func TestCancelMidRunAsync(t *testing.T) {
 
 	done := make(chan *core.Result[string, string, string], 1)
 	go func() {
-		res, err := an.RunEngine("swift-async", taint.Initial(), cfg)
+		res, err := an.RunEngine("swift", taint.Initial(), cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -156,7 +156,7 @@ func TestCancelMidRunAsync(t *testing.T) {
 			t.Fatalf("Err = %v, want nil or ErrCanceled", res.Err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("canceled swift-async run did not return")
+		t.Fatal("canceled swift run did not return")
 	}
 	checkNoLeakedGoroutines(t, before)
 }
@@ -187,9 +187,8 @@ func (c *countingSource) Publish(trigger string, frontier []string, out core.Tri
 // published. This is the no-publish rule ErrDeadline already obeys. The
 // fixture's 400-prim bodies make any single run_bu round cost more than
 // one check interval, so the cancellation is observed before run_bu can
-// complete; the single-threaded swift engine then aborts the whole run
-// with no publish window left (the async engine's equivalent guarantee
-// is covered at the store level by the driver's cancel tests).
+// complete; the engine then aborts the whole run with no publish window
+// left.
 func TestCancelPublishesNothing(t *testing.T) {
 	an, taint := cancelAnalysis(t, 12, 400)
 	src := &countingSource{cancel: make(chan struct{})}

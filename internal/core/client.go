@@ -113,8 +113,7 @@ type Client[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] interface {
 // with whatever per-primitive memoization the client can key on its
 // interned representations. The returned function must append exactly what
 // Trans(c, s) returns (same states, same order) to dst and return the
-// extended slice, and must be safe for concurrent use if the client itself
-// is.
+// extended slice.
 //
 // The tabulation solver probes for this interface in every engine and on
 // either view and composes superblock chains out of compiled transfers;
@@ -168,11 +167,10 @@ type Config struct {
 	// MaxRelations bounds the number of distinct abstract relations
 	// materialized by one bottom-up invocation. Models the exponential
 	// case explosion of the conventional bottom-up analysis. The budget is
-	// per trigger in both hybrid engines — every run_bu (and each async
-	// worker) starts from a fresh counter, and Result.BUStats aggregates
-	// the per-trigger counters afterwards — so RunSwift and RunSwiftAsync
-	// agree on which triggers exhaust it. For RunBU the entire analysis is
-	// one invocation, so the bound is effectively global there.
+	// per trigger in RunSwift — every run_bu starts from a fresh counter,
+	// and Result.BUStats aggregates the per-trigger counters afterwards.
+	// For RunBU the entire analysis is one invocation, so the bound is
+	// effectively global there.
 	MaxRelations int
 
 	// MaxBUSteps bounds the number of evaluation steps taken by one
@@ -187,7 +185,7 @@ type Config struct {
 	// once the channel is closed, every solver returns ErrCanceled from
 	// its next periodic check — the same low-cost points that poll the
 	// wall-clock deadline (the TD worklist, each BU evaluation step, the
-	// hybrid trigger and async completion loops), plus a pre-dispatch
+	// hybrid trigger loop), plus a pre-dispatch
 	// check in RunSliceSet's slice workers. Closing the channel is the
 	// only supported signal; sending on it does nothing.
 	Cancel <-chan struct{}
@@ -216,22 +214,6 @@ type Config struct {
 	// budget faults. Results with an empty plan are byte-identical to an
 	// unarmed run (the wrapper only counts). See fault.go.
 	Fault *FaultPlan
-
-	// RecordTrace, when non-nil, makes RunSwiftAsync record its
-	// scheduling-visible decisions (worker spawns, summary installs and
-	// failures, relative to the call-event stream) into the trace. The
-	// trace is rewritten from scratch; see trace.go.
-	RecordTrace *Trace
-
-	// ReplayTrace, when non-nil, makes RunSwiftAsync re-run a recorded
-	// schedule deterministically on a single goroutine: each run_bu
-	// executes synchronously at its recorded spawn point and its outcome
-	// becomes visible at its recorded install point. Replays of the same
-	// trace on identically built pipelines are bit-identical. A trace
-	// that does not match the run (different program, thresholds, or
-	// client behaviour) fails with ErrTraceMismatch. Takes precedence
-	// over RecordTrace.
-	ReplayTrace *Trace
 
 	// SliceWorkers bounds how many slices RunSliced analyzes concurrently;
 	// zero or negative means GOMAXPROCS. Merged sliced results are

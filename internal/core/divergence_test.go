@@ -1,10 +1,8 @@
 package core_test
 
-// Regression tests pinning RunSwift and RunSwiftAsync to the same
-// observable behaviour: worker errors must surface as Result.Err in both
-// engines, bottom-up budgets are per trigger in both, and Result.Triggered
-// is sorted in both. Each test fails against the pre-fix engines (swallowed
-// async worker errors, cumulative sync budgets, completion-order Triggered).
+// Regression tests pinning RunSwift's trigger contract: errors inside
+// run_bu surface as Result.Err, bottom-up budgets are per trigger, and
+// Result.Triggered is sorted.
 
 import (
 	"errors"
@@ -18,8 +16,8 @@ import (
 
 // slowClient delays every bottom-up transfer so a run_bu invocation blows
 // the wall-clock deadline while the top-down analysis (which never calls
-// RTrans) stays fast. It poisons only the workers: the error every engine
-// must surface is the deadline the bottom-up side hits.
+// RTrans) stays fast: the error the engine must surface is the deadline
+// the bottom-up side hits.
 type slowClient struct {
 	core.Client[string, string, string]
 	delay time.Duration
@@ -30,15 +28,8 @@ func (s *slowClient) RTrans(c *ir.Prim, r string) []string {
 	return s.Client.RTrans(c, r)
 }
 
-// ConcurrentClient marks the wrapper concurrency-safe: it is stateless and
-// the wrapped taint client is itself concurrent, so Synchronized must not
-// add a lock that would serialize the top-down analysis behind the
-// sleeping workers (which would let the tabulation hit the deadline by
-// itself and mask the bug under test).
-func (s *slowClient) ConcurrentClient() {}
-
 // slowFixture builds a program whose single callee is triggered early and
-// takes ≥256 bottom-up evaluation steps, so the worker's deadline check
+// takes ≥256 bottom-up evaluation steps, so run_bu's deadline check
 // (which only consults the clock every 256th step) fires mid-run_bu.
 func slowFixture() (*ir.Program, *killgen.Taint) {
 	prog := ir.NewProgram("main")
@@ -65,13 +56,12 @@ func slowFixture() (*ir.Program, *killgen.Taint) {
 }
 
 // TestWorkerErrorSurfaces checks that a non-budget error inside run_bu —
-// here the wall-clock deadline — reaches Result.Err in both hybrid
-// engines instead of being downgraded to a silent top-down fallback.
+// here the wall-clock deadline — reaches Result.Err instead of being
+// downgraded to a silent top-down fallback.
 func TestWorkerErrorSurfaces(t *testing.T) {
 	prog, taint := slowFixture()
 	slow := &slowClient{Client: taint, delay: time.Millisecond}
-	an, err := core.NewAnalysis[string, string, string](
-		core.Synchronized[string, string, string](slow), prog)
+	an, err := core.NewAnalysis[string, string, string](slow, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,19 +70,13 @@ func TestWorkerErrorSurfaces(t *testing.T) {
 	cfg.K = 1
 	cfg.Timeout = 50 * time.Millisecond
 
-	for name, run := range map[string]func() *core.Result[string, string, string]{
-		"swift":       func() *core.Result[string, string, string] { return an.RunSwift(init, cfg) },
-		"swift-async": func() *core.Result[string, string, string] { return an.RunSwiftAsync(init, cfg) },
-	} {
-		res := run()
-		if res.Err == nil {
-			t.Errorf("%s: deadline inside run_bu was swallowed (Triggered=%v BUFailed=%v)",
-				name, res.Triggered, res.BUFailed)
-			continue
-		}
-		if !errors.Is(res.Err, core.ErrDeadline) {
-			t.Errorf("%s: err = %v, want ErrDeadline", name, res.Err)
-		}
+	res := an.RunSwift(init, cfg)
+	if res.Err == nil {
+		t.Fatalf("deadline inside run_bu was swallowed (Triggered=%v BUFailed=%v)",
+			res.Triggered, res.BUFailed)
+	}
+	if !errors.Is(res.Err, core.ErrDeadline) {
+		t.Errorf("err = %v, want ErrDeadline", res.Err)
 	}
 }
 
@@ -134,13 +118,11 @@ func budgetFixture() (*ir.Program, *killgen.Taint) {
 }
 
 // TestPerTriggerBudget pins the budget model: MaxRelations bounds each
-// run_bu invocation, so a budget that fits one trigger fits every trigger
-// in both engines. Under the old cumulative accounting the synchronous
-// engine failed the second trigger that the async engine completed.
+// run_bu invocation, so a budget that fits one trigger fits every
+// trigger. Under cumulative accounting the second trigger would fail.
 func TestPerTriggerBudget(t *testing.T) {
 	prog, taint := budgetFixture()
-	an, err := core.NewAnalysis[string, string, string](
-		core.Synchronized[string, string, string](taint), prog)
+	an, err := core.NewAnalysis[string, string, string](taint, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +130,7 @@ func TestPerTriggerBudget(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.K = 1
 	// Disable pruning so each trigger's relation count is independent of
-	// ranking data and identical across engines and runs.
+	// ranking data and identical across runs.
 	cfg.Theta = core.Unlimited
 
 	// Calibrate: an unlimited run triggers both procedures; the two are
@@ -164,60 +146,41 @@ func TestPerTriggerBudget(t *testing.T) {
 	perTrigger := full.BUStats.Relations / 2
 
 	cfg.MaxRelations = perTrigger
-	for name, run := range map[string]func() *core.Result[string, string, string]{
-		"swift":       func() *core.Result[string, string, string] { return an.RunSwift(init, cfg) },
-		"swift-async": func() *core.Result[string, string, string] { return an.RunSwiftAsync(init, cfg) },
-	} {
-		res := run()
-		if !res.Completed() {
-			t.Fatalf("%s: %v", name, res.Err)
-		}
-		if len(res.BUFailed) != 0 {
-			t.Errorf("%s: triggers failed under a per-trigger budget that fits each: %v",
-				name, res.BUFailed)
-		}
-		if len(res.Triggered) != 2 || res.Triggered[0] != want[0] || res.Triggered[1] != want[1] {
-			t.Errorf("%s: Triggered = %v, want %v", name, res.Triggered, want)
-		}
-		if res.BUStats.Relations != full.BUStats.Relations {
-			t.Errorf("%s: aggregated relations = %d, want %d",
-				name, res.BUStats.Relations, full.BUStats.Relations)
-		}
+	res := an.RunSwift(init, cfg)
+	if !res.Completed() {
+		t.Fatal(res.Err)
+	}
+	if len(res.BUFailed) != 0 {
+		t.Errorf("triggers failed under a per-trigger budget that fits each: %v", res.BUFailed)
+	}
+	if len(res.Triggered) != 2 || res.Triggered[0] != want[0] || res.Triggered[1] != want[1] {
+		t.Errorf("Triggered = %v, want %v", res.Triggered, want)
+	}
+	if res.BUStats.Relations != full.BUStats.Relations {
+		t.Errorf("aggregated relations = %d, want %d", res.BUStats.Relations, full.BUStats.Relations)
 	}
 }
 
-// TestTriggeredSorted pins the Result.Triggered contract: sorted in both
-// engines, regardless of completion order ("zz" completes first here).
+// TestTriggeredSorted pins the Result.Triggered contract: sorted,
+// regardless of trigger order ("zz" triggers first here).
 func TestTriggeredSorted(t *testing.T) {
 	prog, taint := budgetFixture()
-	an, err := core.NewAnalysis[string, string, string](
-		core.Synchronized[string, string, string](taint), prog)
+	an, err := core.NewAnalysis[string, string, string](taint, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	init := taint.Initial()
 	cfg := core.DefaultConfig()
 	cfg.K = 1
-	sync := an.RunSwift(init, cfg)
-	async := an.RunSwiftAsync(init, cfg)
-	for name, res := range map[string]*core.Result[string, string, string]{
-		"swift": sync, "swift-async": async,
-	} {
-		if !res.Completed() {
-			t.Fatalf("%s: %v", name, res.Err)
-		}
-		for i := 1; i < len(res.Triggered); i++ {
-			if res.Triggered[i-1] >= res.Triggered[i] {
-				t.Errorf("%s: Triggered not sorted: %v", name, res.Triggered)
-			}
-		}
+	res := an.RunSwift(taint.Initial(), cfg)
+	if !res.Completed() {
+		t.Fatal(res.Err)
 	}
-	if len(sync.Triggered) != len(async.Triggered) {
-		t.Fatalf("engines disagree on triggers: %v vs %v", sync.Triggered, async.Triggered)
+	if len(res.Triggered) != 2 {
+		t.Fatalf("Triggered = %v, want both callees", res.Triggered)
 	}
-	for i := range sync.Triggered {
-		if sync.Triggered[i] != async.Triggered[i] {
-			t.Fatalf("engines disagree on triggers: %v vs %v", sync.Triggered, async.Triggered)
+	for i := 1; i < len(res.Triggered); i++ {
+		if res.Triggered[i-1] >= res.Triggered[i] {
+			t.Errorf("Triggered not sorted: %v", res.Triggered)
 		}
 	}
 }

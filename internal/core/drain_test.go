@@ -82,24 +82,16 @@ func blockedProgram() *ir.Program {
 	return prog
 }
 
-func runDrainFixture(t *testing.T, prog *ir.Program, async bool) *core.Result[string, string, string] {
+func runDrainFixture(t *testing.T, prog *ir.Program) *core.Result[string, string, string] {
 	t.Helper()
 	kg := drainClient()
-	var client core.Client[string, string, string] = kg
-	if async {
-		client = core.Synchronized[string, string, string](kg)
-	}
-	an, err := core.NewAnalysis[string, string, string](client, prog)
+	an, err := core.NewAnalysis[string, string, string](kg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.K = 1
-	init := kg.State(kg.MakeBits())
-	if async {
-		return an.RunSwiftAsync(init, cfg)
-	}
-	return an.RunSwift(init, cfg)
+	return an.RunSwift(kg.State(kg.MakeBits()), cfg)
 }
 
 func checkDrained(t *testing.T, res *core.Result[string, string, string], wantBU []string) {
@@ -117,8 +109,10 @@ func checkDrained(t *testing.T, res *core.Result[string, string, string], wantBU
 	}
 }
 
+// TestPendingTriggerDrained also pins the Result.Triggered contract:
+// trigger procedures only, not every summarized frontier procedure.
 func TestPendingTriggerDrained(t *testing.T) {
-	res := runDrainFixture(t, drainProgram(), false)
+	res := runDrainFixture(t, drainProgram())
 	checkDrained(t, res, []string{"f", "g"})
 }
 
@@ -126,20 +120,7 @@ func TestPendingTriggerDrained(t *testing.T) {
 // unreachable top-down, so the drain must force the trigger (pruning falls
 // back to canonical order for procedures without ranking data).
 func TestPendingTriggerForcedDrain(t *testing.T) {
-	res := runDrainFixture(t, blockedProgram(), false)
-	checkDrained(t, res, []string{"f", "g", "h"})
-}
-
-// TestAsyncPendingTriggerDrained is the asynchronous-engine analogue; it
-// also pins the Result.Triggered fix (trigger procedures only, not every
-// summarized frontier procedure).
-func TestAsyncPendingTriggerDrained(t *testing.T) {
-	res := runDrainFixture(t, drainProgram(), true)
-	checkDrained(t, res, []string{"f", "g"})
-}
-
-func TestAsyncPendingTriggerForcedDrain(t *testing.T) {
-	res := runDrainFixture(t, blockedProgram(), true)
+	res := runDrainFixture(t, blockedProgram())
 	checkDrained(t, res, []string{"f", "g", "h"})
 }
 

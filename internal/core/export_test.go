@@ -11,8 +11,8 @@ import (
 // instead of the compressed one. It is the oracle of the compressed ≡ raw
 // equivalence tests: td and bu must produce identical tables and counters
 // on either view, because budgets and Steps count original-graph units.
-// The hybrids would run on it too, but their trigger timing depends on
-// the schedule, so the tests compare only td and bu.
+// The hybrid would run on it too, but its trigger timing depends on the
+// schedule, so the tests compare only td and bu.
 func RawViewAnalysis[S, R, P cmp.Ordered](a *Analysis[S, R, P]) *Analysis[S, R, P] {
 	return &Analysis[S, R, P]{Client: a.Client, Prog: a.Prog, CFG: a.CFG, view: ir.RawView(a.CFG)}
 }

@@ -26,16 +26,13 @@ import (
 var (
 	// ErrClientPanic indicates a client operation panicked; the panic was
 	// recovered by the engine and converted into this error (engine-level)
-	// or into a per-trigger BUFailed fallback (bottom-up workers).
+	// or into a per-trigger BUFailed fallback (bottom-up triggers).
 	ErrClientPanic = errors.New("core: client operation panicked")
 	// ErrClientFault indicates an injected client-operation failure (the
 	// FaultErr kind). Real clients have no error returns, so the fault
 	// layer models "the operation failed" as a panic carrying this error;
 	// the containment layer surfaces it verbatim.
 	ErrClientFault = errors.New("core: injected client fault")
-	// ErrTraceMismatch indicates a replayed trace does not correspond to
-	// the program, configuration or client behaviour of this run.
-	ErrTraceMismatch = errors.New("core: trace does not match the run")
 )
 
 // FaultKind selects what an injected fault does to the client operation it
@@ -46,8 +43,8 @@ const (
 	// FaultNone is the zero value; it never fires.
 	FaultNone FaultKind = iota
 	// FaultErr fails the operation: the run observes an error wrapping
-	// ErrClientFault. Inside a bottom-up trigger this is a fatal worker
-	// error (the run aborts with it); on the top-down path it becomes
+	// ErrClientFault. Inside a bottom-up trigger this is a fatal error
+	// (the run aborts with it); on the top-down path it becomes
 	// Result.Err.
 	FaultErr
 	// FaultPanic panics with a non-error value, exercising the recover
@@ -91,11 +88,8 @@ type Fault struct {
 // run. Engines arm it through Config.Fault: every client operation
 // (Trans, RTrans, RComp, …) is counted by a single run-wide operation
 // counter, and the plan decides per index whether a fault fires. For the
-// deterministic engines the operation stream is identical on every run, so
-// a plan pins a fault to one reproducible program point; under the
-// asynchronous engine the indices workers observe depend on scheduling,
-// which is fine for crashworthiness sweeps (the schedule is still seeded
-// and bounded).
+// engines are deterministic, the operation stream is identical on every
+// run, so a plan pins a fault to one reproducible program point.
 //
 // The operation counter lives in the plan, so a plan must not be shared by
 // two concurrent runs; reusing it across sequential runs continues the
@@ -115,8 +109,7 @@ type FaultPlan struct {
 	Kinds []FaultKind
 	// TriggerBudget forces ErrBudget for every bottom-up invocation whose
 	// frontier contains a listed procedure — the "this trigger exhausts
-	// its budget" outcome, keyed by procedure name so the synchronous and
-	// asynchronous engines agree on which triggers fail.
+	// its budget" outcome, keyed by procedure name.
 	TriggerBudget map[string]bool
 
 	n atomic.Int64
@@ -234,9 +227,7 @@ func effectiveClient[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered](
 
 // faultClient intercepts every client operation, counts it against the
 // plan's run-wide operation counter, and fires the scheduled fault (if
-// any) before delegating. It adds no locking of its own — the counter is
-// atomic — so it is exactly as concurrency-safe as the client it wraps,
-// and it is always installed after Synchronized has done its work.
+// any) before delegating.
 type faultClient[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	inner Client[S, R, P]
 	plan  *FaultPlan

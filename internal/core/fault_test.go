@@ -4,7 +4,7 @@ package core_test
 // client operation must never crash, deadlock or leak a goroutine — it
 // either degrades to a per-trigger top-down fallback or surfaces as a
 // properly wrapped Result.Err. The sweep walks every operation index of a
-// small fixture across all four engines.
+// small fixture across all three engines.
 
 import (
 	"errors"
@@ -69,14 +69,10 @@ type sweepEngine struct {
 }
 
 func sweepEngines() []sweepEngine {
-	build := func(t *testing.T, prog *ir.Program, async bool) (*core.Analysis[string, string, string], string) {
+	build := func(t *testing.T, prog *ir.Program) (*core.Analysis[string, string, string], string) {
 		t.Helper()
 		kg := drainClient()
-		var client core.Client[string, string, string] = kg
-		if async {
-			client = core.Synchronized[string, string, string](kg)
-		}
-		an, err := core.NewAnalysis[string, string, string](client, prog)
+		an, err := core.NewAnalysis[string, string, string](kg, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,22 +80,18 @@ func sweepEngines() []sweepEngine {
 	}
 	return []sweepEngine{
 		{"td", func(t *testing.T, prog *ir.Program, cfg core.Config) *core.Result[string, string, string] {
-			an, init := build(t, prog, false)
+			an, init := build(t, prog)
 			cfg.K = core.Unlimited
 			return an.RunTD(init, cfg)
 		}},
 		{"bu", func(t *testing.T, prog *ir.Program, cfg core.Config) *core.Result[string, string, string] {
-			an, init := build(t, prog, false)
+			an, init := build(t, prog)
 			cfg.Theta = core.Unlimited
 			return an.RunBU(init, cfg)
 		}},
 		{"swift", func(t *testing.T, prog *ir.Program, cfg core.Config) *core.Result[string, string, string] {
-			an, init := build(t, prog, false)
+			an, init := build(t, prog)
 			return an.RunSwift(init, cfg)
-		}},
-		{"swift-async", func(t *testing.T, prog *ir.Program, cfg core.Config) *core.Result[string, string, string] {
-			an, init := build(t, prog, true)
-			return an.RunSwiftAsync(init, cfg)
 		}},
 	}
 }
@@ -167,9 +159,6 @@ func TestFaultEmptyPlanByteIdentical(t *testing.T) {
 	kg := drainClient()
 	init := kg.State(kg.MakeBits()) // state encodings are instance-independent
 	for _, eng := range sweepEngines() {
-		if eng.name == "swift-async" {
-			continue // live async runs are timing-dependent either way
-		}
 		plain := eng.run(t, drainProgram(), sweepConfig())
 		cfg := sweepConfig()
 		cfg.Fault = &core.FaultPlan{}
@@ -211,7 +200,7 @@ func TestFaultErrSurfacesWrapped(t *testing.T) {
 }
 
 // TestFaultTriggerBudgetFallsBack forces budget exhaustion for one
-// trigger: both hybrid engines must degrade it to BUFailed and complete
+// trigger: the hybrid engine must degrade it to BUFailed and complete
 // with the top-down fallback (Theorem 3.1), not abort.
 func TestFaultTriggerBudgetFallsBack(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -265,36 +254,23 @@ func TestClientPanicInTriggerDegrades(t *testing.T) {
 	}
 	want := td.ExitStates("main", init)
 
-	for _, async := range []bool{false, true} {
-		var client core.Client[string, string, string] = &rtransPanicClient{Client: drainClient()}
-		if async {
-			client = core.Synchronized[string, string, string](client)
-		}
-		an, err := core.NewAnalysis[string, string, string](client, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := sweepConfig()
-		var res *core.Result[string, string, string]
-		if async {
-			res = an.RunSwiftAsync(init, cfg)
-		} else {
-			res = an.RunSwift(init, cfg)
-		}
-		name := map[bool]string{false: "swift", true: "swift-async"}[async]
-		if res.Err != nil {
-			t.Fatalf("%s: should complete by falling back: %v", name, res.Err)
-		}
-		if res.ClientPanics < 2 {
-			t.Errorf("%s: ClientPanics = %d, want >= 2 (attempt + bounded retry)", name, res.ClientPanics)
-		}
-		if !res.BUFailed["f"] {
-			t.Errorf("%s: BUFailed = %v, want f marked", name, res.BUFailed)
-		}
-		got := res.ExitStates("main", init)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s: exit states %v, td %v", name, got, want)
-		}
+	an, err := core.NewAnalysis[string, string, string](&rtransPanicClient{Client: drainClient()}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := an.RunSwift(init, sweepConfig())
+	if res.Err != nil {
+		t.Fatalf("should complete by falling back: %v", res.Err)
+	}
+	if res.ClientPanics < 2 {
+		t.Errorf("ClientPanics = %d, want >= 2 (attempt + bounded retry)", res.ClientPanics)
+	}
+	if !res.BUFailed["f"] {
+		t.Errorf("BUFailed = %v, want f marked", res.BUFailed)
+	}
+	got := res.ExitStates("main", init)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("exit states %v, td %v", got, want)
 	}
 	checkNoLeakedGoroutines(t, before)
 }

@@ -57,7 +57,7 @@ func (a *Analysis[S, R, P]) cfgView() *ir.CFGView {
 
 // sparseIndex returns the structure index of the traversal view, or nil
 // when the sparse scheduler is disabled (Config.NoSparse). Only td and bu
-// call it; the hybrids always pass newTDSolver a nil index (see RunSwift).
+// call it; the hybrid always passes newTDSolver a nil index (see RunSwift).
 func (a *Analysis[S, R, P]) sparseIndex(config Config) *ir.StructIndex {
 	if config.NoSparse {
 		return nil
@@ -117,17 +117,24 @@ type Result[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 func (r *Result[S, R, P]) Completed() bool { return r.Err == nil }
 
 // WorkUnits returns a machine-independent cost measure for the run: the sum
-// of the solvers' step and materialization counters. For the deterministic
-// engines (td, bu, swift) it is identical across repeated runs and across
-// hosts, which is what lets the benchmark harness render comparable cost
-// columns regardless of scheduling; wall-clock stays in Elapsed. For
-// swift-async the counters are timing-dependent, so WorkUnits is too.
+// of the solvers' step and materialization counters. Every engine is
+// deterministic, so it is identical across repeated runs and across hosts,
+// which is what lets the benchmark harness render comparable cost columns
+// regardless of scheduling; wall-clock stays in Elapsed.
 func (r *Result[S, R, P]) WorkUnits() int {
 	n := r.BUStats.Steps + r.BUStats.Relations
 	if r.TD != nil {
 		n += r.TD.Steps + r.TD.NumPathEdges
 	}
 	return n
+}
+
+// add accumulates one trigger's (or one slice's) counters into an
+// aggregate.
+func (s *BUStats) add(o BUStats) {
+	s.Relations += o.Relations
+	s.Steps += o.Steps
+	s.Rounds += o.Rounds
 }
 
 // TDSummaryTotal returns the total number of top-down summaries.
@@ -496,9 +503,7 @@ func (h *hybrid[S, R, P]) trigger(f string, force bool) error {
 	}
 	for {
 		// Each trigger gets the full MaxRelations/MaxBUSteps budget from the
-		// config (worker-local counters, aggregated after), matching the
-		// async engine's per-worker accounting — a cumulative charge here
-		// would make the two engines disagree on which trigger DNFs.
+		// config (per-trigger counters, aggregated after).
 		var stats BUStats
 		eta, err := safeRunBU(
 			h.client, h.a.Prog, h.config, h.config.Theta,

@@ -1,10 +1,8 @@
 package core_test
 
-// The hybrid engines always run with the dense FIFO, so the td/bu
-// scheduler knobs (NoSparse, NoStructIndex) must be inert for them. These
-// tests pin that as byte identity of the encoded result tables, for swift
-// directly and for swift-async through record/replay (a live async run's
-// counters are timing-dependent; its replay is not).
+// The hybrid engine always runs with the dense FIFO, so the td/bu
+// scheduler knobs (NoSparse, NoStructIndex) must be inert for it. These
+// tests pin that as byte identity of the encoded result tables.
 
 import (
 	"bytes"
@@ -127,27 +125,18 @@ func hybridRunners(t *testing.T) []namedRunner {
 
 func TestHybridKnobsByteIdentical(t *testing.T) {
 	for _, r := range hybridRunners(t) {
-		name, run := r.name, r.run
-		for _, engine := range []string{"swift", "swift-async"} {
-			t.Run(name+"/"+engine, func(t *testing.T) {
-				cfg := core.DefaultConfig()
-				cfg.K = 1
-				if engine == "swift-async" {
-					trace := &core.Trace{Label: name}
-					rec := cfg
-					rec.RecordTrace = trace
-					run(t, engine, rec)
-					cfg.ReplayTrace = trace
+		run := r.run
+		t.Run(r.name+"/swift", func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.K = 1
+			base := run(t, "swift", cfg)
+			for _, knob := range hybridKnobs {
+				kcfg := cfg
+				knob.set(&kcfg)
+				if got := run(t, "swift", kcfg); !bytes.Equal(got, base) {
+					t.Errorf("%s: encoded tables differ from the default run", knob.name)
 				}
-				base := run(t, engine, cfg)
-				for _, knob := range hybridKnobs {
-					kcfg := cfg
-					knob.set(&kcfg)
-					if got := run(t, engine, kcfg); !bytes.Equal(got, base) {
-						t.Errorf("%s: encoded tables differ from the default run", knob.name)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -4,7 +4,7 @@ package core
 // client decomposes its abstract domain into independent slices — the
 // type-state client uses one slice per tracked allocation site — and
 // RunSliced analyzes each slice with its own client instance on a bounded
-// worker pool, under any of the four engines.
+// worker pool, under any of the three engines.
 //
 // Slices are independent by construction: each slice's client spawns
 // tracked tuples only at its own site, and the shared (sliceless) part of
@@ -177,10 +177,8 @@ func (a *Analysis[S, R, P]) RunEngine(engine string, initial S, config Config) (
 		return a.RunBU(initial, config), nil
 	case "swift":
 		return a.RunSwift(initial, config), nil
-	case "swift-async":
-		return a.RunSwiftAsync(initial, config), nil
 	}
-	return nil, fmt.Errorf("core: unknown engine %q (want td, bu, swift or swift-async)", engine)
+	return nil, fmt.Errorf("core: unknown engine %q (want td, bu or swift)", engine)
 }
 
 // withClient returns an Analysis over the same program and traversal view
@@ -229,10 +227,10 @@ func (a *Analysis[S, R, P]) RunSliceSet(engine string, config Config, subset []S
 	case "td", "bu":
 		a.cfgView()
 		a.sparseIndex(config)
-	case "swift", "swift-async":
+	case "swift":
 		a.cfgView()
 	default:
-		return nil, fmt.Errorf("core: unknown engine %q (want td, bu, swift or swift-async)", engine)
+		return nil, fmt.Errorf("core: unknown engine %q (want td, bu or swift)", engine)
 	}
 	ids := append([]SliceID(nil), subset...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })

@@ -23,7 +23,7 @@ package core
 // inserted fact charges exactly one step, so Steps == NumPathEdges at
 // completion, as on the dense paths), and a budget trip lands the
 // path-edge counter on exactly MaxPathEdges+1 like both dense views. The
-// hybrid engines (swift, swift-async) never run sparse: pop order decides
+// hybrid engine (swift) never runs sparse: pop order decides
 // when their triggers fire, and on sliced runs and served edits the sparse
 // schedule measured slower for them (see DESIGN.md §13.4).
 

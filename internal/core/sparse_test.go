@@ -260,38 +260,6 @@ func TestSparseStatsSanity(t *testing.T) {
 	}
 }
 
-// TestSparseKnobsInertInAsyncReplay covers the fourth engine: the
-// asynchronous hybrid always runs the dense FIFO, so a recorded schedule
-// must replay bit-identically whatever the sparse knobs say.
-func TestSparseKnobsInertInAsyncReplay(t *testing.T) {
-	trace, recorded := recordRun(t, drainProgram)
-	for _, v := range []struct {
-		name            string
-		noSparse, noIdx bool
-	}{{"default", false, false}, {"nosparse", true, false}, {"nostruct", false, true}} {
-		kg := drainClient()
-		an, err := core.NewAnalysis[string, string, string](kg, drainProgram())
-		if err != nil {
-			t.Fatal(err)
-		}
-		init := kg.State(kg.MakeBits())
-		cfg := core.DefaultConfig()
-		cfg.K = 1
-		cfg.ReplayTrace = trace
-		res := an.RunSwiftAsync(init, applySparse(cfg, v.noSparse, v.noIdx))
-		if res.Err != nil {
-			t.Fatalf("%s: replay failed: %v", v.name, res.Err)
-		}
-		if res.TD.Sparse.Enabled {
-			t.Errorf("%s: async hybrid reported a sparse run; it must run dense on the compressed view", v.name)
-		}
-		if got := fingerprintResult(res, "main", init); got != recorded {
-			t.Errorf("%s: replay diverges from record\n--- record ---\n%s--- replay ---\n%s",
-				v.name, recorded, got)
-		}
-	}
-}
-
 // TestSparseMatchesDenseSliced closes the loop at the driver's sliced
 // layer. Per-slice clients intern fresh, so same-scheduler runs produce
 // identical per-slice tables at every worker count; across schedulers the

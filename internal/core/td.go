@@ -343,7 +343,7 @@ type tdSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	compiler TransCompiler[S]
 	cchains  [][]func(S, []S) []S
 	// sp is the sparse scheduler state, nil for a dense run. Only td and
-	// bu set it; the hybrids run dense (see RunSwift).
+	// bu set it; the hybrid runs dense (see RunSwift).
 	sp *sparseState[S]
 	dl deadline
 }

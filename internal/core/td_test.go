@@ -168,34 +168,30 @@ func TestCompressedViewSmallerOnChains(t *testing.T) {
 	}
 }
 
-// TestHybridsRunOnCompressedView: both hybrids walk the compressed view
+// TestHybridsRunOnCompressedView: the hybrid walks the compressed view
 // with the dense FIFO even when every td/bu ablation knob asks otherwise,
 // so a fresh Analysis builds the view but never a structure index for
-// them.
+// it.
 func TestHybridsRunOnCompressedView(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.K = 1
 	cfg.NoStructIndex = true
-	for _, engine := range []string{"swift", "swift-async"} {
-		solver, taint := tdFixture(t, cfg)
-		a, err := NewAnalysis[string, string, string](taint, solver.cfg.Program)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := a.RunEngine(engine, taint.Initial(), cfg)
-		if err != nil || res.Err != nil {
-			t.Fatalf("%s: %v / %v", engine, err, res.Err)
-		}
-		if a.view == nil || a.structIdx != nil {
-			t.Errorf("%s: view built: %v; structure index built: %v",
-				engine, a.view != nil, a.structIdx != nil)
-		} else if want := ir.CompressedView(a.CFG).NumSuperEdges; a.view.NumSuperEdges != want {
-			t.Errorf("%s: view has %d superedges, compressed view has %d",
-				engine, a.view.NumSuperEdges, want)
-		}
-		if res.TD.Sparse.Enabled {
-			t.Errorf("%s: hybrid ran the sparse scheduler", engine)
-		}
+	solver, taint := tdFixture(t, cfg)
+	a, err := NewAnalysis[string, string, string](taint, solver.cfg.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.RunEngine("swift", taint.Initial(), cfg)
+	if err != nil || res.Err != nil {
+		t.Fatalf("%v / %v", err, res.Err)
+	}
+	if a.view == nil || a.structIdx != nil {
+		t.Errorf("view built: %v; structure index built: %v", a.view != nil, a.structIdx != nil)
+	} else if want := ir.CompressedView(a.CFG).NumSuperEdges; a.view.NumSuperEdges != want {
+		t.Errorf("view has %d superedges, compressed view has %d", a.view.NumSuperEdges, want)
+	}
+	if res.TD.Sparse.Enabled {
+		t.Error("hybrid ran the sparse scheduler")
 	}
 }
 

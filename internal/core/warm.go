@@ -36,10 +36,9 @@ type TriggerOutcome[R cmp.Ordered, P cmp.Ordered] struct {
 	Failed bool
 }
 
-// SummarySource serves and accepts trigger outcomes. Implementations must
-// be safe for concurrent use (the async engine's workers call both
-// methods from worker goroutines) and must return freshly allocated maps
-// from Lookup — the engines install the eta directly into their results.
+// SummarySource serves and accepts trigger outcomes. The engine calls it
+// from its own goroutine. Implementations must return freshly allocated
+// maps from Lookup — the engines install the eta directly into their results.
 // Lookup must only report a hit when the stored outcome was recorded for
 // the same trigger with the same frontier under an equivalent
 // configuration; how that is keyed is the implementation's business (see

@@ -3,8 +3,7 @@ package driver
 // Cancellation tests at the warm/demand layer: a canceled run publishes
 // nothing to the store (no tables snapshot, no summaries), memoizes no
 // slice tables, and a subsequent identical request recomputes tables
-// byte-identical to a never-canceled cold run — for all four engines,
-// swift-async via record/replay.
+// byte-identical to a never-canceled cold run — for all three engines.
 
 import (
 	"bytes"
@@ -56,7 +55,7 @@ func closedCancel() chan struct{} {
 // untouched — zero Puts across the tables, summary and any other layer.
 func TestCanceledWarmRunPublishesNothing(t *testing.T) {
 	src := heavySource(2000)
-	for _, engine := range []string{"td", "bu", "swift", "swift-async"} {
+	for _, engine := range []string{"td", "bu", "swift"} {
 		t.Run(engine, func(t *testing.T) {
 			st := openStore(t)
 			cfg := lowConfig()
@@ -125,56 +124,6 @@ func TestCancelThenRecomputeByteIdentical(t *testing.T) {
 				t.Fatal("recomputed tables differ from the never-canceled cold run")
 			}
 		})
-	}
-}
-
-// TestCancelThenReplayByteIdentical is the swift-async variant: the
-// recompute after a canceled run replays the reference run's trace, which
-// must reproduce its tables byte for byte — possible only because the
-// canceled run published nothing for the replay to warm-start from
-// differently.
-func TestCancelThenReplayByteIdentical(t *testing.T) {
-	src := heavySource(2000)
-
-	ref := mustBuild(t, src)
-	cfgRec := lowConfig()
-	cfgRec.RecordTrace = &core.Trace{}
-	refRes, _, err := Warm{Store: openStore(t)}.Run(ref, "swift-async", cfgRec)
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
-	if !refRes.Completed() {
-		t.Fatalf("reference did not complete: %v", refRes.Err)
-	}
-	want := EncodeResultTables(ref, refRes)
-
-	st := openStore(t)
-	ccfg := lowConfig()
-	ccfg.Cancel = closedCancel()
-	b1 := mustBuild(t, src)
-	res1, _, err := Warm{Store: st}.Run(b1, "swift-async", ccfg)
-	if err != nil {
-		t.Fatalf("canceled: %v", err)
-	}
-	if !errors.Is(res1.Err, core.ErrCanceled) {
-		t.Fatalf("canceled run: Err = %v, want ErrCanceled", res1.Err)
-	}
-	if n := st.Stats().Puts; n != 0 {
-		t.Fatalf("canceled run put %d store entries, want 0", n)
-	}
-
-	b2 := mustBuild(t, src)
-	cfgRep := lowConfig()
-	cfgRep.ReplayTrace = cfgRec.RecordTrace
-	res2, _, err := Warm{Store: st}.Run(b2, "swift-async", cfgRep)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if !res2.Completed() {
-		t.Fatalf("replay did not complete: %v", res2.Err)
-	}
-	if got := EncodeResultTables(b2, res2); !bytes.Equal(got, want) {
-		t.Fatal("replayed tables after a canceled run differ from the reference run")
 	}
 }
 

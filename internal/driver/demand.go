@@ -54,8 +54,8 @@ func SliceRunKey(b *Build, engine string, cfg core.Config, id core.SliceID) stor
 // to stable strings so concurrent queries share it without touching the
 // run's lazily-memoizing result accessors.
 type SliceTable struct {
-	// Engine and Site identify the run ("td", "bu", "swift", "swift-async"
-	// and the tracked allocation-site label).
+	// Engine and Site identify the run ("td", "bu" or "swift" and the
+	// tracked allocation-site label).
 	Engine string
 	Site   string
 	// ErrorSite reports the site appears in the slice's error report: some
@@ -255,9 +255,9 @@ type DemandEvaluator struct {
 // binds the evaluator. A nil memo gets a fresh default-capacity one.
 func NewDemandEvaluator(b *Build, engine string, cfg core.Config, memo *SliceMemo) (*DemandEvaluator, error) {
 	switch engine {
-	case "td", "bu", "swift", "swift-async":
+	case "td", "bu", "swift":
 	default:
-		return nil, fmt.Errorf("driver: unknown engine %q (want td, bu, swift or swift-async)", engine)
+		return nil, fmt.Errorf("driver: unknown engine %q (want td, bu or swift)", engine)
 	}
 	if cfg.Fault != nil {
 		return nil, fmt.Errorf("driver: demand queries are incompatible with fault injection")
@@ -333,7 +333,7 @@ func (e *DemandEvaluator) Tables(ids []core.SliceID) (map[core.SliceID]*SliceTab
 	for i := range res.Slices {
 		sl := &res.Slices[i]
 		// An aborted slice (budget, deadline, cancellation) must fail the
-		// call before table construction: under td/swift/swift-async the
+		// call before table construction: under td and swift the
 		// abort leaves a partial — but non-nil — TD table behind, which
 		// buildSliceTable would happily fold into a table that answers
 		// "unreachable" for everything the run never got to. Only

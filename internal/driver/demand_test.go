@@ -267,7 +267,7 @@ func TestKeysIgnoreAblationKnobs(t *testing.T) {
 	for name, set := range ablationKnobs {
 		kcfg := cfg
 		set(&kcfg)
-		for _, engine := range []string{"td", "bu", "swift", "swift-async"} {
+		for _, engine := range []string{"td", "bu", "swift"} {
 			if ResultKey(b, engine, kcfg).ID() != ResultKey(b, engine, cfg).ID() {
 				t.Errorf("%s: %s result key split", engine, name)
 			}

@@ -68,10 +68,8 @@ func FromHIR(prog *hir.Program) (*Build, error) {
 // Result is a type-state analysis result under one engine.
 type Result = core.Result[typestate.AbsID, typestate.RelID, typestate.FormulaID]
 
-// Run executes the named engine ("td", "bu", "swift" or "swift-async")
-// with the given configuration, starting from the bootstrap state. The
-// type-state client is a ConcurrentClient (sharded interners), so
-// swift-async needs no Synchronized wrapper.
+// Run executes the named engine ("td", "bu" or "swift") with the given
+// configuration, starting from the bootstrap state.
 func (b *Build) Run(engine string, cfg core.Config) (*Result, error) {
 	return b.Core.RunEngine(engine, b.TS.InitialState(), cfg)
 }

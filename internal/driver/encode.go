@@ -20,9 +20,8 @@ import (
 // bottom-up work by design.
 //
 // The encoding exists to PIN warm-start correctness: a tables-restored
-// warm run under td, bu or swift — or a swift-async trace replay — must
-// produce exactly these bytes again (see driver's warm tests and
-// bench.WarmTable).
+// warm run under td, bu or swift must produce exactly these bytes again
+// (see driver's warm tests and bench.WarmTable).
 func EncodeResultTables(b *Build, res *Result) []byte {
 	var w wire.Writer
 	w.Raw([]byte("SWRT1"))

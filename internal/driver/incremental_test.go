@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"swift/internal/benchprog"
-	"swift/internal/core"
 )
 
 // tweakUtil0 is the canonical closure-preserving edit for these tests:
@@ -158,48 +157,6 @@ func TestIncrementalRevertByteIdentical(t *testing.T) {
 				t.Fatal("reverted result tables differ from the cold run's")
 			}
 		})
-	}
-}
-
-// TestIncrementalRevertAsyncReplay covers the fourth engine: record the
-// cold swift-async run, edit, then replay the recorded trace on the
-// reverted program. Restored tables plus the replayed schedule reproduce
-// the recording byte for byte.
-func TestIncrementalRevertAsyncReplay(t *testing.T) {
-	st := openStore(t)
-
-	cold := buildToba(t)
-	cfgRec := lowConfig()
-	cfgRec.RecordTrace = &core.Trace{}
-	res1, stats1, err := Warm{Store: st}.Run(cold, "swift-async", cfgRec)
-	if err != nil {
-		t.Fatalf("record: %v", err)
-	}
-	if !stats1.PublishedTables {
-		t.Fatal("recorded run did not publish tables")
-	}
-	enc1 := EncodeResultTables(cold, res1)
-
-	edited := buildToba(t, tweakUtil0)
-	if _, _, err := (Warm{Store: st}).Run(edited, "swift-async", lowConfig()); err != nil {
-		t.Fatalf("edited: %v", err)
-	}
-
-	revert := buildToba(t)
-	cfgRep := lowConfig()
-	cfgRep.ReplayTrace = cfgRec.RecordTrace
-	res3, stats3, err := Warm{Store: st}.Run(revert, "swift-async", cfgRep)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if !stats3.RestoredTables {
-		t.Fatal("reverted replay did not restore tables")
-	}
-	if stats3.SummaryMisses != 0 {
-		t.Fatalf("reverted replay had %d summary misses, want 0", stats3.SummaryMisses)
-	}
-	if !bytes.Equal(enc1, EncodeResultTables(revert, res3)) {
-		t.Fatal("reverted replay tables differ from the recording")
 	}
 }
 

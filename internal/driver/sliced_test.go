@@ -12,7 +12,7 @@ import (
 )
 
 // allEngines is every engine the sliced execution layer must support.
-var allEngines = []string{"td", "bu", "swift", "swift-async"}
+var allEngines = []string{"td", "bu", "swift"}
 
 // checkSlicedEquivalence asserts, for every engine, that the sliced run's
 // merged error report equals the monolithic run's report, at two worker
@@ -155,7 +155,7 @@ func sliceFingerprint(res *SlicedResult) string {
 }
 
 // TestSlicedWorkerCountDeterminism pins the tentpole's determinism claim
-// at the engine level: for the deterministic engines, the entire sliced
+// at the engine level: for every engine, the entire sliced
 // outcome — per-slice counters, summaries, triggers, merged totals — is
 // byte-identical across worker counts.
 func TestSlicedWorkerCountDeterminism(t *testing.T) {
@@ -198,30 +198,6 @@ func TestSlicedWorkerCountDeterminism(t *testing.T) {
 				t.Errorf("%s: report at %d workers = %v, want %v", engine, workers, report, wantReport)
 			}
 		}
-	}
-	// swift-async counters are timing-dependent, but the merged report is
-	// still pinned across worker counts (its states are deterministic).
-	b, err := FromSource(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.K = 1
-	var reports [][]string
-	for _, workers := range []int{1, 8} {
-		cfg.SliceWorkers = workers
-		res, err := b.RunSliced("swift-async", cfg)
-		if err != nil {
-			t.Fatalf("swift-async: RunSliced(%d): %v", workers, err)
-		}
-		report, err := b.SlicedErrorReport(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports = append(reports, report)
-	}
-	if !reflect.DeepEqual(reports[0], reports[1]) {
-		t.Errorf("swift-async: report at 1 worker %v, at 8 workers %v", reports[0], reports[1])
 	}
 }
 

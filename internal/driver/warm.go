@@ -40,8 +40,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"swift/internal/core"
 	"swift/internal/ir"
@@ -138,29 +136,24 @@ func ResultKey(b *Build, engine string, cfg core.Config) store.Key {
 	return k
 }
 
-// summarySource adapts the store to core.SummarySource for one run. Safe
-// for concurrent use (async workers look up and publish from worker
-// goroutines).
+// summarySource adapts the store to core.SummarySource for one run.
 type summarySource struct {
 	b     *Build
 	store *store.Store
 	tmpl  store.Key
 
-	mu      sync.Mutex
 	digests map[string]string // trigger → closure digest
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	hits   int64
+	misses int64
 }
 
 func (s *summarySource) key(trigger string) store.Key {
-	s.mu.Lock()
 	d, ok := s.digests[trigger]
 	if !ok {
 		d = closureDigest(s.b.Lowered.Prog, trigger)
 		s.digests[trigger] = d
 	}
-	s.mu.Unlock()
 	k := s.tmpl
 	k.Kind = "summary"
 	k.Proc = trigger
@@ -174,15 +167,15 @@ func (s *summarySource) Lookup(trigger string, frontier []string) (core.TriggerO
 	var zero core.TriggerOutcome[typestate.RelID, typestate.FormulaID]
 	blob, ok := s.store.Get(s.key(trigger))
 	if !ok {
-		s.misses.Add(1)
+		s.misses++
 		return zero, false
 	}
 	storedFrontier, eta, failed, err := s.b.TS.DecodeSummaries(blob)
 	if err != nil || !slices.Equal(storedFrontier, frontier) {
-		s.misses.Add(1)
+		s.misses++
 		return zero, false
 	}
-	s.hits.Add(1)
+	s.hits++
 	return core.TriggerOutcome[typestate.RelID, typestate.FormulaID]{Eta: eta, Failed: failed}, true
 }
 
@@ -241,8 +234,8 @@ func (w Warm) Run(b *Build, engine string, cfg core.Config) (*Result, *WarmStats
 	defer func() { b.Core.Warm = nil }()
 
 	res, err := b.Run(engine, cfg)
-	stats.SummaryHits = src.hits.Load()
-	stats.SummaryMisses = src.misses.Load()
+	stats.SummaryHits = src.hits
+	stats.SummaryMisses = src.misses
 	stats.Relaxed = stats.SummaryHits > 0 && !stats.RestoredTables
 	if err != nil {
 		return res, stats, err

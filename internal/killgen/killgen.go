@@ -104,16 +104,6 @@ func NewAnalysis(facts []string) *Analysis {
 // SetSpec installs the transfer-function specification.
 func (a *Analysis) SetSpec(s Spec) { a.spec = s }
 
-// ConcurrentClient marks the analysis as safe for concurrent use without
-// external locking, so core.Synchronized leaves it unwrapped. The Analysis
-// itself holds no runtime-mutable state — states, relations and
-// preconditions are plain encoded strings — so thread safety reduces to
-// the installed Spec being safe; the in-tree Taint and Nullness specs
-// precompute their case tables during construction and are read-only
-// afterwards. Specs that memoize lazily must not be used with the
-// concurrent engine.
-func (a *Analysis) ConcurrentClient() {}
-
 // NumFacts returns the number of facts.
 func (a *Analysis) NumFacts() int { return a.nfacts }
 

@@ -80,8 +80,7 @@ func NewNullness(prog *ir.Program) *Nullness {
 	facts = append(facts, nullAlertFact)
 	n := &Nullness{Analysis: NewAnalysis(facts), memo: map[string][]Case{}}
 	n.SetSpec(n.cases)
-	// Freeze the memo before the client can be shared across goroutines
-	// (the ConcurrentClient contract), as in NewTaint.
+	// Precompute the case table, as in NewTaint.
 	for _, p := range prims {
 		n.memo[p.Key()] = n.casesOf(p)
 	}

@@ -105,9 +105,8 @@ func NewTaint(prog *ir.Program, cfg TaintConfig) *Taint {
 		t.source[s] = true
 	}
 	t.SetSpec(t.cases)
-	// Precompute the case table for every primitive in the program so the
-	// memo is frozen before the client is shared across goroutines (the
-	// ConcurrentClient contract); cases never writes it at runtime.
+	// Precompute the case table for every primitive in the program; cases
+	// never writes it at runtime.
 	for _, p := range prims {
 		t.memo[p.Key()] = t.casesOf(p)
 	}

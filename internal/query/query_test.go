@@ -11,7 +11,7 @@ import (
 	"swift/internal/driver"
 )
 
-var allEngines = []string{"td", "bu", "swift", "swift-async"}
+var allEngines = []string{"td", "bu", "swift"}
 
 // badProgram misuses two of its three tracked Files (h1 read-before-open,
 // h2 double-open) through a helper, leaving h3 clean.
@@ -149,7 +149,7 @@ func checkAgainstExhaustive(t *testing.T, label, src string) {
 			t.Fatalf("%s: FromSource: %v", label, err)
 		}
 		cfg := core.DefaultConfig()
-		cfg.K = 1 // exercise the bottom-up side in the hybrids
+		cfg.K = 1 // exercise the bottom-up side in the hybrid
 		mono, err := b.Run(engine, cfg)
 		if err != nil {
 			t.Fatalf("%s/%s: Run: %v", label, engine, err)

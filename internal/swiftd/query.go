@@ -93,7 +93,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		req.Engine = "swift"
 	}
 	if !validEngines[req.Engine] {
-		s.httpError(w, http.StatusBadRequest, "unknown engine %q (want td, bu, swift or swift-async)", req.Engine)
+		s.httpError(w, http.StatusBadRequest, "unknown engine %q (want td, bu or swift)", req.Engine)
 		return
 	}
 	if (req.Query == nil) == (len(req.Queries) == 0) {

@@ -201,7 +201,7 @@ func TestQueryCorruptCacheDropped(t *testing.T) {
 // path answer the error question identically for every engine.
 func TestQueryAgreesWithAnalyze(t *testing.T) {
 	_, ts := newTestServer(t)
-	for _, engine := range []string{"td", "bu", "swift", "swift-async"} {
+	for _, engine := range []string{"td", "bu", "swift"} {
 		an, code := postAnalyze(t, ts.URL, analyzeRequest{Source: testProgram, Engine: engine})
 		if code != http.StatusOK {
 			t.Fatalf("%s: /analyze status = %d", engine, code)

@@ -355,7 +355,7 @@ func errorBody(format string, args ...any) []byte {
 	return append(blob, '\n')
 }
 
-var validEngines = map[string]bool{"td": true, "bu": true, "swift": true, "swift-async": true}
+var validEngines = map[string]bool{"td": true, "bu": true, "swift": true}
 
 // admit runs the shared request preamble: method, drain state and body
 // cap. It reports whether the handler should proceed.
@@ -489,7 +489,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		req.Engine = "swift"
 	}
 	if !validEngines[req.Engine] {
-		s.httpError(w, http.StatusBadRequest, "unknown engine %q (want td, bu, swift or swift-async)", req.Engine)
+		s.httpError(w, http.StatusBadRequest, "unknown engine %q (want td, bu or swift)", req.Engine)
 		return
 	}
 	cfg := core.DefaultConfig()

@@ -164,8 +164,10 @@ func TestAnalyzeEngineAndConfigPartitionCache(t *testing.T) {
 func TestAnalyzeRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	if _, code := postAnalyze(t, ts.URL, analyzeRequest{Source: testProgram, Engine: "frobnicate"}); code != http.StatusBadRequest {
-		t.Errorf("bad engine status = %d, want 400", code)
+	for _, engine := range []string{"frobnicate", "swift-async"} {
+		if _, code := postAnalyze(t, ts.URL, analyzeRequest{Source: testProgram, Engine: engine}); code != http.StatusBadRequest {
+			t.Errorf("engine %q status = %d, want 400", engine, code)
+		}
 	}
 	if _, code := postAnalyze(t, ts.URL, analyzeRequest{Source: "class {"}); code != http.StatusUnprocessableEntity {
 		t.Errorf("unparsable source status = %d, want 422", code)

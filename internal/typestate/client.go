@@ -3,7 +3,6 @@ package typestate
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"swift/internal/ir"
 )
@@ -23,10 +22,10 @@ type OracleFunc func(base, field, site string) bool
 func (f OracleFunc) MayAlias(base, field, site string) bool { return f(base, field, site) }
 
 // Analysis is the type-state instantiation of the SWIFT framework for one
-// program: it implements core.Client[AbsID, RelID, FormulaID]. Once
-// NewAnalysis returns, an Analysis is safe for concurrent use: all mutable
-// state lives in the sharded interners of shard.go, so concurrent client
-// calls contend only on hash-selected lock stripes.
+// program: it implements core.Client[AbsID, RelID, FormulaID]. An
+// Analysis is not safe for concurrent use: its interners (intern.go) and
+// memos are plain maps. Concurrent sliced runs each get a slice clone
+// (slice.go), which shares only the tables frozen at construction.
 type Analysis struct {
 	tab      *tables
 	prog     *ir.Program
@@ -45,13 +44,8 @@ type Analysis struct {
 	idRel RelID
 
 	// compiled transfer cache (compile.go), lazily populated
-	compiledMu sync.RWMutex
-	compiled   map[*ir.Prim]func(AbsID, []AbsID) []AbsID
+	compiled map[*ir.Prim]func(AbsID, []AbsID) []AbsID
 }
-
-// ConcurrentClient marks the analysis as safe for concurrent use, so
-// core.Synchronized leaves it unwrapped. See shard.go for the argument.
-func (a *Analysis) ConcurrentClient() {}
 
 // NewAnalysis prepares a type-state analysis of prog. track maps allocation
 // site labels to the property governing objects allocated there; sites
@@ -72,20 +66,13 @@ func NewAnalysis(prog *ir.Program, track map[string]*Property, oracle Oracle) (*
 		track: track,
 		slice: -1,
 		tab: &tables{
-			paths:       newInterner(hashPath),
-			rootedOf:    map[string][]PathID{},
-			fieldOf:     map[string][]PathID{},
-			sets:        newSeqInterner(hashSeq[PathID]),
-			siteIDs:     map[string]SiteID{},
-			trans:       newSeqInterner(hashSeq[GState]),
-			methodTrans: newMemoMap[string, TransID](hashString),
-			composeMemo: newMemoMap[[2]TransID, TransID](hashTransPair),
-			setOpMemo:   newMemoMap[uint64, SetID](fold),
-			abs:         newInterner(hashAbs),
-			forms:       newSeqInterner(hashSeq[literal]),
+			paths:    newInterner[path](),
+			rootedOf: map[string][]PathID{},
+			fieldOf:  map[string][]PathID{},
+			siteIDs:  map[string]SiteID{},
 		},
-		rels: newInterner(hashRel),
 	}
+	a.resetMutable()
 	t := a.tab
 	a.buildProperties()
 	a.buildUniverse()
@@ -103,6 +90,20 @@ func NewAnalysis(prog *ir.Program, track map[string]*Property, oracle Oracle) (*
 	}
 	a.initMutable()
 	return a, nil
+}
+
+// resetMutable gives the instance empty mutable interners and memos, the
+// tables that grow during a run; initMutable then seeds them.
+func (a *Analysis) resetMutable() {
+	t := a.tab
+	t.sets = newSeqInterner(hashSeq[PathID])
+	t.trans = newSeqInterner(hashSeq[GState])
+	t.forms = newSeqInterner(hashSeq[literal])
+	t.abs = newInterner[absState]()
+	t.methodTrans = map[string]TransID{}
+	t.composeMemo = map[[2]TransID]TransID{}
+	t.setOpMemo = map[uint64]SetID{}
+	a.rels = newInterner[rel]()
 }
 
 // initMutable seeds the instance's fresh mutable interners from the frozen

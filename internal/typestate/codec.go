@@ -19,7 +19,7 @@ package typestate
 //     pipeline's ID assignment is bit-for-bit the cold run's — which makes
 //     the deterministic engines produce byte-identical result tables on
 //     reuse (ID order drives sorted sets, worklist order and pruning
-//     tie-breaks; see shard.go).
+//     tie-breaks; see intern.go).
 //
 //   - EncodeSummaries/DecodeSummaries serialize one trigger outcome (the
 //     eta map of pruned bottom-up summaries) structurally: mutable-table
@@ -329,12 +329,22 @@ func (a *Analysis) RestoreTables(data []byte) error {
 		}
 	}
 	for i, x := range rels {
-		// Snapshotted relations are already canonical (internRel
-		// canonicalizes before interning and is idempotent), so replaying
-		// through internRel cannot alter them.
-		if got := a.internRel(x); int(got) != i {
+		// Snapshotted relations are canonical (internRel canonicalizes
+		// before interning), so replaying through internRel must not alter
+		// them.
+		got := a.internRel(x)
+		if int(got) != i {
 			return fmt.Errorf("typestate: snapshot relation %d replayed to id %d", i, got)
 		}
+		if a.relOf(got) != x {
+			return fmt.Errorf("typestate: snapshot relation %d is not in canonical form", i)
+		}
+	}
+	// A snapshot lists every entry of its tables, the initMutable seeds
+	// included; one that omits some would re-encode longer than it is.
+	if t.sets.size() != len(sets) || t.trans.size() != len(trans) || t.forms.size() != len(forms) ||
+		t.abs.size() != len(abss) || a.rels.size() != len(rels) {
+		return fmt.Errorf("typestate: snapshot omits interned seed entries")
 	}
 	return nil
 }
@@ -498,7 +508,12 @@ func (a *Analysis) decRel(blob []byte) (RelID, error) {
 	if err := r.Done(); err != nil {
 		return 0, err
 	}
-	return a.internRel(x), nil
+	id := a.internRel(x)
+	if a.relOf(id) != x {
+		// internRel canonicalized it, so it would re-encode differently.
+		return 0, fmt.Errorf("typestate: relation is not in canonical form")
+	}
+	return id, nil
 }
 
 // kConst relations round-trip their unused transformer components through
@@ -561,8 +576,11 @@ func sliceCmp(a, b []byte) int { return slices.Compare(a, b) }
 // DecodeSummaries decodes an EncodeSummaries artifact into this instance,
 // interning every component value. It fails if the artifact was produced
 // under a different frozen digest — using such a summary would consult the
-// wrong may-alias oracle. The returned eta is freshly allocated on every
-// call, so callers may install it into a Result without aliasing the store.
+// wrong may-alias oracle — and on any input EncodeSummaries would not
+// write: procedure names must be strictly increasing, each procedure's
+// relation and Sigma blobs strictly increasing by bytes, and every
+// relation canonical. The returned eta is freshly allocated on every call,
+// so callers may install it into a Result without aliasing the store.
 func (a *Analysis) DecodeSummaries(data []byte) (frontier []string, eta map[string]rsetT, failed bool, err error) {
 	r := wire.NewReader(data)
 	r.Expect(summariesMagic)
@@ -581,15 +599,25 @@ func (a *Analysis) DecodeSummaries(data []byte) (frontier []string, eta map[stri
 	}
 	np := r.Len()
 	eta = make(map[string]rsetT, np)
+	prevName := ""
 	for i := 0; i < np && r.Err() == nil; i++ {
 		name := r.String()
+		if r.Err() == nil && i > 0 && name <= prevName {
+			return nil, nil, false, fmt.Errorf("typestate: summary procedure %q does not follow %q in sorted order", name, prevName)
+		}
+		prevName = name
 		nr := r.Len()
 		relIDs := make([]RelID, 0, nr)
+		var prev []byte
 		for j := 0; j < nr && r.Err() == nil; j++ {
 			blob := r.Raw(r.Len())
 			if r.Err() != nil {
 				break
 			}
+			if j > 0 && sliceCmp(prev, blob) >= 0 {
+				return nil, nil, false, fmt.Errorf("typestate: relations of %q not in strictly increasing byte order", name)
+			}
+			prev = blob
 			id, derr := a.decRel(blob)
 			if derr != nil {
 				return nil, nil, false, derr
@@ -603,6 +631,10 @@ func (a *Analysis) DecodeSummaries(data []byte) (frontier []string, eta map[stri
 			if r.Err() != nil {
 				break
 			}
+			if j > 0 && sliceCmp(prev, blob) >= 0 {
+				return nil, nil, false, fmt.Errorf("typestate: Sigma of %q not in strictly increasing byte order", name)
+			}
+			prev = blob
 			sub := wire.NewReader(blob)
 			id, derr := a.decFormulaLits(sub)
 			if derr == nil {

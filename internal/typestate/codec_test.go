@@ -15,7 +15,7 @@ import (
 // mismatched input is rejected with an error — never a panic, never a
 // silently wrong table.
 
-func buildPair(t *testing.T, prog *ir.Program, track map[string]*Property) (*Analysis, *core.Analysis[AbsID, RelID, FormulaID]) {
+func buildPair(t testing.TB, prog *ir.Program, track map[string]*Property) (*Analysis, *core.Analysis[AbsID, RelID, FormulaID]) {
 	t.Helper()
 	ts, err := NewAnalysis(prog, track, nil)
 	if err != nil {
@@ -36,7 +36,7 @@ func figure1Track() map[string]*Property {
 // runSwift drives the hybrid engine with thresholds low enough that
 // figure 1 (and the random programs) actually trigger bottom-up
 // summarization, so the snapshot has real content.
-func runSwift(t *testing.T, ts *Analysis, an *core.Analysis[AbsID, RelID, FormulaID]) *core.Result[AbsID, RelID, FormulaID] {
+func runSwift(t testing.TB, ts *Analysis, an *core.Analysis[AbsID, RelID, FormulaID]) *core.Result[AbsID, RelID, FormulaID] {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.K = 1

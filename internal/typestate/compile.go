@@ -23,30 +23,20 @@ import (
 // states reached by a run, and the cross-view equivalence tests in
 // internal/core cover it end to end.
 
-// CompileTrans implements core.TransCompiler[AbsID]. The returned function
-// is safe for concurrent use (all caches are the sharded tables of the
-// analysis); the slice it returns must be treated as read-only by callers
-// that alias it elsewhere, exactly like the result of Trans. Compiled
-// transfers are cached per primitive on the Analysis, so repeated solver
-// runs (benchmarks, the hybrid engines' re-entries) pay the compile once.
+// CompileTrans implements core.TransCompiler[AbsID]. The slice the
+// returned function returns must be treated as read-only by callers that
+// alias it elsewhere, exactly like the result of Trans. Compiled transfers
+// are cached per primitive on the Analysis, so repeated solver runs
+// (benchmarks, the hybrid engine's re-entries) pay the compile once.
 func (a *Analysis) CompileTrans(c *ir.Prim) func(s AbsID, dst []AbsID) []AbsID {
-	a.compiledMu.RLock()
-	f := a.compiled[c]
-	a.compiledMu.RUnlock()
-	if f != nil {
+	if f := a.compiled[c]; f != nil {
 		return f
 	}
-	f = a.compileTrans(c)
-	a.compiledMu.Lock()
-	if g := a.compiled[c]; g != nil {
-		f = g // a racing compile won; both are equivalent
-	} else {
-		if a.compiled == nil {
-			a.compiled = map[*ir.Prim]func(AbsID, []AbsID) []AbsID{}
-		}
-		a.compiled[c] = f
+	f := a.compileTrans(c)
+	if a.compiled == nil {
+		a.compiled = map[*ir.Prim]func(AbsID, []AbsID) []AbsID{}
 	}
-	a.compiledMu.Unlock()
+	a.compiled[c] = f
 	return f
 }
 

@@ -12,12 +12,10 @@ import (
 // maps operate on ordered integers, and so equality is O(1).
 //
 // The runtime-mutated tables (path sets, transformers, abstract states,
-// formulas) are backed by the sharded interners of shard.go, so a tables
-// value IS safe for concurrent use once construction (NewAnalysis) has
-// finished: interning new values only contends on one hash-selected lock
-// stripe, and ID→value reads never lock. The construction-only tables
-// (paths, sites, properties, the may-alias matrix, the rooted/field
-// indexes) are frozen by NewAnalysis and read-only afterwards.
+// formulas) are the single-goroutine interners of intern.go. The
+// construction-only tables (paths, sites, properties, the may-alias
+// matrix, the rooted/field indexes) are frozen by NewAnalysis and
+// read-only afterwards, so slice clones may share them across goroutines.
 
 // PathID identifies an access path: a variable v or a one-field path v.f.
 type PathID int32
@@ -97,9 +95,9 @@ type absState struct {
 func (t *tables) inMustNot(s absState, p PathID) bool { return !t.setHas(s.nc, p) }
 
 // tables owns every interning table of one analysis instance. The four
-// runtime-hot tables (sets, trans, abs, forms) and the two transformer
-// memos are sharded for concurrent use; everything else is populated by
-// NewAnalysis and immutable afterwards.
+// runtime-hot tables (sets, trans, abs, forms) and the three memos grow
+// during a run; everything else is populated by NewAnalysis and immutable
+// afterwards, which is what lets slice clones share it.
 type tables struct {
 	// paths (interned during construction only; lookups at runtime)
 	paths    *interner[path]
@@ -129,15 +127,14 @@ type tables struct {
 	trans       *seqInterner[GState]
 	idTrans     TransID
 	errTrans    TransID // per-property error; None stays None
-	methodTrans *memoMap[string, TransID]
-	composeMemo *memoMap[[2]TransID, TransID]
+	methodTrans map[string]TransID
+	composeMemo map[[2]TransID]TransID
 
 	// setOpMemo caches union/minus results on interned operand pairs,
 	// keyed by packSetOp, so the compiled transfer path (compile.go)
 	// replaces the merge and content hash of internSet with one
-	// uint64-keyed lookup for operand pairs it has seen before. Op results
-	// are deterministic, so racing puts are benign (see memoMap).
-	setOpMemo *memoMap[uint64, SetID]
+	// uint64-keyed lookup for operand pairs it has seen before.
+	setOpMemo map[uint64]SetID
 
 	// abstract states
 	abs *interner[absState]
@@ -275,8 +272,8 @@ const (
 )
 
 // packSetOp packs one memoized binary set operation into a setOpMemo key:
-// the op in bit 63, x in bits 32–62 and y in the low word. Set IDs stay
-// below 2^26 (see pageCount), so the fields never overlap.
+// the op in bit 63, x in bits 32–62 and y in the low word. Set IDs are
+// non-negative int32s, so the fields never overlap.
 func packSetOp(op uint64, x, y SetID) uint64 {
 	return op<<63 | uint64(x)<<32 | uint64(uint32(y))
 }
@@ -288,11 +285,11 @@ func (t *tables) setUnionID(a, b SetID) SetID {
 		return a
 	}
 	key := packSetOp(opUnion, a, b)
-	if id, ok := t.setOpMemo.get(key); ok {
+	if id, ok := t.setOpMemo[key]; ok {
 		return id
 	}
 	id := t.setUnion(a, b)
-	t.setOpMemo.put(key, id)
+	t.setOpMemo[key] = id
 	return id
 }
 
@@ -300,11 +297,11 @@ func (t *tables) setUnionID(a, b SetID) SetID {
 // memoized under the operand pair.
 func (t *tables) setMinusID(s, rm SetID) SetID {
 	key := packSetOp(opMinus, s, rm)
-	if id, ok := t.setOpMemo.get(key); ok {
+	if id, ok := t.setOpMemo[key]; ok {
 		return id
 	}
 	id := t.setMinus(s, t.setElems(rm))
-	t.setOpMemo.put(key, id)
+	t.setOpMemo[key] = id
 	return id
 }
 
@@ -432,7 +429,7 @@ func (t *tables) compose(after, before TransID) TransID {
 		return before
 	}
 	key := [2]TransID{after, before}
-	if id, ok := t.composeMemo.get(key); ok {
+	if id, ok := t.composeMemo[key]; ok {
 		return id
 	}
 	av, bv := t.trans.at(int32(after)), t.trans.at(int32(before))
@@ -441,7 +438,7 @@ func (t *tables) compose(after, before TransID) TransID {
 		out[i] = av[mid]
 	}
 	id := t.internTrans(out)
-	t.composeMemo.put(key, id)
+	t.composeMemo[key] = id
 	return id
 }
 
@@ -449,7 +446,7 @@ func (t *tables) compose(after, before TransID) TransID {
 // property that defines m it follows the property's table; on every other
 // state (including None) it is the identity.
 func (t *tables) methodTransformer(m string) TransID {
-	if id, ok := t.methodTrans.get(m); ok {
+	if id, ok := t.methodTrans[m]; ok {
 		return id
 	}
 	vec := make([]GState, t.numG)
@@ -464,7 +461,7 @@ func (t *tables) methodTransformer(m string) TransID {
 		}
 	}
 	id := t.internTrans(vec)
-	t.methodTrans.put(m, id)
+	t.methodTrans[m] = id
 	return id
 }
 

@@ -14,10 +14,10 @@ package typestate
 // Each slice gets a fresh Analysis instance: the frozen construction
 // tables (paths, sites, properties, may-alias matrix) are shared
 // read-only, while every mutable interner is per-instance and re-seeded by
-// initMutable in construction order. Sharing the mutable interners across
-// concurrently running slices would be safe for memory but not for
-// determinism — ID assignment would depend on scheduling, and interned IDs
-// order the solvers' sorted sets, worklists and pruning tie-breaks.
+// initMutable in construction order. Concurrently running slices therefore
+// never write a shared table, and each slice's ID assignment is that of a
+// fresh pipeline — interned IDs order the solvers' sorted sets, worklists
+// and pruning tie-breaks.
 
 import (
 	"fmt"
@@ -86,17 +86,10 @@ func (a *Analysis) sliceClone(sid SiteID) *Analysis {
 			isErrorG:   t.isErrorG,
 			mayAlias:   t.mayAlias,
 			relevant:   t.relevant,
-			// Mutable: fresh per slice, seeded by initMutable below.
-			sets:        newSeqInterner(hashSeq[PathID]),
-			trans:       newSeqInterner(hashSeq[GState]),
-			methodTrans: newMemoMap[string, TransID](hashString),
-			composeMemo: newMemoMap[[2]TransID, TransID](hashTransPair),
-			setOpMemo:   newMemoMap[uint64, SetID](fold),
-			abs:         newInterner(hashAbs),
-			forms:       newSeqInterner(hashSeq[literal]),
 		},
-		rels: newInterner(hashRel),
 	}
+	// Mutable: fresh per slice.
+	b.resetMutable()
 	b.initMutable()
 	return b
 }
