@@ -234,3 +234,87 @@ func TestResultAccessors(t *testing.T) {
 		t.Errorf("entry node states = %v", got)
 	}
 }
+
+// TestApplySummaryAndIgnores covers the exported summary helpers.
+func TestApplySummaryAndIgnores(t *testing.T) {
+	prog, taint := fixture()
+	an, err := core.NewAnalysis[string, string, string](taint, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := taint.Initial()
+	cfg := core.DefaultConfig()
+	cfg.K = 1
+	cfg.Theta = core.Unlimited // keep every case: summaries are total
+	res := an.RunSwift(init, cfg)
+	if !res.Completed() {
+		t.Fatal(res.Err)
+	}
+	if len(res.BU) == 0 {
+		t.Skip("no procedure summarized")
+	}
+	for name, rs := range res.BU {
+		if rs.Size() != len(rs.Rels) {
+			t.Errorf("%s: Size mismatch", name)
+		}
+		// With θ=∞, Σ is empty, so no state is ignored and every entry
+		// state has results.
+		if core.Ignores[string, string, string](taint, rs, init) {
+			t.Errorf("%s: θ=∞ summary ignores a state", name)
+		}
+	}
+}
+
+// TestSynthOnKillgen checks FromBottomUp over the kill/gen client: a full
+// engine run with the synthesized Trans matches the native one.
+func TestSynthOnKillgen(t *testing.T) {
+	prog, taint := fixture()
+	synth := core.FromBottomUp[string, string, string](taint)
+	an1, _ := core.NewAnalysis[string, string, string](taint, prog)
+	an2, _ := core.NewAnalysis[string, string, string](synth, prog)
+	init := taint.Initial()
+	a := an1.RunTD(init, core.TDConfig())
+	b := an2.RunTD(init, core.TDConfig())
+	if a.TDSummaryTotal() != b.TDSummaryTotal() {
+		t.Errorf("summary totals differ: %d vs %d", a.TDSummaryTotal(), b.TDSummaryTotal())
+	}
+	wa := a.ExitStates("main", init)
+	wb := b.ExitStates("main", init)
+	if len(wa) != len(wb) {
+		t.Fatalf("exit states differ: %d vs %d", len(wa), len(wb))
+	}
+	for i := range wa {
+		if wa[i] != wb[i] {
+			t.Errorf("exit[%d] differs", i)
+		}
+	}
+}
+
+// TestNopPrimEverywhere checks the solvers tolerate programs that are all
+// structure and no effect.
+func TestNopPrimEverywhere(t *testing.T) {
+	prog := ir.NewProgram("main")
+	prog.Add(&ir.Proc{Name: "main", Body: &ir.Loop{Body: &ir.Choice{Alts: []ir.Cmd{
+		&ir.Prim{Kind: ir.Nop},
+		&ir.Seq{},
+	}}}})
+	taint := killgen.NewTaint(prog, killgen.TaintConfig{})
+	an, err := core.NewAnalysis[string, string, string](taint, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := taint.Initial()
+	for _, res := range []*core.Result[string, string, string]{
+		an.RunTD(init, core.TDConfig()),
+		an.RunBU(init, core.BUConfig()),
+		an.RunSwift(init, core.DefaultConfig()),
+	} {
+		if !res.Completed() {
+			t.Fatalf("%s: %v", res.Engine, res.Err)
+		}
+		exits := res.ExitStates("main", init)
+		if len(exits) != 1 || exits[0] != init {
+			t.Errorf("%s: exits = %v", res.Engine, exits)
+		}
+	}
+}
