@@ -72,7 +72,6 @@ func NewAnalysis(prog *ir.Program, track map[string]*Property, oracle Oracle) (*
 			siteIDs:  map[string]SiteID{},
 		},
 	}
-	a.resetMutable()
 	t := a.tab
 	a.buildProperties()
 	a.buildUniverse()
@@ -88,21 +87,23 @@ func NewAnalysis(prog *ir.Program, track map[string]*Property, oracle Oracle) (*
 	for f, ids := range t.fieldOf {
 		t.fieldOf[f] = filterRelevant(t, ids)
 	}
+	a.resetMutable()
 	a.initMutable()
 	return a, nil
 }
 
 // resetMutable gives the instance empty mutable interners and memos, the
-// tables that grow during a run; initMutable then seeds them.
+// tables that grow during a run; initMutable then seeds them. The set
+// table's row width follows the path universe, so it runs only once that
+// is frozen.
 func (a *Analysis) resetMutable() {
 	t := a.tab
-	t.sets = newSeqInterner(hashSeq[PathID])
+	t.sets = newSetTable(t.numPaths(), hashRow)
 	t.trans = newSeqInterner(hashSeq[GState])
 	t.forms = newSeqInterner(hashSeq[literal])
 	t.abs = newInterner[absState]()
 	t.methodTrans = map[string]TransID{}
 	t.composeMemo = map[[2]TransID]TransID{}
-	t.setOpMemo = map[uint64]SetID{}
 	a.rels = newInterner[rel]()
 }
 
@@ -395,7 +396,7 @@ func (a *Analysis) MakeState(site, state string, must, mustNot []string) (AbsID,
 	if err != nil {
 		return 0, err
 	}
-	nc := t.setMinus(t.univSet, t.setElems(nSet))
+	nc := t.setMinusSet(t.univSet, nSet)
 	return t.internAbs(absState{h: sid, t: g, a: aSet, nc: nc}), nil
 }
 
@@ -478,7 +479,7 @@ func (a *Analysis) ErrorSites(states []AbsID) []string {
 
 // StateString renders an abstract state as (site, state, {must}, {mustNot}).
 // Since must-not sets are co-finite, a large one prints in complement form
-// V∖{…}.
+// V∖{…}. Rendering interns nothing, so it leaves EncodeTables unchanged.
 func (a *Analysis) StateString(s AbsID) string {
 	t := a.tab
 	st := t.absOf(s)
@@ -487,15 +488,16 @@ func (a *Analysis) StateString(s AbsID) string {
 		name = t.props[pi].States[t.localOfG[st.t]]
 	}
 	nStr := "V∖{" + a.pathSetString(st.nc) + "}"
-	if n := t.setMinus(t.univSet, t.setElems(st.nc)); len(t.setElems(n)) <= 4 {
-		nStr = "{" + a.pathSetString(n) + "}"
+	if n := t.minusElems(t.univSet, st.nc); len(n) <= 4 {
+		nStr = "{" + a.pathsString(n) + "}"
 	}
 	return fmt.Sprintf("(%s, %s, {%s}, %s)",
 		t.sites[st.h], name, a.pathSetString(st.a), nStr)
 }
 
-func (a *Analysis) pathSetString(s SetID) string {
-	elems := a.tab.setElems(s)
+func (a *Analysis) pathSetString(s SetID) string { return a.pathsString(a.tab.setElems(s)) }
+
+func (a *Analysis) pathsString(elems []PathID) string {
 	out := ""
 	for i, p := range elems {
 		if i > 0 {

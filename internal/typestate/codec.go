@@ -117,8 +117,10 @@ func (a *Analysis) EncodeTables() []byte {
 
 	nSets := t.sets.size()
 	w.Uint(uint64(nSets))
+	var elems []PathID
 	for i := 0; i < nSets; i++ {
-		wire.WriteI32s(&w, t.sets.at(int32(i)))
+		elems = t.appendSetElems(elems[:0], SetID(i))
+		wire.WriteI32s(&w, elems)
 	}
 	nTrans := t.trans.size()
 	w.Uint(uint64(nTrans))

@@ -7,6 +7,7 @@ package typestate
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -127,6 +128,60 @@ func TestDecodeSummariesRejectsNonCanonical(t *testing.T) {
 				t.Fatalf("re-encodes to %d bytes from %d", len(again), len(tc.blob))
 			}
 		})
+	}
+}
+
+// paddingPaths returns the two ends of the padding of a set row: the
+// path IDs numPaths and 64·W−1 fit in a W-word bitset but lie outside the
+// path universe.
+func paddingPaths(tb testing.TB, ts *Analysis) []PathID {
+	numPaths, w := ts.tab.numPaths(), ts.tab.sets.w
+	if numPaths%64 == 0 {
+		tb.Fatalf("%d paths fill their %d-word rows: no padding to test", numPaths, w)
+	}
+	return []PathID{PathID(numPaths), PathID(64*w - 1)}
+}
+
+// paddingSnapshot returns a fresh Figure 1 pipeline's tables snapshot
+// with one more set, {bad}, interned past the codecs' range checks.
+func paddingSnapshot(tb testing.TB, bad PathID) []byte {
+	ts, _ := buildPair(tb, figure1Program(), figure1Track())
+	ts.tab.internSet([]PathID{bad})
+	return ts.EncodeTables()
+}
+
+// paddingSummaries returns a summaries blob whose one relation keeps the
+// explicit set {bad}.
+func paddingSummaries(ts *Analysis, bad PathID) []byte {
+	return writeSummaries(ts, summaryProc{"a", [][]byte{xformBlob(ts, []PathID{bad}, nil)}, nil})
+}
+
+// TestDecodersRejectPaddingPaths feeds decSet, DecodeSummaries and
+// RestoreTables sets holding a path ID in a row's padding. Each must
+// reject the input with a range error rather than set the padding bit,
+// which would make a set no path can be a member of.
+func TestDecodersRejectPaddingPaths(t *testing.T) {
+	ts, _ := buildPair(t, figure1Program(), figure1Track())
+	for _, bad := range paddingPaths(t, ts) {
+		t.Run(fmt.Sprint("path ", bad), func(t *testing.T) {
+			var w wire.Writer
+			wire.WriteI32s(&w, []PathID{0, bad})
+			_, err := ts.decSet(wire.NewReader(w.Bytes()))
+			checkRangeErr(t, "decSet", err)
+
+			_, _, _, err = ts.DecodeSummaries(paddingSummaries(ts, bad))
+			checkRangeErr(t, "DecodeSummaries", err)
+
+			fresh, _ := buildPair(t, figure1Program(), figure1Track())
+			checkRangeErr(t, "RestoreTables", fresh.RestoreTables(paddingSnapshot(t, bad)))
+		})
+	}
+}
+
+func checkRangeErr(t *testing.T, what string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("%s: err = %v, want a path range error", what, err)
 	}
 }
 

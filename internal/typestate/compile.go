@@ -11,11 +11,9 @@ import (
 // string, method-transformer lookup by name, and the rooted/field operand
 // sets — all of which depend only on the primitive, not on the incoming
 // state. CompileTrans hoists that work out of the per-state path once per
-// primitive, and routes the remaining set algebra through the
-// integer-pair-keyed setOpMemo (domain.go): distinct abstract states
-// overwhelmingly share their a/nc set components, so the per-state work of
-// a compiled transfer collapses to a couple of memo hits plus one
-// abstract-state intern.
+// primitive, and interns the operand sets once, so the per-state work of a
+// compiled transfer is a few word loops over bitset rows (domain.go) plus
+// one abstract-state intern.
 //
 // The compiled function appends exactly what Trans(c, s) returns — same
 // states, same order — so the solvers can use either form interchangeably;
@@ -63,13 +61,13 @@ func (a *Analysis) compileTrans(c *ir.Prim) func(s AbsID, dst []AbsID) []AbsID {
 		}
 		return func(s AbsID, dst []AbsID) []AbsID {
 			st := t.absOf(s)
-			nc := t.setUnionID(st.nc, rootedID)
+			nc := t.setUnion(st.nc, rootedID)
 			if vpRel {
-				nc = t.setMinusID(nc, vpSet)
+				nc = t.setMinusSet(nc, vpSet)
 			}
 			dst = append(dst, t.internAbs(absState{
 				h: st.h, t: st.t,
-				a:  t.setMinusID(st.a, rootedID),
+				a:  t.setMinusSet(st.a, rootedID),
 				nc: nc,
 			}))
 			if tracked {
@@ -98,21 +96,21 @@ func (a *Analysis) compileTrans(c *ir.Prim) func(s AbsID, dst []AbsID) []AbsID {
 			st := t.absOf(s)
 			inA := srcRel && t.setHas(st.a, src)
 			inN := !srcRel || !t.setHas(st.nc, src)
-			a2 := t.setMinusID(st.a, ffID)
+			a2 := t.setMinusSet(st.a, ffID)
 			var nc2 SetID
 			switch {
 			case inA:
 				if vfRel {
-					a2 = t.setUnionID(a2, vfSet)
+					a2 = t.setUnion(a2, vfSet)
 				}
-				nc2 = t.setUnionID(st.nc, ffID)
+				nc2 = t.setUnion(st.nc, ffID)
 			case inN:
 				nc2 = st.nc
 				if vfRel {
-					nc2 = t.setMinusID(nc2, vfSet)
+					nc2 = t.setMinusSet(nc2, vfSet)
 				}
 			default:
-				nc2 = t.setUnionID(st.nc, ffID)
+				nc2 = t.setUnion(st.nc, ffID)
 			}
 			return append(dst, t.internAbs(absState{h: st.h, t: st.t, a: a2, nc: nc2}))
 		}
@@ -145,8 +143,8 @@ func (a *Analysis) compileTrans(c *ir.Prim) func(s AbsID, dst []AbsID) []AbsID {
 			st := t.absOf(s)
 			return append(dst, t.internAbs(absState{
 				h: st.h, t: st.t,
-				a:  t.setMinusID(st.a, rootedID),
-				nc: t.setUnionID(st.nc, rootedID),
+				a:  t.setMinusSet(st.a, rootedID),
+				nc: t.setUnion(st.nc, rootedID),
 			}))
 		}
 	}
@@ -168,13 +166,13 @@ func (a *Analysis) compileCopyLike(dstVar string, src PathID) func(AbsID, []AbsI
 		st := t.absOf(s)
 		inA := srcRel && t.setHas(st.a, src)
 		inN := !srcRel || !t.setHas(st.nc, src)
-		a2 := t.setMinusID(st.a, rootedID)
-		nc2 := t.setUnionID(st.nc, rootedID)
+		a2 := t.setMinusSet(st.a, rootedID)
+		nc2 := t.setUnion(st.nc, rootedID)
 		switch {
 		case inA && dpRel:
-			a2 = t.setUnionID(a2, dpSet)
+			a2 = t.setUnion(a2, dpSet)
 		case inN && dpRel:
-			nc2 = t.setMinusID(nc2, dpSet)
+			nc2 = t.setMinusSet(nc2, dpSet)
 		}
 		return append(dst, t.internAbs(absState{h: st.h, t: st.t, a: a2, nc: nc2}))
 	}

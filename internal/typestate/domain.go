@@ -2,6 +2,7 @@ package typestate
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -20,7 +21,7 @@ import (
 // PathID identifies an access path: a variable v or a one-field path v.f.
 type PathID int32
 
-// SetID identifies an interned, sorted, duplicate-free set of paths.
+// SetID identifies an interned set of paths.
 type SetID int32
 
 // SiteID identifies an allocation site. Site 0 is the distinguished "none"
@@ -95,7 +96,7 @@ type absState struct {
 func (t *tables) inMustNot(s absState, p PathID) bool { return !t.setHas(s.nc, p) }
 
 // tables owns every interning table of one analysis instance. The four
-// runtime-hot tables (sets, trans, abs, forms) and the three memos grow
+// runtime-hot tables (sets, trans, abs, forms) and the two memos grow
 // during a run; everything else is populated by NewAnalysis and immutable
 // afterwards, which is what lets slice clones share it.
 type tables struct {
@@ -104,8 +105,8 @@ type tables struct {
 	rootedOf map[string][]PathID // variable → sorted paths rooted at it
 	fieldOf  map[string][]PathID // field → sorted paths carrying it
 
-	// path sets (sorted, duplicate-free)
-	sets *seqInterner[PathID]
+	// path sets, as bitset rows over the frozen path universe
+	sets *setTable
 	// univSet is the set of all paths; it is the nc component of states
 	// with an empty must-not set.
 	univSet SetID
@@ -129,12 +130,6 @@ type tables struct {
 	errTrans    TransID // per-property error; None stays None
 	methodTrans map[string]TransID
 	composeMemo map[[2]TransID]TransID
-
-	// setOpMemo caches union/minus results on interned operand pairs,
-	// keyed by packSetOp, so the compiled transfer path (compile.go)
-	// replaces the merge and content hash of internSet with one
-	// uint64-keyed lookup for operand pairs it has seen before.
-	setOpMemo map[uint64]SetID
 
 	// abstract states
 	abs *interner[absState]
@@ -166,96 +161,122 @@ func (t *tables) pathString(p PathID) string { return t.pathAt(p).String() }
 
 // ---- path sets ----
 
-func (t *tables) internSet(sorted []PathID) SetID { return SetID(t.sets.intern(sorted)) }
+// internSet interns the set of the given duplicate-free paths.
+func (t *tables) internSet(paths []PathID) SetID {
+	row := t.sets.scratch
+	clear(row)
+	for _, p := range paths {
+		row[p>>6] |= 1 << (p & 63)
+	}
+	return SetID(t.sets.intern(row))
+}
 
-func (t *tables) setElems(s SetID) []PathID { return t.sets.at(int32(s)) }
+// setElems materialises a set's sorted paths, for the codecs and the
+// rendering code; the set operations work on the bitset rows directly.
+func (t *tables) setElems(s SetID) []PathID { return t.appendSetElems(nil, s) }
 
-func (t *tables) setHas(s SetID, p PathID) bool {
-	elems := t.setElems(s)
-	lo, hi := 0, len(elems)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if elems[mid] < p {
-			lo = mid + 1
-		} else {
-			hi = mid
+// appendSetElems appends a set's paths to dst in ascending order.
+func (t *tables) appendSetElems(dst []PathID, s SetID) []PathID {
+	for i, w := range t.sets.row(int32(s)) {
+		dst = appendWord(dst, i, w)
+	}
+	return dst
+}
+
+// appendWord appends the paths of the set bits of row word i.
+func appendWord(dst []PathID, i int, w uint64) []PathID {
+	for ; w != 0; w &= w - 1 {
+		dst = append(dst, PathID(i<<6+bits.TrailingZeros64(w)))
+	}
+	return dst
+}
+
+// minusElems returns the sorted paths of s∖rm without interning the
+// difference, for rendering.
+func (t *tables) minusElems(s, rm SetID) []PathID {
+	rr := t.sets.row(int32(rm))
+	var out []PathID
+	for i, w := range t.sets.row(int32(s)) {
+		out = appendWord(out, i, w&^rr[i])
+	}
+	return out
+}
+
+func (t *tables) setEmpty(s SetID) bool {
+	for _, w := range t.sets.row(int32(s)) {
+		if w != 0 {
+			return false
 		}
 	}
-	return lo < len(elems) && elems[lo] == p
+	return true
+}
+
+func (t *tables) setHas(s SetID, p PathID) bool {
+	return t.sets.words[int(s)*t.sets.w+int(p>>6)]&(1<<(p&63)) != 0
 }
 
 func (t *tables) setInsert(s SetID, p PathID) SetID {
 	if t.setHas(s, p) {
 		return s
 	}
-	elems := t.setElems(s)
-	out := make([]PathID, 0, len(elems)+1)
-	done := false
-	for _, e := range elems {
-		if !done && p < e {
-			out = append(out, p)
-			done = true
-		}
-		out = append(out, e)
-	}
-	if !done {
-		out = append(out, p)
-	}
-	return t.internSet(out)
+	row := t.sets.scratch
+	copy(row, t.sets.row(int32(s)))
+	row[p>>6] |= 1 << (p & 63)
+	return SetID(t.sets.intern(row))
 }
 
-// setMinus removes every path in the sorted slice rm.
+// setMinus removes the paths rm from s.
 func (t *tables) setMinus(s SetID, rm []PathID) SetID {
-	if len(rm) == 0 {
+	row := t.sets.scratch
+	copy(row, t.sets.row(int32(s)))
+	removed := false
+	for _, p := range rm {
+		if m := uint64(1) << (p & 63); row[p>>6]&m != 0 {
+			row[p>>6] &^= m
+			removed = true
+		}
+	}
+	if !removed {
 		return s
 	}
-	elems := t.setElems(s)
-	out := make([]PathID, 0, len(elems))
-	i := 0
-	for _, e := range elems {
-		for i < len(rm) && rm[i] < e {
-			i++
-		}
-		if i < len(rm) && rm[i] == e {
-			continue
-		}
-		out = append(out, e)
-	}
-	if len(out) == len(elems) {
-		return s
-	}
-	return t.internSet(out)
+	return SetID(t.sets.intern(row))
 }
 
+// setMinusSet removes the paths of set rm from s.
+func (t *tables) setMinusSet(s, rm SetID) SetID {
+	rs, rr, row := t.sets.row(int32(s)), t.sets.row(int32(rm)), t.sets.scratch
+	var removed uint64
+	for i, w := range rs {
+		removed |= w & rr[i]
+		row[i] = w &^ rr[i]
+	}
+	if removed == 0 {
+		return s
+	}
+	return SetID(t.sets.intern(row))
+}
+
+// setUnion returns a ∪ b. A union equal to an operand returns that
+// operand without a table probe: its row is interned under that ID.
 func (t *tables) setUnion(a, b SetID) SetID {
 	if a == b {
 		return a
 	}
-	ea, eb := t.setElems(a), t.setElems(b)
-	if len(ea) == 0 {
+	ra, rb, row := t.sets.row(int32(a)), t.sets.row(int32(b)), t.sets.scratch
+	var onlyA, onlyB uint64
+	for i, x := range ra {
+		y := rb[i]
+		onlyA |= x &^ y
+		onlyB |= y &^ x
+		row[i] = x | y
+	}
+	switch {
+	case onlyB == 0:
+		return a
+	case onlyA == 0:
 		return b
 	}
-	if len(eb) == 0 {
-		return a
-	}
-	out := make([]PathID, 0, len(ea)+len(eb))
-	i, j := 0, 0
-	for i < len(ea) && j < len(eb) {
-		switch {
-		case ea[i] < eb[j]:
-			out = append(out, ea[i])
-			i++
-		case eb[j] < ea[i]:
-			out = append(out, eb[j])
-			j++
-		default:
-			out = append(out, ea[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, ea[i:]...)
-	out = append(out, eb[j:]...)
-	return t.internSet(out)
+	return SetID(t.sets.intern(row))
 }
 
 // setUnionElems unions a sorted path slice into a set.
@@ -266,64 +287,27 @@ func (t *tables) setUnionElems(s SetID, add []PathID) SetID {
 	return t.setUnion(s, t.internSet(add))
 }
 
-const (
-	opUnion uint64 = iota
-	opMinus
-)
-
-// packSetOp packs one memoized binary set operation into a setOpMemo key:
-// the op in bit 63, x in bits 32–62 and y in the low word. Set IDs are
-// non-negative int32s, so the fields never overlap.
-func packSetOp(op uint64, x, y SetID) uint64 {
-	return op<<63 | uint64(x)<<32 | uint64(uint32(y))
-}
-
-// setUnionID is setUnion with the result memoized under the operand pair,
-// for hot paths whose right operand is a fixed interned set.
-func (t *tables) setUnionID(a, b SetID) SetID {
-	if a == b {
-		return a
-	}
-	key := packSetOp(opUnion, a, b)
-	if id, ok := t.setOpMemo[key]; ok {
-		return id
-	}
-	id := t.setUnion(a, b)
-	t.setOpMemo[key] = id
-	return id
-}
-
-// setMinusID is setMinus with an interned subtrahend and the result
-// memoized under the operand pair.
-func (t *tables) setMinusID(s, rm SetID) SetID {
-	key := packSetOp(opMinus, s, rm)
-	if id, ok := t.setOpMemo[key]; ok {
-		return id
-	}
-	id := t.setMinus(s, t.setElems(rm))
-	t.setOpMemo[key] = id
-	return id
-}
-
+// setIntersect returns a ∩ b; like setUnion, it returns an operand equal
+// to the result without a table probe.
 func (t *tables) setIntersect(a, b SetID) SetID {
 	if a == b {
 		return a
 	}
-	ea, eb := t.setElems(a), t.setElems(b)
-	out := make([]PathID, 0, min(len(ea), len(eb)))
-	i, j := 0, 0
-	for i < len(ea) && j < len(eb) {
-		switch {
-		case ea[i] < eb[j]:
-			i++
-		case eb[j] < ea[i]:
-			j++
-		default:
-			out = append(out, ea[i])
-			i, j = i+1, j+1
-		}
+	ra, rb, row := t.sets.row(int32(a)), t.sets.row(int32(b)), t.sets.scratch
+	var onlyA, onlyB uint64
+	for i, x := range ra {
+		y := rb[i]
+		onlyA |= x &^ y
+		onlyB |= y &^ x
+		row[i] = x & y
 	}
-	return t.internSet(out)
+	switch {
+	case onlyA == 0:
+		return a
+	case onlyB == 0:
+		return b
+	}
+	return SetID(t.sets.intern(row))
 }
 
 // rooted returns the sorted paths rooted at variable v (v itself and every
@@ -366,15 +350,31 @@ func (t *tables) coMinus(c coSet, rm []PathID) coSet {
 	return coSet{Co: false, Set: t.setMinus(c.Set, rm)}
 }
 
+// coMinusSet is coMinus with the paths of set rm as the subtrahend. On a
+// co-finite set it inserts them one at a time in ascending order, exactly
+// as coMinus does, so it interns the same intermediate sets.
+func (t *tables) coMinusSet(c coSet, rm SetID) coSet {
+	if !c.Co {
+		return coSet{Co: false, Set: t.setMinusSet(c.Set, rm)}
+	}
+	s := c.Set
+	for i, w := range t.sets.row(int32(rm)) {
+		for ; w != 0; w &= w - 1 {
+			s = t.setInsert(s, PathID(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return coSet{Co: true, Set: s}
+}
+
 // coIntersect intersects two co-sets.
 func (t *tables) coIntersect(a, b coSet) coSet {
 	switch {
 	case a.Co && b.Co:
 		return coSet{Co: true, Set: t.setUnion(a.Set, b.Set)}
 	case a.Co:
-		return coSet{Co: false, Set: t.setMinus(b.Set, t.setElems(a.Set))}
+		return coSet{Co: false, Set: t.setMinusSet(b.Set, a.Set)}
 	case b.Co:
-		return coSet{Co: false, Set: t.setMinus(a.Set, t.setElems(b.Set))}
+		return coSet{Co: false, Set: t.setMinusSet(a.Set, b.Set)}
 	default:
 		return coSet{Co: false, Set: t.setIntersect(a.Set, b.Set)}
 	}
@@ -383,7 +383,7 @@ func (t *tables) coIntersect(a, b coSet) coSet {
 // coIntersectSet intersects an explicit set with a co-set.
 func (t *tables) coIntersectSet(s SetID, c coSet) SetID {
 	if c.Co {
-		return t.setMinus(s, t.setElems(c.Set))
+		return t.setMinusSet(s, c.Set)
 	}
 	return t.setIntersect(s, c.Set)
 }
@@ -397,7 +397,7 @@ func (t *tables) applyMustNot(nc SetID, nK coSet, nG SetID) SetID {
 	if !nK.Co {
 		panic("typestate: transformer must-not keep set must be co-finite")
 	}
-	return t.setMinus(t.setUnion(nc, nK.Set), t.setElems(nG))
+	return t.setMinusSet(t.setUnion(nc, nK.Set), nG)
 }
 
 // ---- sites ----

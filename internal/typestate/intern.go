@@ -9,7 +9,8 @@ import (
 // the type-state client (paths, path sets, transformers, abstract states,
 // precondition formulas, relations). An Analysis is used by one goroutine
 // at a time, so each table is one Go map from value (or content hash) to
-// ID plus one slice from ID to value, with no locking.
+// ID plus one slice from ID to value (for path sets, one flat arena of
+// bitset rows), with no locking.
 //
 // ID stability: IDs are dense and assigned in exactly the order unique
 // values are first interned, so repeated runs of an engine on freshly built
@@ -52,8 +53,8 @@ func (it *interner[K]) at(id int32) K { return it.vals[id] }
 // size returns the number of interned values.
 func (it *interner[K]) size() int { return len(it.vals) }
 
-// seqInterner assigns dense int32 IDs to unique int32 sequences — path
-// sets, transformer vectors and formulas. It is keyed by a 64-bit content
+// seqInterner assigns dense int32 IDs to unique int32 sequences —
+// transformer vectors and formulas. It is keyed by a 64-bit content
 // hash and confirmed by comparing elements, so each sequence is stored
 // once (in vals) and the map holds only fixed-size keys. Two distinct
 // sequences that share a full hash are both kept: the first ID sits in
@@ -105,11 +106,73 @@ func (it *seqInterner[E]) at(id int32) []E { return it.vals[id] }
 // size returns the number of interned sequences.
 func (it *seqInterner[E]) size() int { return len(it.vals) }
 
+// setTable assigns dense int32 IDs to path sets stored as fixed-width
+// bitsets. Every set is a row of w = ⌈numPaths/64⌉ words, bit p of a row
+// standing for path p, and all rows live in one flat arena: set i is
+// words[i*w:(i+1)*w]. Interning a new set appends its row, so the table
+// allocates no slice per set. Rows are keyed by a 64-bit content hash and
+// confirmed word by word, with the same overflow chain as seqInterner.
+// The set operations of domain.go build their result in scratch, the one
+// reused row of the table, and intern it from there.
+type setTable struct {
+	w       int
+	n       int32
+	hash    func([]uint64) uint64
+	words   []uint64
+	ids     map[uint64]int32
+	more    map[uint64][]int32 // nil until the first full-hash collision
+	scratch []uint64
+}
+
+func newSetTable(numPaths int, hash func([]uint64) uint64) *setTable {
+	w := (numPaths + 63) / 64
+	return &setTable{w: w, hash: hash, ids: map[uint64]int32{}, scratch: make([]uint64, w)}
+}
+
+// row returns the bitset of set id; callers must not modify it.
+func (st *setTable) row(id int32) []uint64 {
+	lo, hi := int(id)*st.w, int(id+1)*st.w
+	return st.words[lo:hi:hi]
+}
+
+// intern returns the dense ID of the set whose bitset is row, appending a
+// copy to the arena on first intern only; the caller keeps ownership of
+// row (usually scratch).
+func (st *setTable) intern(row []uint64) int32 {
+	h := st.hash(row)
+	first, taken := st.ids[h]
+	if taken {
+		if slices.Equal(st.row(first), row) {
+			return first
+		}
+		for _, id := range st.more[h] {
+			if slices.Equal(st.row(id), row) {
+				return id
+			}
+		}
+	}
+	id := st.n
+	st.n++
+	st.words = append(st.words, row...)
+	if !taken {
+		st.ids[h] = id
+		return id
+	}
+	if st.more == nil {
+		st.more = map[uint64][]int32{}
+	}
+	st.more[h] = append(st.more[h], id)
+	return id
+}
+
+// size returns the number of interned sets.
+func (st *setTable) size() int { return int(st.n) }
+
 // ---- hashing ----
 
-// The content hash of seqInterner is the map key; it plays no part in ID
-// assignment (IDs follow first-intern order), so its quality affects chain
-// length, never determinism.
+// The content hash of seqInterner and setTable is the map key; it plays no
+// part in ID assignment (IDs follow first-intern order), so its quality
+// affects chain length, never determinism.
 
 const fnvOffset = 0xcbf29ce484222325
 
@@ -131,6 +194,16 @@ func hashSeq[E ~int32](xs []E) uint64 {
 	}
 	if i < len(xs) {
 		h = fold(h ^ uint64(uint32(xs[i])))
+	}
+	return h
+}
+
+// hashRow hashes a fixed-width bitset row one word per multiply. Rows of
+// one table share their width, so the length needs no mixing in.
+func hashRow(ws []uint64) uint64 {
+	h := uint64(fnvOffset)
+	for _, w := range ws {
+		h = fold(h ^ w)
 	}
 	return h
 }

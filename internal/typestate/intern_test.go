@@ -1,8 +1,8 @@
 package typestate
 
 // Tests for the interning substrate (intern.go): the full-hash collision
-// chain of seqInterner and engine determinism, including with every
-// sequence in one collision chain.
+// chains of seqInterner and setTable, and engine determinism, including
+// with every set and sequence in one collision chain.
 
 import (
 	"crypto/sha256"
@@ -17,22 +17,19 @@ import (
 	"swift/internal/ir"
 )
 
-// workloadSets builds n distinct sorted path sets drawn from the analysis
-// universe, deterministic in seed.
-func workloadSets(ts *Analysis, n int, seed int64) [][]PathID {
+// workloadSets builds n distinct sorted sets over the path universe
+// [0, numPaths), deterministic in seed.
+func workloadSets(numPaths, n int, seed int64) [][]PathID {
 	rng := rand.New(rand.NewSource(seed))
 	seen := map[string]bool{}
 	var out [][]PathID
 	for len(out) < n {
 		var s []PathID
-		for p := 0; p < ts.tab.numPaths(); p++ {
+		for p := 0; p < numPaths; p++ {
 			if rng.Intn(3) == 0 {
 				s = append(s, PathID(p))
 			}
 		}
-		// Salt with out-of-universe paths so n distinct sets exist even for
-		// small universes; the interner never dereferences path IDs.
-		s = append(s, PathID(ts.tab.numPaths()+rng.Intn(4*n)))
 		k := fmt.Sprint(s)
 		if !seen[k] {
 			seen[k] = true
@@ -42,9 +39,9 @@ func workloadSets(ts *Analysis, n int, seed int64) [][]PathID {
 	return out
 }
 
-// constHash gives every sequence one full hash, so each intern after the
-// first walks seqInterner's overflow chain.
-func constHash[E ~int32]([]E) uint64 { return 42 }
+// constHash gives every sequence or bitset row one full hash, so each
+// intern after the first walks the overflow chain.
+func constHash[E any]([]E) uint64 { return 42 }
 
 // checkChain interns seqs (which repeat values) into a constant-hash
 // seqInterner and checks the collision path: dense IDs in first-intern
@@ -77,15 +74,46 @@ func checkChain[E ~int32](t *testing.T, what string, seqs [][]E) {
 	}
 }
 
-// TestSeqInternerCollisionChain forces every path set, transformer vector
-// and formula of a seeded workload into one collision chain.
-func TestSeqInternerCollisionChain(t *testing.T) {
-	ts, _ := conditionsAnalysis(t)
-	sets := workloadSets(ts, 64, 3)
-	// Repeat every value, plus the empty set and a prefix of another set.
-	sets = append(append(sets, sets...), nil, sets[0][:1])
-	checkChain(t, "set", sets)
+// checkSetChain is checkChain for path sets: it interns sets over the
+// universe [0, numPaths) into a constant-hash setTable and checks the same
+// properties, reading each set back from its arena row.
+func checkSetChain(t *testing.T, numPaths int, sets [][]PathID) {
+	t.Helper()
+	tab := &tables{sets: newSetTable(numPaths, constHash[uint64])}
+	first := map[string]SetID{}
+	for i, s := range sets {
+		id := tab.internSet(s)
+		k := fmt.Sprint(s)
+		want, seen := first[k]
+		if !seen {
+			want = SetID(len(first))
+			first[k] = want
+		}
+		if id != want {
+			t.Fatalf("%d paths, set %d (%v): id %d, want %d", numPaths, i, s, id, want)
+		}
+		if got := tab.setElems(id); !slices.Equal(got, s) {
+			t.Fatalf("%d paths, set %d: elems(%d) = %v, want %v", numPaths, i, id, got, s)
+		}
+	}
+	if tab.sets.size() != len(first) || len(tab.sets.words) != len(first)*tab.sets.w {
+		t.Fatalf("%d paths: %d sets in %d words, want %d distinct of %d words",
+			numPaths, tab.sets.size(), len(tab.sets.words), len(first), tab.sets.w)
+	}
+}
 
+// TestSeqInternerCollisionChain forces every path set, transformer vector
+// and formula of a seeded workload into one collision chain. Path sets
+// run on universes that fill one word, end mid-word and span several.
+func TestSeqInternerCollisionChain(t *testing.T) {
+	for _, numPaths := range []int{7, 64, 130} {
+		sets := workloadSets(numPaths, 64, 3)
+		// Repeat every value, plus the empty set and a prefix of another set.
+		sets = append(append(sets, sets...), nil, sets[0][:1])
+		checkSetChain(t, numPaths, sets)
+	}
+
+	ts, _ := conditionsAnalysis(t)
 	rng := rand.New(rand.NewSource(5))
 	var vecs [][]GState
 	for i := 0; i < 128; i++ {
@@ -118,7 +146,7 @@ func TestSeqInternerCollisionChain(t *testing.T) {
 func forceCollisions(a *Analysis) {
 	a.resetMutable()
 	t := a.tab
-	t.sets = newSeqInterner(constHash[PathID])
+	t.sets = newSetTable(t.numPaths(), constHash[uint64])
 	t.trans = newSeqInterner(constHash[GState])
 	t.forms = newSeqInterner(constHash[literal])
 	a.initMutable()

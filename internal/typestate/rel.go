@@ -47,12 +47,8 @@ type RelID int32
 func (a *Analysis) internRel(r rel) RelID {
 	t := a.tab
 	if r.kind == kXform {
-		if g := t.setElems(r.aG); len(g) > 0 {
-			r.aK = t.coMinus(r.aK, g)
-		}
-		if g := t.setElems(r.nG); len(g) > 0 {
-			r.nK = t.coMinus(r.nK, g)
-		}
+		r.aK = t.coMinusSet(r.aK, r.aG)
+		r.nK = t.coMinusSet(r.nK, r.nG)
 	}
 	return RelID(a.rels.intern(r))
 }
@@ -101,7 +97,7 @@ func (a *Analysis) RelString(r RelID) string {
 	}
 	aK := "V"
 	if rr.aK.Co {
-		if elems := t.setElems(rr.aK.Set); len(elems) > 0 {
+		if !t.setEmpty(rr.aK.Set) {
 			aK = "V∖{" + a.pathSetString(rr.aK.Set) + "}"
 		}
 	} else {
@@ -109,7 +105,7 @@ func (a *Analysis) RelString(r RelID) string {
 	}
 	nK := "V"
 	if rr.nK.Co {
-		if elems := t.setElems(rr.nK.Set); len(elems) > 0 {
+		if !t.setEmpty(rr.nK.Set) {
 			nK = "V∖{" + a.pathSetString(rr.nK.Set) + "}"
 		}
 	} else {
