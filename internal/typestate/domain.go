@@ -202,15 +202,6 @@ func (t *tables) minusElems(s, rm SetID) []PathID {
 	return out
 }
 
-func (t *tables) setEmpty(s SetID) bool {
-	for _, w := range t.sets.row(int32(s)) {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 func (t *tables) setHas(s SetID, p PathID) bool {
 	return t.sets.words[int(s)*t.sets.w+int(p>>6)]&(1<<(p&63)) != 0
 }

@@ -113,7 +113,9 @@ func (it *seqInterner[E]) size() int { return len(it.vals) }
 // allocates no slice per set. Rows are keyed by a 64-bit content hash and
 // confirmed word by word, with the same overflow chain as seqInterner.
 // The set operations of domain.go build their result in scratch, the one
-// reused row of the table, and intern it from there.
+// reused row of the table, and intern it from there. Rows never change
+// once interned, so a row taken before later interns stays valid: an
+// arena reallocation leaves it on the old, identical copy.
 type setTable struct {
 	w       int
 	n       int32

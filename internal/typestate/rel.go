@@ -97,7 +97,7 @@ func (a *Analysis) RelString(r RelID) string {
 	}
 	aK := "V"
 	if rr.aK.Co {
-		if !t.setEmpty(rr.aK.Set) {
+		if elems := t.setElems(rr.aK.Set); len(elems) > 0 {
 			aK = "V∖{" + a.pathSetString(rr.aK.Set) + "}"
 		}
 	} else {
@@ -105,7 +105,7 @@ func (a *Analysis) RelString(r RelID) string {
 	}
 	nK := "V"
 	if rr.nK.Co {
-		if !t.setEmpty(rr.nK.Set) {
+		if elems := t.setElems(rr.nK.Set); len(elems) > 0 {
 			nK = "V∖{" + a.pathSetString(rr.nK.Set) + "}"
 		}
 	} else {
