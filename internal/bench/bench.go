@@ -13,6 +13,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime/pprof"
@@ -258,6 +259,9 @@ func (s *Suite) RunConfig(name, engine string, cfg core.Config) (*EngineRun, err
 	if err != nil {
 		return nil, err
 	}
+	if err := deadlineErr(name, engine, res.Err); err != nil {
+		return nil, err
+	}
 	wall := time.Since(start)
 	run := &EngineRun{
 		Benchmark:   name,
@@ -281,6 +285,18 @@ func (s *Suite) RunConfig(name, engine string, cfg core.Config) (*EngineRun, err
 			name, engine, sp.Regions, sp.MaxDepth, sp.Pops, res.TD.Steps, sp.StalePops)
 	}
 	return run, nil
+}
+
+// deadlineErr returns an error wrapping core.ErrDeadline when err says
+// the run's wall-clock Timeout fired, and nil otherwise. Tables render a
+// work-budget abort, which is deterministic, as DNF; a deadline abort
+// depends on machine load, so it fails the experiment instead of passing
+// for a budget result.
+func deadlineErr(name, engine string, err error) error {
+	if errors.Is(err, core.ErrDeadline) {
+		return fmt.Errorf("bench: %s/%s hit the wall-clock timeout, not a work budget: %w", name, engine, err)
+	}
+	return nil
 }
 
 // Run executes one engine on one benchmark under a budget with the given

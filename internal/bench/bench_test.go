@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"swift/internal/core"
 )
 
 func TestTable1Renders(t *testing.T) {
@@ -43,6 +46,24 @@ func TestSuiteRunAndCaching(t *testing.T) {
 	}
 	if !run.Completed || run.TDSummaries <= 0 {
 		t.Errorf("run = %+v", run)
+	}
+}
+
+// TestDeadlineAbortIsAnError pins that a run cut short by the wall-clock
+// Timeout fails with an error wrapping core.ErrDeadline, monolithic and
+// sliced, instead of coming back as a DNF a table would render like a
+// work-budget abort.
+func TestDeadlineAbortIsAnError(t *testing.T) {
+	s := NewSuite()
+	budget := QuickBudget()
+	budget.Timeout = time.Nanosecond
+	for _, engine := range []string{"td", "swift"} {
+		if run, err := s.Run("toba-s", engine, budget, 5, 1); !errors.Is(err, core.ErrDeadline) {
+			t.Errorf("%s: Run = %+v, %v; want an ErrDeadline error", engine, run, err)
+		}
+		if run, err := s.RunSlicedConfig("toba-s", engine, budget.config(5, 1)); !errors.Is(err, core.ErrDeadline) {
+			t.Errorf("%s: RunSlicedConfig = %+v, %v; want an ErrDeadline error", engine, run, err)
+		}
 	}
 }
 

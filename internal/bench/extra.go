@@ -75,6 +75,9 @@ func (s *Suite) TaintTable(w io.Writer, budget Budget) error {
 				default:
 					res = an.RunSwift(init, cfg)
 				}
+				if err := deadlineErr(name, "taint/"+engine, res.Err); err != nil {
+					return err
+				}
 				r := &taintRun{
 					completed: res.Completed(),
 					cost:      time.Duration(res.WorkUnits()) * costPerWorkUnit,

@@ -94,6 +94,9 @@ func (s *Suite) queryBenchOne(name, engine string, cfg core.Config, seed int64,
 	if err != nil {
 		return nil, err
 	}
+	if err := deadlineErr(name, engine, mono.Err); err != nil {
+		return nil, err
+	}
 	run.Exhaustive = time.Duration(mono.WorkUnits()) * costPerWorkUnit
 	run.ExhaustiveOK = mono.Completed()
 	var errSites map[string]bool

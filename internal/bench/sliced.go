@@ -68,6 +68,9 @@ func (s *Suite) RunSlicedConfig(name, engine string, cfg core.Config) (*SlicedRu
 	if err != nil {
 		return nil, err
 	}
+	if err := deadlineErr(name, engine+"-sliced", res.Err()); err != nil {
+		return nil, err
+	}
 	wall := time.Since(start)
 	run := &SlicedRun{
 		Benchmark: name,

@@ -61,6 +61,9 @@ func (s *Suite) WarmTable(w io.Writer, budget Budget, dir string) error {
 			if err != nil {
 				return nil, err
 			}
+			if err := deadlineErr(name, "swift", res.Err); err != nil {
+				return nil, err
+			}
 			wall := time.Since(start)
 			run := &EngineRun{
 				Benchmark:   name,

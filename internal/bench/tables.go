@@ -98,7 +98,7 @@ var table2Engines = []string{"td", "bu", "swift"}
 // on the suite's worker pool; results land in slots indexed by (benchmark,
 // engine), which makes the assembled rows — and everything rendered from
 // them — identical to a serial sweep. Only scalar outcomes are retained;
-// the heavyweight per-run state (path-edge maps, interners) is dropped as
+// the heavyweight per-run state (path-edge maps, intern tables) is dropped as
 // each run finishes so the sweep's memory stays flat.
 func (s *Suite) RunTable2(budget Budget) ([]Table2Row, error) {
 	names := s.sortedNames()

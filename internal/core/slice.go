@@ -211,7 +211,7 @@ func (a *Analysis[S, R, P]) RunSliced(engine string, config Config) (*SlicedResu
 // the demand-driven hook behind point queries, which name one slice (or a
 // few) instead of wanting the whole decomposition. The ids are sorted and
 // deduplicated before dispatch, so the result order — and, per slice,
-// every byte of the outcome (fresh per-slice interners; see the file
+// every byte of the outcome (fresh per-slice intern tables; see the file
 // comment) — is independent of both the caller's order and the worker
 // count. Unknown slice IDs surface as SliceClient dispatch errors.
 func (a *Analysis[S, R, P]) RunSliceSet(engine string, config Config, subset []SliceID) (*SlicedResult[S, R, P], error) {

@@ -11,7 +11,7 @@ package driver
 // once — and typically run nothing at all.
 //
 // Determinism carries over from the sliced execution layer unchanged:
-// every slice runs on fresh mutable interners over the frozen tables, so
+// every slice runs on fresh intern tables over the frozen tables, so
 // its table is byte-identical whether it was computed alone, beside other
 // slices on the pool, or replayed from the memo. Answers therefore do not
 // depend on Config.SliceWorkers, batch composition, or cache state.

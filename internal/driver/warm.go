@@ -62,7 +62,7 @@ type WarmStats struct {
 	PublishedTables bool
 	// RestoreFailed reports that a stored tables snapshot was found but
 	// failed to restore (corrupt or mismatched blob). The pipeline may hold
-	// partially replayed interners after a replay-phase failure, so such a
+	// partially replayed intern tables after a replay-phase failure, so such a
 	// run never publishes its tables; the corrupt snapshot is deleted so a
 	// later fresh run can re-publish a good one.
 	RestoreFailed bool

@@ -24,7 +24,7 @@
 //
 // Determinism: a slice's table is byte-identical whether it was computed
 // alone, beside other slices on the pool, or served from the memo (fresh
-// per-slice interners over frozen tables), so answers are independent of
+// per-slice intern tables over frozen tables), so answers are independent of
 // batch composition, query order, Config.SliceWorkers and cache state.
 package query
 

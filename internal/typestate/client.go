@@ -23,8 +23,8 @@ func (f OracleFunc) MayAlias(base, field, site string) bool { return f(base, fie
 
 // Analysis is the type-state instantiation of the SWIFT framework for one
 // program: it implements core.Client[AbsID, RelID, FormulaID]. An
-// Analysis is not safe for concurrent use: its interners (intern.go) and
-// memos are plain maps. Concurrent sliced runs each get a slice clone
+// Analysis is not safe for concurrent use: its intern tables (intern.go)
+// and memos are unlocked. Concurrent sliced runs each get a slice clone
 // (slice.go), which shares only the tables frozen at construction.
 type Analysis struct {
 	tab      *tables
@@ -39,8 +39,8 @@ type Analysis struct {
 	// h=0 bootstrap flow is identical either way.
 	slice SiteID
 
-	// relation interning
-	rels  *interner[rel]
+	// relations, encoded by internRel
+	rels  *table[int32]
 	idRel RelID
 
 	// compiled transfer cache (compile.go), lazily populated
@@ -66,7 +66,7 @@ func NewAnalysis(prog *ir.Program, track map[string]*Property, oracle Oracle) (*
 		track: track,
 		slice: -1,
 		tab: &tables{
-			paths:    newInterner[path](),
+			pathIDs:  map[path]PathID{},
 			rootedOf: map[string][]PathID{},
 			fieldOf:  map[string][]PathID{},
 			siteIDs:  map[string]SiteID{},
@@ -92,24 +92,24 @@ func NewAnalysis(prog *ir.Program, track map[string]*Property, oracle Oracle) (*
 	return a, nil
 }
 
-// resetMutable gives the instance empty mutable interners and memos, the
+// resetMutable gives the instance empty intern tables and memos, the
 // tables that grow during a run; initMutable then seeds them. The set
 // table's row width follows the path universe, so it runs only once that
 // is frozen.
 func (a *Analysis) resetMutable() {
 	t := a.tab
 	t.sets = newSetTable(t.numPaths(), hashRow)
-	t.trans = newSeqInterner(hashSeq[GState])
-	t.forms = newSeqInterner(hashSeq[literal])
-	t.abs = newInterner[absState]()
+	t.trans = newTable(t.numG, hashRow[GState])
+	t.forms = newTable(0, hashRow[literal])
+	t.abs = newTable(4, hashRow[int32])
 	t.methodTrans = map[string]TransID{}
 	t.composeMemo = map[[2]TransID]TransID{}
-	a.rels = newInterner[rel]()
+	a.rels = newTable(relWidth, hashRow[int32])
 }
 
-// initMutable seeds the instance's fresh mutable interners from the frozen
+// initMutable seeds the instance's fresh intern tables from the frozen
 // construction tables, in a fixed order. Slice clones (slice.go) replay
-// exactly this order into their own fresh interners, so every slice's
+// exactly this order into their own fresh tables, so every slice's
 // ground IDs — transformer 0/1, formula 0, set 0/1, abstract state 0,
 // relation 0 — coincide with a fresh monolithic pipeline's, which is what
 // makes per-slice results independent of scheduling.
@@ -333,11 +333,11 @@ func filterRelevant(t *tables, ids []PathID) []PathID {
 // mustPath returns the PathID of a path that is guaranteed to be in the
 // universe (it appears in the program text being analyzed).
 func (a *Analysis) mustPath(base, field string) PathID {
-	id, ok := a.tab.paths.lookup(path{base: base, field: field})
+	id, ok := a.tab.pathIDs[path{base: base, field: field}]
 	if !ok {
 		panic(fmt.Sprintf("typestate: path %s.%s not in universe", base, field))
 	}
-	return PathID(id)
+	return id
 }
 
 // InitialState returns the bootstrap abstract state (no tracked object).
@@ -379,11 +379,11 @@ func (a *Analysis) MakeState(site, state string, must, mustNot []string) (AbsID,
 					break
 				}
 			}
-			id, ok := t.paths.lookup(path{base: base, field: field})
+			id, ok := t.pathIDs[path{base: base, field: field}]
 			if !ok {
 				return 0, fmt.Errorf("typestate: path %q not in program universe", s)
 			}
-			ids = append(ids, PathID(id))
+			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		return t.internSet(ids), nil

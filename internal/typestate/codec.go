@@ -12,7 +12,7 @@ package typestate
 //     summary computed under one oracle is NOT valid under another, which
 //     is why the digest is part of every store key.
 //
-//   - EncodeTables/RestoreTables snapshot the mutable interners (path
+//   - EncodeTables/RestoreTables snapshot the intern tables (path
 //     sets, transformers, abstract states, formulas, relations) in dense
 //     ID order. Restoring a cold run's snapshot into a freshly built
 //     pipeline replays every intern in first-intern order, so the warm
@@ -135,7 +135,7 @@ func (a *Analysis) EncodeTables() []byte {
 	nAbs := t.abs.size()
 	w.Uint(uint64(nAbs))
 	for i := 0; i < nAbs; i++ {
-		s := t.abs.at(int32(i))
+		s := t.absOf(AbsID(i))
 		w.Int(int64(s.h))
 		w.Int(int64(s.t))
 		w.Int(int64(s.a))
@@ -144,7 +144,7 @@ func (a *Analysis) EncodeTables() []byte {
 	nRels := a.rels.size()
 	w.Uint(uint64(nRels))
 	for i := 0; i < nRels; i++ {
-		r := a.rels.at(int32(i))
+		r := a.relOf(RelID(i))
 		w.Uint(uint64(r.kind))
 		w.Int(int64(r.out))
 		w.Int(int64(r.iota))
@@ -159,7 +159,7 @@ func (a *Analysis) EncodeTables() []byte {
 	return w.Bytes()
 }
 
-// Fresh reports whether the instance's mutable interners hold exactly the
+// Fresh reports whether the instance's intern tables hold exactly the
 // initMutable seeds — i.e. no solver has interned anything yet. Only a
 // fresh instance can restore a snapshot, and only a snapshot taken from
 // an instance that STARTED fresh reproduces a cold run's tables (the

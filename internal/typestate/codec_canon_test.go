@@ -135,7 +135,7 @@ func TestDecodeSummariesRejectsNonCanonical(t *testing.T) {
 // path IDs numPaths and 64·W−1 fit in a W-word bitset but lie outside the
 // path universe.
 func paddingPaths(tb testing.TB, ts *Analysis) []PathID {
-	numPaths, w := ts.tab.numPaths(), ts.tab.sets.w
+	numPaths, w := ts.tab.numPaths(), len(ts.tab.sets.scratch)
 	if numPaths%64 == 0 {
 		tb.Fatalf("%d paths fill their %d-word rows: no padding to test", numPaths, w)
 	}

@@ -13,10 +13,11 @@ import (
 // maps operate on ordered integers, and so equality is O(1).
 //
 // The runtime-mutated tables (path sets, transformers, abstract states,
-// formulas) are the single-goroutine interners of intern.go. The
+// formulas) are single-goroutine intern tables (intern.go). The
 // construction-only tables (paths, sites, properties, the may-alias
-// matrix, the rooted/field indexes) are frozen by NewAnalysis and
-// read-only afterwards, so slice clones may share them across goroutines.
+// matrix, the rooted/field indexes) are plain slices and maps, frozen by
+// NewAnalysis and read-only afterwards, so slice clones may share them
+// across goroutines.
 
 // PathID identifies an access path: a variable v or a one-field path v.f.
 type PathID int32
@@ -101,12 +102,13 @@ func (t *tables) inMustNot(s absState, p PathID) bool { return !t.setHas(s.nc, p
 // afterwards, which is what lets slice clones share it.
 type tables struct {
 	// paths (interned during construction only; lookups at runtime)
-	paths    *interner[path]
+	paths    []path
+	pathIDs  map[path]PathID
 	rootedOf map[string][]PathID // variable → sorted paths rooted at it
 	fieldOf  map[string][]PathID // field → sorted paths carrying it
 
 	// path sets, as bitset rows over the frozen path universe
-	sets *setTable
+	sets *table[uint64]
 	// univSet is the set of all paths; it is the nc component of states
 	// with an empty must-not set.
 	univSet SetID
@@ -125,17 +127,17 @@ type tables struct {
 	isErrorG []bool
 
 	// transformers, as dense GState vectors
-	trans       *seqInterner[GState]
+	trans       *table[GState]
 	idTrans     TransID
 	errTrans    TransID // per-property error; None stays None
 	methodTrans map[string]TransID
 	composeMemo map[[2]TransID]TransID
 
-	// abstract states
-	abs *interner[absState]
+	// abstract states, encoded as [h, t, a, nc]
+	abs *table[int32]
 
 	// formulas (sorted literal conjunctions)
-	forms *seqInterner[literal]
+	forms *table[literal]
 
 	// may-alias oracle matrix: mayAlias[p][h]
 	mayAlias [][]bool
@@ -150,12 +152,18 @@ type tables struct {
 // ---- paths ----
 
 func (t *tables) internPath(p path) PathID {
-	return PathID(t.paths.intern(p))
+	if id, ok := t.pathIDs[p]; ok {
+		return id
+	}
+	id := PathID(len(t.paths))
+	t.pathIDs[p] = id
+	t.paths = append(t.paths, p)
+	return id
 }
 
-func (t *tables) pathAt(id PathID) path { return t.paths.at(int32(id)) }
+func (t *tables) pathAt(id PathID) path { return t.paths[id] }
 
-func (t *tables) numPaths() int { return t.paths.size() }
+func (t *tables) numPaths() int { return len(t.paths) }
 
 func (t *tables) pathString(p PathID) string { return t.pathAt(p).String() }
 
@@ -177,7 +185,7 @@ func (t *tables) setElems(s SetID) []PathID { return t.appendSetElems(nil, s) }
 
 // appendSetElems appends a set's paths to dst in ascending order.
 func (t *tables) appendSetElems(dst []PathID, s SetID) []PathID {
-	for i, w := range t.sets.row(int32(s)) {
+	for i, w := range t.sets.at(int32(s)) {
 		dst = appendWord(dst, i, w)
 	}
 	return dst
@@ -194,16 +202,16 @@ func appendWord(dst []PathID, i int, w uint64) []PathID {
 // minusElems returns the sorted paths of s∖rm without interning the
 // difference, for rendering.
 func (t *tables) minusElems(s, rm SetID) []PathID {
-	rr := t.sets.row(int32(rm))
+	rr := t.sets.at(int32(rm))
 	var out []PathID
-	for i, w := range t.sets.row(int32(s)) {
+	for i, w := range t.sets.at(int32(s)) {
 		out = appendWord(out, i, w&^rr[i])
 	}
 	return out
 }
 
 func (t *tables) setHas(s SetID, p PathID) bool {
-	return t.sets.words[int(s)*t.sets.w+int(p>>6)]&(1<<(p&63)) != 0
+	return t.sets.at(int32(s))[p>>6]&(1<<(p&63)) != 0
 }
 
 func (t *tables) setInsert(s SetID, p PathID) SetID {
@@ -211,7 +219,7 @@ func (t *tables) setInsert(s SetID, p PathID) SetID {
 		return s
 	}
 	row := t.sets.scratch
-	copy(row, t.sets.row(int32(s)))
+	copy(row, t.sets.at(int32(s)))
 	row[p>>6] |= 1 << (p & 63)
 	return SetID(t.sets.intern(row))
 }
@@ -219,7 +227,7 @@ func (t *tables) setInsert(s SetID, p PathID) SetID {
 // setMinus removes the paths rm from s.
 func (t *tables) setMinus(s SetID, rm []PathID) SetID {
 	row := t.sets.scratch
-	copy(row, t.sets.row(int32(s)))
+	copy(row, t.sets.at(int32(s)))
 	removed := false
 	for _, p := range rm {
 		if m := uint64(1) << (p & 63); row[p>>6]&m != 0 {
@@ -235,7 +243,7 @@ func (t *tables) setMinus(s SetID, rm []PathID) SetID {
 
 // setMinusSet removes the paths of set rm from s.
 func (t *tables) setMinusSet(s, rm SetID) SetID {
-	rs, rr, row := t.sets.row(int32(s)), t.sets.row(int32(rm)), t.sets.scratch
+	rs, rr, row := t.sets.at(int32(s)), t.sets.at(int32(rm)), t.sets.scratch
 	var removed uint64
 	for i, w := range rs {
 		removed |= w & rr[i]
@@ -253,7 +261,7 @@ func (t *tables) setUnion(a, b SetID) SetID {
 	if a == b {
 		return a
 	}
-	ra, rb, row := t.sets.row(int32(a)), t.sets.row(int32(b)), t.sets.scratch
+	ra, rb, row := t.sets.at(int32(a)), t.sets.at(int32(b)), t.sets.scratch
 	var onlyA, onlyB uint64
 	for i, x := range ra {
 		y := rb[i]
@@ -284,7 +292,7 @@ func (t *tables) setIntersect(a, b SetID) SetID {
 	if a == b {
 		return a
 	}
-	ra, rb, row := t.sets.row(int32(a)), t.sets.row(int32(b)), t.sets.scratch
+	ra, rb, row := t.sets.at(int32(a)), t.sets.at(int32(b)), t.sets.scratch
 	var onlyA, onlyB uint64
 	for i, x := range ra {
 		y := rb[i]
@@ -349,7 +357,7 @@ func (t *tables) coMinusSet(c coSet, rm SetID) coSet {
 		return coSet{Co: false, Set: t.setMinusSet(c.Set, rm)}
 	}
 	s := c.Set
-	for i, w := range t.sets.row(int32(rm)) {
+	for i, w := range t.sets.at(int32(rm)) {
 		for ; w != 0; w &= w - 1 {
 			s = t.setInsert(s, PathID(i<<6+bits.TrailingZeros64(w)))
 		}
@@ -459,10 +467,15 @@ func (t *tables) methodTransformer(m string) TransID {
 // ---- abstract states ----
 
 func (t *tables) internAbs(s absState) AbsID {
-	return AbsID(t.abs.intern(s))
+	k := t.abs.scratch[:4]
+	k[0], k[1], k[2], k[3] = int32(s.h), int32(s.t), int32(s.a), int32(s.nc)
+	return AbsID(t.abs.intern(k))
 }
 
-func (t *tables) absOf(id AbsID) absState { return t.abs.at(int32(id)) }
+func (t *tables) absOf(id AbsID) absState {
+	k := t.abs.at(int32(id))
+	return absState{h: SiteID(k[0]), t: GState(k[1]), a: SetID(k[2]), nc: SetID(k[3])}
+}
 
 // ---- formulas ----
 

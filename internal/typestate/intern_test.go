@@ -1,14 +1,14 @@
 package typestate
 
-// Tests for the interning substrate (intern.go): the full-hash collision
-// chains of seqInterner and setTable, and engine determinism, including
-// with every set and sequence in one collision chain.
+// Tests for the intern table (intern.go): dense first-intern IDs and
+// value round-trips in all five tables, also with every value of a table
+// in one probe run, and engine determinism, including under that
+// constant hash.
 
 import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -39,117 +39,144 @@ func workloadSets(numPaths, n int, seed int64) [][]PathID {
 	return out
 }
 
-// constHash gives every sequence or bitset row one full hash, so each
-// intern after the first walks the overflow chain.
+// constHash gives every value one full hash, so every value sits in one
+// probe run of the index.
 func constHash[E any]([]E) uint64 { return 42 }
 
-// checkChain interns seqs (which repeat values) into a constant-hash
-// seqInterner and checks the collision path: dense IDs in first-intern
-// order, equal contents sharing an ID, distinct contents never sharing
-// one, and at round-tripping every ID.
-func checkChain[E ~int32](t *testing.T, what string, seqs [][]E) {
-	t.Helper()
-	it := newSeqInterner(constHash[E])
-	first := map[string]int32{}
-	for i, s := range seqs {
-		id := it.intern(s)
-		k := fmt.Sprint(s)
-		want, seen := first[k]
-		if !seen {
-			want = int32(len(first))
-			first[k] = want
-		}
-		if id != want {
-			t.Fatalf("%s %d (%v): id %d, want %d", what, i, s, id, want)
-		}
-		if !slices.Equal(it.at(id), s) {
-			t.Fatalf("%s %d: at(%d) = %v, want %v", what, i, id, it.at(id), s)
-		}
-	}
-	if it.size() != len(first) {
-		t.Fatalf("%s: size %d, want %d distinct", what, it.size(), len(first))
-	}
-	if len(first) < 3 {
-		t.Fatalf("%s: only %d distinct values, the chain is not exercised", what, len(first))
-	}
-}
-
-// checkSetChain is checkChain for path sets: it interns sets over the
-// universe [0, numPaths) into a constant-hash setTable and checks the same
-// properties, reading each set back from its arena row.
-func checkSetChain(t *testing.T, numPaths int, sets [][]PathID) {
-	t.Helper()
-	tab := &tables{sets: newSetTable(numPaths, constHash[uint64])}
-	first := map[string]SetID{}
-	for i, s := range sets {
-		id := tab.internSet(s)
-		k := fmt.Sprint(s)
-		want, seen := first[k]
-		if !seen {
-			want = SetID(len(first))
-			first[k] = want
-		}
-		if id != want {
-			t.Fatalf("%d paths, set %d (%v): id %d, want %d", numPaths, i, s, id, want)
-		}
-		if got := tab.setElems(id); !slices.Equal(got, s) {
-			t.Fatalf("%d paths, set %d: elems(%d) = %v, want %v", numPaths, i, id, got, s)
-		}
-	}
-	if tab.sets.size() != len(first) || len(tab.sets.words) != len(first)*tab.sets.w {
-		t.Fatalf("%d paths: %d sets in %d words, want %d distinct of %d words",
-			numPaths, tab.sets.size(), len(tab.sets.words), len(first), tab.sets.w)
-	}
-}
-
-// TestSeqInternerCollisionChain forces every path set, transformer vector
-// and formula of a seeded workload into one collision chain. Path sets
-// run on universes that fill one word, end mid-word and span several.
-func TestSeqInternerCollisionChain(t *testing.T) {
-	for _, numPaths := range []int{7, 64, 130} {
-		sets := workloadSets(numPaths, 64, 3)
-		// Repeat every value, plus the empty set and a prefix of another set.
-		sets = append(append(sets, sets...), nil, sets[0][:1])
-		checkSetChain(t, numPaths, sets)
-	}
-
-	ts, _ := conditionsAnalysis(t)
-	rng := rand.New(rand.NewSource(5))
-	var vecs [][]GState
-	for i := 0; i < 128; i++ {
-		v := make([]GState, ts.tab.numG)
-		for g := range v {
-			v[g] = GState(rng.Intn(ts.tab.numG))
-		}
-		vecs = append(vecs, v)
-	}
-	vecs = append(vecs, vecs[:64]...)
-	checkChain(t, "transformer", vecs)
-
-	var forms [][]literal
-	for i := 0; i < 128; i++ {
-		var f []literal
-		for p := 0; p < ts.tab.numPaths(); p++ {
-			if rng.Intn(4) == 0 {
-				f = append(f, mkLit(PathID(p), litKind(rng.Intn(6))))
-			}
-		}
-		forms = append(forms, f)
-	}
-	forms = append(forms, forms[:64]...)
-	checkChain(t, "formula", forms)
-}
-
-// forceCollisions replaces a fresh analysis's mutable interners and memos
-// with empty ones whose sets, transformers and formulas all share one
-// full hash, then reseeds them.
-func forceCollisions(a *Analysis) {
-	a.resetMutable()
+// useConstHash replaces an analysis's intern tables with empty ones that
+// hash every value with constHash.
+func useConstHash(a *Analysis) {
 	t := a.tab
 	t.sets = newSetTable(t.numPaths(), constHash[uint64])
-	t.trans = newSeqInterner(constHash[GState])
-	t.forms = newSeqInterner(constHash[literal])
+	t.trans = newTable(t.numG, constHash[GState])
+	t.forms = newTable(0, constHash[literal])
+	t.abs = newTable(4, constHash[int32])
+	a.rels = newTable(relWidth, constHash[int32])
+}
+
+// forceCollisions replaces a fresh analysis's intern tables and memos with
+// empty ones whose values all share one full hash, then reseeds them.
+func forceCollisions(a *Analysis) {
+	a.resetMutable()
+	useConstHash(a)
 	a.initMutable()
+}
+
+// checkIntern interns vals, which repeat values, through intern and checks
+// that new values get dense IDs in first-intern order and repeats their
+// first ID, that at reads every ID's value back, that size counts the
+// distinct values, and that the index grew at least three times.
+func checkIntern[V any, E ~int32 | ~uint64](t *testing.T, what string, tab *table[E], vals []V, intern func(V) int32, at func(int32) V) {
+	t.Helper()
+	first := map[string]int32{}
+	var distinct []V
+	for i, v := range vals {
+		k := fmt.Sprint(v)
+		want, seen := first[k]
+		if !seen {
+			want = int32(len(distinct))
+			first[k] = want
+			distinct = append(distinct, v)
+		}
+		if id := intern(v); id != want {
+			t.Fatalf("%s %d (%v): id %d, want %d", what, i, v, id, want)
+		}
+	}
+	for id, v := range distinct {
+		if got := at(int32(id)); fmt.Sprint(got) != fmt.Sprint(v) {
+			t.Fatalf("%s: id %d reads back %v, want %v", what, id, got, v)
+		}
+	}
+	if tab.size() != len(distinct) {
+		t.Fatalf("%s: size %d, want %d distinct", what, tab.size(), len(distinct))
+	}
+	if len(tab.slots) < 16<<3 {
+		t.Fatalf("%s: %d distinct values grew the index only to %d slots", what, len(distinct), len(tab.slots))
+	}
+}
+
+// withRepeats appends the first half of vals to vals again.
+func withRepeats[V any](vals []V) []V { return append(vals, vals[:len(vals)/2]...) }
+
+// TestInternCollisionChain interns seeded workloads into each of the five
+// intern tables — path sets, transformers, formulas, abstract states and
+// relations — under the real hash and under a constant one, which puts
+// every value of a table in one probe run. Path sets run on universes that
+// fill one word, end mid-word and span several.
+func TestInternCollisionChain(t *testing.T) {
+	const numG, n = 7, 300
+	for _, collide := range []bool{false, true} {
+		name := map[bool]string{false: "real hash", true: "constant hash"}[collide]
+		var a *Analysis
+		for _, numPaths := range []int{7, 64, 130} {
+			a = &Analysis{tab: &tables{paths: make([]path, numPaths), numG: numG}}
+			a.resetMutable()
+			if collide {
+				useConstHash(a)
+			}
+			sets := workloadSets(numPaths, min(n, 96), 3)
+			// Repeat values, plus the empty set and a prefix of another set.
+			sets = append(withRepeats(sets), nil, sets[0][:1])
+			checkIntern(t, fmt.Sprintf("%s, %d paths: set", name, numPaths), a.tab.sets, sets,
+				func(s []PathID) int32 { return int32(a.tab.internSet(s)) },
+				func(id int32) []PathID { return a.tab.setElems(SetID(id)) })
+		}
+		tab, nSets := a.tab, int32(a.tab.sets.size())
+		rng := rand.New(rand.NewSource(5))
+
+		var vecs [][]GState
+		for i := 0; i < n; i++ {
+			v := make([]GState, numG)
+			for g := range v {
+				v[g] = GState(rng.Intn(numG))
+			}
+			vecs = append(vecs, v)
+		}
+		checkIntern(t, name+": transformer", tab.trans, withRepeats(vecs),
+			func(v []GState) int32 { return int32(tab.internTrans(v)) },
+			func(id int32) []GState { return tab.trans.at(id) })
+
+		var forms [][]literal
+		for i := 0; i < n; i++ {
+			var f []literal
+			for p := 0; p < tab.numPaths(); p++ {
+				if rng.Intn(4) == 0 {
+					f = append(f, mkLit(PathID(p), litKind(rng.Intn(6))))
+				}
+			}
+			forms = append(forms, f)
+		}
+		checkIntern(t, name+": formula", tab.forms, withRepeats(forms),
+			func(f []literal) int32 { return int32(tab.internFormula(f)) },
+			func(id int32) []literal { return tab.formLits(FormulaID(id)) })
+
+		var states []absState
+		for i := 0; i < n; i++ {
+			states = append(states, absState{
+				h: SiteID(rng.Intn(3)), t: GState(rng.Intn(numG)),
+				a: SetID(rng.Int31n(nSets)), nc: SetID(rng.Int31n(nSets)),
+			})
+		}
+		checkIntern(t, name+": abstract state", tab.abs, withRepeats(states),
+			func(s absState) int32 { return int32(tab.internAbs(s)) },
+			func(id int32) absState { return tab.absOf(AbsID(id)) })
+
+		// Empty gen sets make every relation canonical, so internRel
+		// stores it as given.
+		empty := tab.internSet(nil)
+		var rels []rel
+		for i := 0; i < n; i++ {
+			rels = append(rels, rel{
+				kind: relKind(rng.Intn(2)), out: AbsID(rng.Intn(n)), iota: TransID(rng.Intn(n)),
+				aK: coSet{Co: rng.Intn(2) == 0, Set: SetID(rng.Int31n(nSets))}, aG: empty,
+				nK: coSet{Co: rng.Intn(2) == 0, Set: SetID(rng.Int31n(nSets))}, nG: empty,
+				pre: FormulaID(rng.Intn(n)),
+			})
+		}
+		checkIntern(t, name+": relation", a.rels, withRepeats(rels),
+			func(r rel) int32 { return int32(a.internRel(r)) },
+			func(id int32) rel { return a.relOf(RelID(id)) })
+	}
 }
 
 // determinismFixture is a small program with a triggerable callee for
@@ -228,7 +255,7 @@ func renderRun(t *testing.T, prepare func(*Analysis)) string {
 // TestSerialEngineDeterminism pins the ID-stability argument of intern.go:
 // IDs follow first-intern order, so two fresh runs — including the
 // interned IDs embedded in the rendering — are byte-identical. So is a run
-// with every set, transformer and formula in one collision chain: the hash
+// with every value of each intern table under one full hash: the hash
 // never decides an ID.
 func TestSerialEngineDeterminism(t *testing.T) {
 	a, b := renderRun(t, nil), renderRun(t, nil)

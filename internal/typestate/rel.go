@@ -40,6 +40,11 @@ type rel struct {
 // RelID identifies an interned abstract relation.
 type RelID int32
 
+// The relation table stores a relation as relWidth int32s: its kind with
+// aK.Co in bit 1 and nK.Co in bit 2, then out, iota, aK.Set, aG, nK.Set,
+// nG and pre. internRel encodes a relation, relOf decodes it.
+const relWidth = 8
+
 // internRel canonicalizes and interns a relation. Canonicalization removes
 // gen paths from the keep components (p ∈ a1 makes p's membership in a0
 // irrelevant), which merges syntactically different but semantically equal
@@ -50,10 +55,29 @@ func (a *Analysis) internRel(r rel) RelID {
 		r.aK = t.coMinusSet(r.aK, r.aG)
 		r.nK = t.coMinusSet(r.nK, r.nG)
 	}
-	return RelID(a.rels.intern(r))
+	k := a.rels.scratch[:relWidth]
+	k[0] = int32(r.kind) | flag(r.aK.Co)<<1 | flag(r.nK.Co)<<2
+	k[1], k[2], k[3], k[4] = int32(r.out), int32(r.iota), int32(r.aK.Set), int32(r.aG)
+	k[5], k[6], k[7] = int32(r.nK.Set), int32(r.nG), int32(r.pre)
+	return RelID(a.rels.intern(k))
 }
 
-func (a *Analysis) relOf(id RelID) rel { return a.rels.at(int32(id)) }
+func (a *Analysis) relOf(id RelID) rel {
+	k := a.rels.at(int32(id))
+	return rel{
+		kind: relKind(k[0] & 1), out: AbsID(k[1]), iota: TransID(k[2]),
+		aK: coSet{Co: k[0]&2 != 0, Set: SetID(k[3])}, aG: SetID(k[4]),
+		nK: coSet{Co: k[0]&4 != 0, Set: SetID(k[5])}, nG: SetID(k[6]),
+		pre: FormulaID(k[7]),
+	}
+}
+
+func flag(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // Applies implements core.Client: s ∈ dom(r) iff s satisfies the
 // precondition.

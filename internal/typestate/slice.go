@@ -13,7 +13,7 @@ package typestate
 //
 // Each slice gets a fresh Analysis instance: the frozen construction
 // tables (paths, sites, properties, may-alias matrix) are shared
-// read-only, while every mutable interner is per-instance and re-seeded by
+// read-only, while every intern table is per-instance and re-seeded by
 // initMutable in construction order. Concurrently running slices therefore
 // never write a shared table, and each slice's ID assignment is that of a
 // fresh pipeline — interned IDs order the solvers' sorted sets, worklists
@@ -63,7 +63,7 @@ func (a *Analysis) SliceClient(id core.SliceID) (core.Client[AbsID, RelID, Formu
 }
 
 // sliceClone builds the slice's Analysis: shared frozen tables, fresh
-// mutable interners seeded in the same order as NewAnalysis.
+// intern tables seeded in the same order as NewAnalysis.
 func (a *Analysis) sliceClone(sid SiteID) *Analysis {
 	t := a.tab
 	b := &Analysis{
@@ -73,6 +73,7 @@ func (a *Analysis) sliceClone(sid SiteID) *Analysis {
 		tab: &tables{
 			// Frozen after NewAnalysis; shared read-only across slices.
 			paths:      t.paths,
+			pathIDs:    t.pathIDs,
 			rootedOf:   t.rootedOf,
 			fieldOf:    t.fieldOf,
 			siteIDs:    t.siteIDs,
