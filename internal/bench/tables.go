@@ -138,8 +138,9 @@ func (s *Suite) RunTable2(budget Budget) ([]Table2Row, error) {
 // Table2 renders the cost and summary-count comparison (paper Table 2).
 // The time columns show deterministic work-unit cost (see EngineRun.Cost),
 // so the table is identical at any parallelism; DNF marks runs that
-// exhausted the work budget or deadline, the analogue of the paper's
-// timeout/OOM entries.
+// exhausted a work budget, the analogue of the paper's timeout/OOM
+// entries. A run the wall-clock deadline cut short fails the table
+// instead (deadlineErr).
 func (s *Suite) Table2(w io.Writer, budget Budget) error {
 	rows, err := s.RunTable2(budget)
 	if err != nil {

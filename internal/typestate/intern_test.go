@@ -48,7 +48,7 @@ func constHash[E any]([]E) uint64 { return 42 }
 func useConstHash(a *Analysis) {
 	t := a.tab
 	t.sets = newSetTable(t.numPaths(), constHash[uint64])
-	t.trans = newTable(t.numG, constHash[GState])
+	t.trans = newTable(0, constHash[GState])
 	t.forms = newTable(0, constHash[literal])
 	t.abs = newTable(4, constHash[int32])
 	a.rels = newTable(relWidth, constHash[int32])
