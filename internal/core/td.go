@@ -240,6 +240,17 @@ func (r *TDResult[S]) NodeStates(node int) []S {
 	return s
 }
 
+// AppendNodeStates appends the abstract states recorded at a CFG node under
+// every entry context to dst, unsorted and possibly repeated. Unlike
+// NodeStates it memoizes nothing, so a reader that visits each node once
+// (building a per-node table) leaves no snapshot behind.
+func (r *TDResult[S]) AppendNodeStates(dst []S, node int) []S {
+	for _, p := range r.rows[node] {
+		dst = r.appendCell(dst, p)
+	}
+	return dst
+}
+
 // AllStates returns the sorted distinct abstract states recorded at any
 // program point in any context — everything the analysis has shown may be
 // reached. Clients scan it for error states, typically once per check, so

@@ -137,7 +137,7 @@ func TestCanceledSliceNotMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := NewSliceMemo(8)
+	memo := NewSliceMemo(0)
 	ccfg := lowConfig()
 	ccfg.Cancel = closedCancel()
 	e1, err := NewDemandEvaluator(b, "td", ccfg, memo)
@@ -176,7 +176,7 @@ func TestAbortedSliceWithPartialTDNotMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := NewSliceMemo(8)
+	memo := NewSliceMemo(0)
 	cfg := lowConfig()
 	cfg.MaxPathEdges = 50
 	e, err := NewDemandEvaluator(b, "td", cfg, memo)

@@ -18,10 +18,14 @@ package driver
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"swift/internal/core"
 	"swift/internal/store"
@@ -61,19 +65,24 @@ type SliceTable struct {
 	// ErrorSite reports the site appears in the slice's error report: some
 	// tracked tuple of the site may reach its property's error state.
 	ErrorSite bool
-	// StatesAt, indexed by global CFG node ID, holds the sorted distinct
-	// FSM state names of the site's tuples recorded at the node (bootstrap
-	// states excluded); nil where the site's tuples never reach. Callers
-	// must not mutate the inner slices.
-	StatesAt [][]string
 	// Work is the slice run's deterministic work-unit cost — what one
 	// demand query pays when the memo misses.
 	Work int
+
+	// The per-node state sets, compacted: lists is a dictionary of the
+	// distinct sorted FSM state-name lists of the site's tuples at some
+	// node (bootstrap states excluded), with lists[0] = nil for "never
+	// reached", and at[n] indexes the list of global CFG node n. A site
+	// takes a handful of state combinations over thousands of nodes, so
+	// one 2-byte index per node replaces one slice header per node.
+	lists [][]string
+	at    []uint16
 }
 
-// buildSliceTable folds one completed slice run into its immutable table.
-// The slice result's abstract-state IDs live in the slice client's own ID
-// space, so everything is interpreted through that client, exactly like
+// buildSliceTable folds one completed slice run into its immutable table
+// in one pass over the run's path-edge rows. The slice result's
+// abstract-state IDs live in the slice client's own ID space, so
+// everything is interpreted through that client, exactly like
 // SlicedErrorReport. A run without instantiated states (budget or fault
 // abort) has no table: that is an explicit error, not an empty table,
 // since an empty table answers "unreachable" to every query.
@@ -93,19 +102,27 @@ func buildSliceTable(sl *core.SliceRun[typestate.AbsID, typestate.RelID, typesta
 	}
 	site := string(sl.ID)
 	t := &SliceTable{
-		Engine:   res.Engine,
-		Site:     site,
-		StatesAt: make([][]string, res.TD.NumNodes()),
-		Work:     res.WorkUnits(),
+		Engine: res.Engine,
+		Site:   site,
+		Work:   res.WorkUnits(),
+		lists:  [][]string{nil},
+		at:     make([]uint16, res.TD.NumNodes()),
 	}
 	for _, s := range ts.ErrorSites(res.TD.AllStates()) {
 		if s == site {
 			t.ErrorSite = true
 		}
 	}
-	for node := range t.StatesAt {
-		var names []string
-		for _, s := range res.TD.NodeStates(node) {
+	// index maps a list's length-prefixed encoding to its dictionary
+	// entry; looking up string(key) does not allocate.
+	index := map[string]uint16{}
+	var states []typestate.AbsID
+	var names []string
+	var key []byte
+	for node := range t.at {
+		states = res.TD.AppendNodeStates(states[:0], node)
+		names = names[:0]
+		for _, s := range states {
 			if ts.Site(s) == site {
 				names = append(names, ts.StateName(s))
 			}
@@ -113,69 +130,99 @@ func buildSliceTable(sl *core.SliceRun[typestate.AbsID, typestate.RelID, typesta
 		if len(names) == 0 {
 			continue
 		}
-		sort.Strings(names)
-		j := 0
-		for i, n := range names {
-			if i == 0 || n != names[j-1] {
-				names[j] = n
-				j++
-			}
+		slices.Sort(names)
+		names = slices.Compact(names)
+		key = key[:0]
+		for _, n := range names {
+			key = append(binary.AppendUvarint(key, uint64(len(n))), n...)
 		}
-		t.StatesAt[node] = names[:j:j]
+		i, ok := index[string(key)]
+		if !ok {
+			if len(t.lists) > math.MaxUint16 {
+				return nil, fmt.Errorf("driver: %s slice %s has more than %d distinct state lists",
+					res.Engine, sl.ID, math.MaxUint16)
+			}
+			i = uint16(len(t.lists))
+			index[string(key)] = i
+			t.lists = append(t.lists, append(make([]string, 0, len(names)), names...))
+		}
+		t.at[node] = i
 	}
 	return t, nil
 }
 
-// StatesAtNode returns the table's state names at a global CFG node ID
-// (nil when the site's tuples never reach it, or the ID is out of range —
-// validation happens at the query layer).
+// StatesAtNode returns the table's sorted state names at a global CFG node
+// ID (nil when the site's tuples never reach it, or the ID is out of range
+// — validation happens at the query layer). The result is shared with
+// every node of the same state combination: callers must not mutate it.
 func (t *SliceTable) StatesAtNode(node int) []string {
-	if node < 0 || node >= len(t.StatesAt) {
+	if node < 0 || node >= len(t.at) {
 		return nil
 	}
-	return t.StatesAt[node]
+	return t.lists[t.at[node]]
 }
 
-// SliceMemo is the in-memory slice-result cache behind demand queries: a
-// bounded LRU from SliceRunKey content addresses to SliceTables, shared
-// across evaluators (and, in swiftd, across requests). Only completed
-// deterministic slice runs are stored, so a hit is exact: the table bytes
-// equal what recomputing the slice would produce.
+// Bytes is the table's memory footprint, the unit of SliceMemo's bound:
+// the struct, its strings, the per-node index and the dictionary. Name
+// strings are shared with the run's property table; they are counted
+// once per list anyway, which overstates a table by a few bytes.
+func (t *SliceTable) Bytes() int64 {
+	n := int(unsafe.Sizeof(*t)) + len(t.Engine) + len(t.Site) +
+		2*cap(t.at) + int(unsafe.Sizeof([]string(nil)))*cap(t.lists)
+	for _, l := range t.lists {
+		n += int(unsafe.Sizeof("")) * cap(l)
+		for _, s := range l {
+			n += len(s)
+		}
+	}
+	return int64(n)
+}
+
+// SliceMemo is the in-memory slice-result cache behind demand queries: an
+// LRU from SliceRunKey content addresses to SliceTables, bounded by the
+// tables' total Bytes and shared across evaluators (and, in swiftd,
+// across requests). Only completed deterministic slice runs are stored,
+// so a hit is exact: the table equals what recomputing the slice would
+// produce.
 //
 // Concurrent evaluators that miss on the same key may both compute the
 // slice; both publish the identical table, so the race costs duplicate
 // work, never a divergent answer.
 type SliceMemo struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
+	mu       sync.Mutex
+	maxBytes int64
+	bytes    int64 // sum of the resident cells' bytes
+	entries  map[string]*list.Element
+	order    *list.List // front = most recently used
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// memoCell is one LRU slot.
+// memoCell is one LRU slot; bytes is its table's Bytes at insertion.
 type memoCell struct {
 	key   string
 	table *SliceTable
+	bytes int64
 }
 
-// DefaultSliceMemoCap bounds a NewSliceMemo(0) memo: at a few thousand
-// live slice tables the memo is a cache, not a leak, even in a long-lived
-// swiftd serving many program versions.
-const DefaultSliceMemoCap = 4096
+// DefaultSliceMemoBytes bounds a NewSliceMemo(0) memo. A table of a
+// 2,000-node program takes about 4.4 KB, so the default holds some 1,900
+// of them — every slice of dozens of program versions — while a
+// long-lived swiftd serving ever new versions holds no more than this in
+// slice tables.
+const DefaultSliceMemoBytes = 8 << 20
 
-// NewSliceMemo returns an empty memo holding at most cap slice tables
-// (DefaultSliceMemoCap when cap <= 0).
-func NewSliceMemo(cap int) *SliceMemo {
-	if cap <= 0 {
-		cap = DefaultSliceMemoCap
+// NewSliceMemo returns an empty memo holding at most maxBytes of slice
+// tables (DefaultSliceMemoBytes when maxBytes <= 0).
+func NewSliceMemo(maxBytes int64) *SliceMemo {
+	if maxBytes <= 0 {
+		maxBytes = DefaultSliceMemoBytes
 	}
 	return &SliceMemo{
-		cap:     cap,
-		entries: map[string]*list.Element{},
-		order:   list.New(),
+		maxBytes: maxBytes,
+		entries:  map[string]*list.Element{},
+		order:    list.New(),
 	}
 }
 
@@ -194,23 +241,33 @@ func (m *SliceMemo) lookup(key string) (*SliceTable, bool) {
 	return el.Value.(*memoCell).table, true
 }
 
-// add publishes a table under the key, evicting the least recently used
-// entries beyond the capacity. Re-adding an existing key refreshes
-// recency; the tables are deterministic, so which copy survives is
-// unobservable.
+// add publishes a table under the key, then evicts least recently used
+// entries until the resident bytes fit the bound. A table larger than the
+// whole bound is not retained and evicts nothing. Re-adding an existing
+// key replaces its table and bytes and refreshes recency; the tables are
+// deterministic, so which copy survives is unobservable.
 func (m *SliceMemo) add(key string, t *SliceTable) {
+	b := t.Bytes()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if el, ok := m.entries[key]; ok {
-		el.Value.(*memoCell).table = t
-		m.order.MoveToFront(el)
+	if b > m.maxBytes {
 		return
 	}
-	m.entries[key] = m.order.PushFront(&memoCell{key: key, table: t})
-	for m.order.Len() > m.cap {
+	if el, ok := m.entries[key]; ok {
+		c := el.Value.(*memoCell)
+		m.bytes += b - c.bytes
+		c.table, c.bytes = t, b
+		m.order.MoveToFront(el)
+	} else {
+		m.entries[key] = m.order.PushFront(&memoCell{key: key, table: t, bytes: b})
+		m.bytes += b
+	}
+	for m.bytes > m.maxBytes {
 		back := m.order.Back()
+		c := back.Value.(*memoCell)
 		m.order.Remove(back)
-		delete(m.entries, back.Value.(*memoCell).key)
+		delete(m.entries, c.key)
+		m.bytes -= c.bytes
 	}
 }
 
@@ -219,15 +276,18 @@ type MemoStats struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
 	Entries int   `json:"entries"`
+	// Bytes is the resident tables' total Bytes; MaxBytes the bound.
+	Bytes    int64 `json:"bytes"`
+	MaxBytes int64 `json:"maxBytes"`
 }
 
-// Stats snapshots the memo's cumulative hit/miss counters and current
-// size.
+// Stats snapshots the memo's cumulative hit/miss counters, current size
+// and bound.
 func (m *SliceMemo) Stats() MemoStats {
 	m.mu.Lock()
-	n := len(m.entries)
-	m.mu.Unlock()
-	return MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load(), Entries: n}
+	defer m.mu.Unlock()
+	return MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load(), Entries: len(m.entries),
+		Bytes: m.bytes, MaxBytes: m.maxBytes}
 }
 
 // DemandEvaluator is the batch evaluator behind point queries: it binds
@@ -252,7 +312,7 @@ type DemandEvaluator struct {
 // rejected: injected operation indices would make slice outcomes depend
 // on cache state, exactly why Warm.Run bypasses the store for them; so are
 // ablation configs, whose slice keys would alias the default run's) and
-// binds the evaluator. A nil memo gets a fresh default-capacity one.
+// binds the evaluator. A nil memo gets a fresh default-bound one.
 func NewDemandEvaluator(b *Build, engine string, cfg core.Config, memo *SliceMemo) (*DemandEvaluator, error) {
 	switch engine {
 	case "td", "bu", "swift":

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"swift/internal/benchprog"
 	"swift/internal/core"
 	"swift/internal/typestate"
 )
@@ -160,11 +161,11 @@ func TestDemandEvaluatorMemo(t *testing.T) {
 	}
 }
 
-// TestSliceMemoLRUEviction pins the bounded-capacity behaviour: the least
-// recently used entry goes first, and lookups refresh recency.
+// TestSliceMemoLRUEviction pins the bounded behaviour: the least recently
+// used entry goes first, and lookups refresh recency.
 func TestSliceMemoLRUEviction(t *testing.T) {
-	m := NewSliceMemo(2)
 	tab := func(site string) *SliceTable { return &SliceTable{Site: site} }
+	m := NewSliceMemo(2 * tab("a").Bytes()) // room for two one-letter tables
 	m.add("a", tab("a"))
 	m.add("b", tab("b"))
 	if _, ok := m.lookup("a"); !ok { // refresh a; b is now LRU
@@ -182,6 +183,104 @@ func TestSliceMemoLRUEviction(t *testing.T) {
 	if s := m.Stats(); s.Entries != 2 {
 		t.Errorf("entries = %d, want 2", s.Entries)
 	}
+}
+
+// sizedTable returns a synthetic slice table over nodes CFG nodes, whose
+// Bytes grow with nodes.
+func sizedTable(site string, nodes int) *SliceTable {
+	return &SliceTable{Site: site, lists: [][]string{nil}, at: make([]uint16, nodes)}
+}
+
+// checkMemoBytes asserts the memo's Bytes equals the sum of its resident
+// tables' Bytes and stays within the bound.
+func checkMemoBytes(t *testing.T, m *SliceMemo) {
+	t.Helper()
+	m.mu.Lock()
+	var sum int64
+	for el := m.order.Front(); el != nil; el = el.Next() {
+		sum += el.Value.(*memoCell).table.Bytes()
+	}
+	m.mu.Unlock()
+	s := m.Stats()
+	if s.Bytes != sum {
+		t.Errorf("Stats().Bytes = %d, resident tables sum to %d", s.Bytes, sum)
+	}
+	if s.Bytes > s.MaxBytes {
+		t.Errorf("Stats().Bytes = %d over the %d-byte bound", s.Bytes, s.MaxBytes)
+	}
+}
+
+// TestSliceMemoByteBound pins the byte budget: eviction is LRU by bytes (a
+// large table pushes out as many small ones as it needs), re-adding a key
+// does not count its bytes twice, a table larger than the whole bound is
+// not retained, and Stats().Bytes is always the sum of the resident
+// tables.
+func TestSliceMemoByteBound(t *testing.T) {
+	small, big := sizedTable("s", 100), sizedTable("b", 1000)
+	bound := 4*small.Bytes() + small.Bytes()/2
+	m := NewSliceMemo(bound)
+	if s := m.Stats(); s.MaxBytes != bound || s.Bytes != 0 {
+		t.Fatalf("empty memo stats = %+v, want bound %d and 0 bytes", s, bound)
+	}
+	for _, k := range []string{"a", "b", "c", "d"} {
+		m.add(k, sizedTable("s", 100))
+		checkMemoBytes(t, m)
+	}
+	if s := m.Stats(); s.Entries != 4 || s.Bytes != 4*small.Bytes() {
+		t.Fatalf("four small tables: %+v, want 4 entries of %d bytes", s, small.Bytes())
+	}
+
+	// Re-adding a resident key replaces its bytes instead of adding them.
+	m.add("b", sizedTable("s", 100))
+	checkMemoBytes(t, m)
+	if s := m.Stats(); s.Entries != 4 || s.Bytes != 4*small.Bytes() {
+		t.Errorf("re-add double-counted: %+v", s)
+	}
+	// Re-adding with a different size swaps the old size for the new one.
+	m.add("b", sizedTable("s", 10))
+	checkMemoBytes(t, m)
+	if s, want := m.Stats(), 3*small.Bytes()+sizedTable("s", 10).Bytes(); s.Bytes != want {
+		t.Errorf("resized re-add: bytes %d, want %d", s.Bytes, want)
+	}
+	m.add("b", sizedTable("s", 100))
+
+	// Recency is now a (LRU), c, d, b (MRU); touching a makes c the LRU.
+	// A table the size of two small ones then evicts c and d, not just c.
+	if _, ok := m.lookup("a"); !ok {
+		t.Fatal("a missing")
+	}
+	base := sizedTable("m", 0).Bytes()
+	m.add("m", sizedTable("m", int(2*small.Bytes()-base)/2))
+	checkMemoBytes(t, m)
+	for k, want := range map[string]bool{"c": false, "d": false, "b": true, "a": true, "m": true} {
+		if resident(m, k) != want {
+			t.Errorf("after the double-size add, resident(%s) = %v, want %v", k, !want, want)
+		}
+	}
+
+	// A table larger than the whole bound is not retained, and does not
+	// flush the tables that fit.
+	if big.Bytes() <= bound {
+		t.Fatalf("big table %d bytes fits the %d-byte bound", big.Bytes(), bound)
+	}
+	before := m.Stats()
+	m.add("big", big)
+	checkMemoBytes(t, m)
+	if resident(m, "big") {
+		t.Error("a table over the whole bound was retained")
+	}
+	if after := m.Stats(); after.Entries != before.Entries || after.Bytes != before.Bytes {
+		t.Errorf("oversized add changed the memo: %+v, was %+v", after, before)
+	}
+}
+
+// resident reports whether the memo holds key, without touching recency or
+// the hit/miss counters.
+func resident(m *SliceMemo, key string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.entries[key]
+	return ok
 }
 
 // TestDemandEvaluatorRejects covers constructor validation: unknown
@@ -370,5 +469,96 @@ func TestRunSliceSetSubset(t *testing.T) {
 		wantRun.Result.BUSummaryTotal(), wantRun.Result.Triggered)
 	if got != want {
 		t.Errorf("subset slice outcome %q, inside full run %q", got, want)
+	}
+}
+
+// oracleStatesAt is the per-node construction the compact SliceTable
+// replaced: NodeStates of every node, filtered to the site's tuples,
+// rendered, sorted and deduplicated into one list per node.
+func oracleStatesAt(sl *core.SliceRun[typestate.AbsID, typestate.RelID, typestate.FormulaID]) [][]string {
+	ts := sl.Client.(*typestate.Analysis)
+	out := make([][]string, sl.Result.TD.NumNodes())
+	for node := range out {
+		var names []string
+		for _, s := range sl.Result.TD.NodeStates(node) {
+			if ts.Site(s) == string(sl.ID) {
+				names = append(names, ts.StateName(s))
+			}
+		}
+		sort.Strings(names)
+		j := 0
+		for i, n := range names {
+			if i == 0 || n != names[j-1] {
+				names[j] = n
+				j++
+			}
+		}
+		if j > 0 {
+			out[node] = names[:j]
+		}
+	}
+	return out
+}
+
+// TestSliceTableMatchesNodeStatesOracle checks the compact slice table
+// against the per-node construction on every tracked site of three
+// benchmark programs under td and swift: the same state list at every
+// node, nil where the oracle has none, nil for out-of-range node IDs, and
+// at most one dictionary entry per distinct list.
+func TestSliceTableMatchesNodeStatesOracle(t *testing.T) {
+	for _, name := range []string{"toba-s", "javasrc-p", "hedc"} {
+		p, ok := benchprog.ProfileByName(name)
+		if !ok {
+			t.Fatalf("no profile %s", name)
+		}
+		prog, err := benchprog.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := FromHIR(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []core.SliceID
+		for _, s := range b.TS.TrackedSites() {
+			ids = append(ids, core.SliceID(s))
+		}
+		for _, engine := range []string{"td", "swift"} {
+			res, err := b.RunSliceSet(engine, core.DefaultConfig(), ids)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, engine, err)
+			}
+			for i := range res.Slices {
+				sl := &res.Slices[i]
+				if sl.Result.Err != nil {
+					t.Fatalf("%s/%s/%s: %v", name, engine, sl.ID, sl.Result.Err)
+				}
+				tab, err := buildSliceTable(sl)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", name, engine, sl.ID, err)
+				}
+				want := oracleStatesAt(sl)
+				distinct := map[string]bool{}
+				for node, w := range want {
+					got := tab.StatesAtNode(node)
+					if !reflect.DeepEqual(got, w) {
+						t.Fatalf("%s/%s/%s: node %d states %v, oracle %v", name, engine, sl.ID, node, got, w)
+					}
+					if w != nil {
+						distinct[strings.Join(w, "\x00")] = true
+					}
+				}
+				for _, node := range []int{-1, len(want), len(want) + 1, 1 << 30} {
+					if got := tab.StatesAtNode(node); got != nil {
+						t.Errorf("%s/%s/%s: out-of-range node %d = %v, want nil", name, engine, sl.ID, node, got)
+					}
+				}
+				// One dictionary entry per distinct list, after the nil
+				// entry 0 (there even when every node is reached).
+				if n := len(tab.lists); n != len(distinct)+1 || tab.lists[0] != nil {
+					t.Errorf("%s/%s/%s: %d dictionary entries for %d distinct lists", name, engine, sl.ID, n, len(distinct))
+				}
+			}
+		}
 	}
 }

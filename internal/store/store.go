@@ -74,8 +74,8 @@ func (k Key) ID() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Stats are cumulative counters of one Store. Counters only increase;
-// read them via Store.Stats.
+// Stats are the cumulative counters of one Store, which only increase,
+// and the memory tier's current size; read them via Store.Stats.
 type Stats struct {
 	MemHits    int64
 	MemMisses  int64 // memory-tier misses (includes those that then hit disk)
@@ -85,6 +85,10 @@ type Stats struct {
 	Deletes    int64
 	Evictions  int64
 	DiskErrors int64
+	// MemBytes is the memory tier's resident blob bytes, at most
+	// MaxMemBytes (the budget given to Open).
+	MemBytes    int64
+	MaxMemBytes int64
 }
 
 // Store is a two-tier blob cache, safe for concurrent use.
@@ -279,18 +283,13 @@ func (s *Store) writeFile(id string, blob []byte) error {
 	return nil
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters and the memory tier's size.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
-}
-
-// MemBytes returns the current memory-tier footprint (for tests).
-func (s *Store) MemBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.curBytes
+	st := s.stats
+	st.MemBytes, st.MaxMemBytes = s.curBytes, max(s.maxBytes, 0)
+	return st
 }
 
 // MemLen returns the number of memory-resident entries (for tests).

@@ -114,8 +114,8 @@ func TestLRUEviction(t *testing.T) {
 	if ev := s.Stats().Evictions; ev != 1 {
 		t.Errorf("evictions = %d, want 1", ev)
 	}
-	if s.MemBytes() > 10 {
-		t.Errorf("mem bytes = %d over budget", s.MemBytes())
+	if s.Stats().MemBytes > 10 {
+		t.Errorf("mem bytes = %d over budget", s.Stats().MemBytes)
 	}
 }
 
@@ -130,15 +130,15 @@ func TestOversizedBlobNotResident(t *testing.T) {
 	}
 	s.Put(k("x", "small"), []byte("aaaaa"))
 	s.Put(k("x", "huge"), make([]byte, 100))
-	if s.MemBytes() > 10 {
-		t.Errorf("mem bytes = %d, over the 10-byte budget", s.MemBytes())
+	if s.Stats().MemBytes > 10 {
+		t.Errorf("mem bytes = %d, over the 10-byte budget", s.Stats().MemBytes)
 	}
 	if blob, ok := s.Get(k("x", "huge")); !ok || len(blob) != 100 {
 		t.Fatalf("disk tier did not serve the oversized blob: %d bytes, %v", len(blob), ok)
 	}
 	// The disk-hit promotion attempt must not leave it resident either.
-	if s.MemBytes() > 10 {
-		t.Errorf("mem bytes = %d after promotion, over budget", s.MemBytes())
+	if s.Stats().MemBytes > 10 {
+		t.Errorf("mem bytes = %d after promotion, over budget", s.Stats().MemBytes)
 	}
 
 	// Memory-only store: the oversized blob is simply not cached.
@@ -147,8 +147,8 @@ func TestOversizedBlobNotResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Put(k("x", "huge"), make([]byte, 100))
-	if m.MemLen() != 0 || m.MemBytes() != 0 {
-		t.Errorf("memory-only store kept oversized blob: len=%d bytes=%d", m.MemLen(), m.MemBytes())
+	if m.MemLen() != 0 || m.Stats().MemBytes != 0 {
+		t.Errorf("memory-only store kept oversized blob: len=%d bytes=%d", m.MemLen(), m.Stats().MemBytes)
 	}
 }
 

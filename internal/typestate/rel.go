@@ -1,7 +1,9 @@
 package typestate
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"swift/internal/ir"
 )
@@ -150,27 +152,36 @@ func (a *Analysis) Reduce(rels []RelID) []RelID {
 	if len(rels) < 2 {
 		return rels
 	}
-	type group struct{ ids []RelID }
-	byTransform := map[rel]*group{}
-	order := make([]rel, 0, len(rels))
-	for _, id := range rels {
-		k := a.relOf(id)
-		k.pre = -1
-		g := byTransform[k]
-		if g == nil {
-			g = &group{}
-			byTransform[k] = g
-			order = append(order, k)
-		}
-		g.ids = append(g.ids, id)
+	// Group by transformer: a relation's encoded row without its last
+	// word, the precondition. A stable sort of the input positions by
+	// that key lays each group out contiguously, in input order.
+	key := func(i int32) []int32 { return a.rels.at(int32(rels[i]))[:relWidth-1] }
+	pos := make([]int32, len(rels))
+	for i := range pos {
+		pos[i] = int32(i)
 	}
+	slices.SortStableFunc(pos, func(i, j int32) int { return slices.Compare(key(i), key(j)) })
+	// groups holds each group's span of pos; pos[lo] is its first
+	// appearance in the input, which orders the output.
+	type span struct{ lo, hi int }
+	var groups []span
+	for lo := 0; lo < len(pos); {
+		hi := lo + 1
+		for hi < len(pos) && slices.Equal(key(pos[lo]), key(pos[hi])) {
+			hi++
+		}
+		groups = append(groups, span{lo, hi})
+		lo = hi
+	}
+	slices.SortFunc(groups, func(x, y span) int { return cmp.Compare(pos[x.lo], pos[y.lo]) })
 	out := make([]RelID, 0, len(rels))
-	for _, k := range order {
-		g := byTransform[k]
-		for _, r := range g.ids {
+	for _, g := range groups {
+		members := pos[g.lo:g.hi]
+		for _, i := range members {
+			r := rels[i]
 			dominated := false
-			for _, s := range g.ids {
-				if s != r && a.tab.implies(a.relOf(r).pre, a.relOf(s).pre) {
+			for _, j := range members {
+				if s := rels[j]; s != r && a.tab.implies(a.relOf(r).pre, a.relOf(s).pre) {
 					dominated = true
 					break
 				}
