@@ -152,42 +152,53 @@ func (a *Analysis) Reduce(rels []RelID) []RelID {
 	if len(rels) < 2 {
 		return rels
 	}
-	// Group by transformer: a relation's encoded row without its last
-	// word, the precondition. A stable sort of the input positions by
-	// that key lays each group out contiguously, in input order.
-	key := func(i int32) []int32 { return a.rels.at(int32(rels[i]))[:relWidth-1] }
-	pos := make([]int32, len(rels))
-	for i := range pos {
-		pos[i] = int32(i)
+	// Group by transformer — a relation's encoded row without its last
+	// word, the precondition — by sorting copies of the rows, ties broken
+	// by input position: each group then lies contiguously, in input
+	// order.
+	type item struct {
+		key [relWidth - 1]int32
+		pre FormulaID
+		pos int32
 	}
-	slices.SortStableFunc(pos, func(i, j int32) int { return slices.Compare(key(i), key(j)) })
-	// groups holds each group's span of pos; pos[lo] is its first
-	// appearance in the input, which orders the output.
+	items := make([]item, len(rels))
+	for i, id := range rels {
+		row := a.rels.at(int32(id))
+		copy(items[i].key[:], row)
+		items[i].pre, items[i].pos = FormulaID(row[relWidth-1]), int32(i)
+	}
+	slices.SortFunc(items, func(x, y item) int {
+		if c := slices.Compare(x.key[:], y.key[:]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.pos, y.pos)
+	})
+	// groups holds each group's span of items; its first item is its
+	// first appearance in the input, which orders the output.
 	type span struct{ lo, hi int }
-	var groups []span
-	for lo := 0; lo < len(pos); {
+	groups := make([]span, 0, len(items))
+	for lo := 0; lo < len(items); {
 		hi := lo + 1
-		for hi < len(pos) && slices.Equal(key(pos[lo]), key(pos[hi])) {
+		for hi < len(items) && items[hi].key == items[lo].key {
 			hi++
 		}
 		groups = append(groups, span{lo, hi})
 		lo = hi
 	}
-	slices.SortFunc(groups, func(x, y span) int { return cmp.Compare(pos[x.lo], pos[y.lo]) })
+	slices.SortFunc(groups, func(x, y span) int { return cmp.Compare(items[x.lo].pos, items[y.lo].pos) })
 	out := make([]RelID, 0, len(rels))
 	for _, g := range groups {
-		members := pos[g.lo:g.hi]
-		for _, i := range members {
-			r := rels[i]
+		members := items[g.lo:g.hi]
+		for _, r := range members {
 			dominated := false
-			for _, j := range members {
-				if s := rels[j]; s != r && a.tab.implies(a.relOf(r).pre, a.relOf(s).pre) {
+			for _, s := range members {
+				if rels[s.pos] != rels[r.pos] && a.tab.implies(r.pre, s.pre) {
 					dominated = true
 					break
 				}
 			}
 			if !dominated {
-				out = append(out, r)
+				out = append(out, rels[r.pos])
 			}
 		}
 	}
