@@ -43,8 +43,8 @@ type procContexts[S cmp.Ordered] struct {
 // TDResult holds the output of the top-down tabulation: the td map, the
 // procedure summary table, and the incoming-state bookkeeping used by SWIFT
 // for triggering and for ranking relational cases. The td map is
-// unexported; NodeStates, NodeStatesIn, AllStates, NumNodes and
-// EncodeTDResult read it.
+// unexported; NodeStates, AppendNodeStates, NodeStatesIn, AllStates,
+// NumNodes and EncodeTDResult read it.
 type TDResult[S cmp.Ordered] struct {
 	// Summaries maps procedure → entry state → exit states. Each (entry,
 	// exit) pair is one "top-down summary" in the paper's accounting.
@@ -230,10 +230,7 @@ func (r *TDResult[S]) NodeStates(node int) []S {
 	if s, ok := snap[node]; ok {
 		return s
 	}
-	var s []S
-	for _, p := range r.rows[node] {
-		s = r.appendCell(s, p)
-	}
+	s := r.AppendNodeStates(nil, node)
 	slices.Sort(s)
 	s = slices.Compact(s)
 	snap[node] = s

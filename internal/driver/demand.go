@@ -74,7 +74,7 @@ type SliceTable struct {
 	// node (bootstrap states excluded), with lists[0] = nil for "never
 	// reached", and at[n] indexes the list of global CFG node n. A site
 	// takes a handful of state combinations over thousands of nodes, so
-	// one 2-byte index per node replaces one slice header per node.
+	// the lists are stored once and each node costs 2 bytes.
 	lists [][]string
 	at    []uint16
 }
