@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"swift/internal/ir"
@@ -44,7 +45,7 @@ type procContexts[S cmp.Ordered] struct {
 // procedure summary table, and the incoming-state bookkeeping used by SWIFT
 // for triggering and for ranking relational cases. The td map is
 // unexported; NodeStates, AppendNodeStates, NodeStatesIn, AllStates,
-// NumNodes and EncodeTDResult read it.
+// ReachedStates, NumNodes and EncodeTDResult read it.
 type TDResult[S cmp.Ordered] struct {
 	// Summaries maps procedure → entry state → exit states. Each (entry,
 	// exit) pair is one "top-down summary" in the paper's accounting.
@@ -84,15 +85,12 @@ type TDResult[S cmp.Ordered] struct {
 	rows   [][]pathCell[S]
 	wide   []sortedSet[S]
 
-	// version counts path-edge insertions; the snapshot caches below are
-	// dropped when it moves. The accessors memoize because clients call
-	// them per check (error scans, per-node property tests); they are not
-	// safe for concurrent use — call them after the run, or from the
-	// solver's goroutine.
+	// version counts path-edge insertions; the per-node snapshot cache
+	// below is dropped when it moves. NodeStates memoizes because clients
+	// call it per check (per-node property tests); it is not safe for
+	// concurrent use — call it after the run, or from the solver's
+	// goroutine.
 	version   int
-	allSnap   sortedSet[S]
-	allSnapV  int
-	allSnapOK bool
 	nodeSnap  map[int]sortedSet[S]
 	nodeSnapV int
 }
@@ -250,13 +248,10 @@ func (r *TDResult[S]) AppendNodeStates(dst []S, node int) []S {
 
 // AllStates returns the sorted distinct abstract states recorded at any
 // program point in any context — everything the analysis has shown may be
-// reached. Clients scan it for error states, typically once per check, so
-// the result is memoized until the next path-edge insertion; callers must
-// not mutate it.
+// reached. It works for every state type by deduplicating through a map;
+// for integer states, ReachedStates gives the same answer from one pass
+// over a bitset.
 func (r *TDResult[S]) AllStates() []S {
-	if r.allSnapOK && r.allSnapV == r.version {
-		return r.allSnap
-	}
 	seen := map[S]bool{}
 	var out []S
 	visit := func(s S) {
@@ -277,10 +272,55 @@ func (r *TDResult[S]) AllStates() []S {
 		}
 	}
 	slices.Sort(out)
-	r.allSnap = out
-	r.allSnapV = r.version
-	r.allSnapOK = true
-	return r.allSnap
+	return out
+}
+
+// ReachedStates returns what r.AllStates() returns, for non-negative
+// integer states such as interned state IDs: one pass over the path-edge
+// rows marks each state in a bitset, and reading the bitset out word by
+// word yields the distinct states already sorted, with no map and no
+// sort. numStates sizes the bitset up front — a client's state count
+// bounds every state it has interned — and a state at or beyond it grows
+// the bitset, so any non-negative hint is correct.
+func ReachedStates[S ~int32](r *TDResult[S], numStates int) []S {
+	b := stateBits{words: make([]uint64, (max(numStates, 0)+63)/64)}
+	for _, row := range r.rows {
+		for _, p := range row {
+			if p.many < 0 {
+				b.mark(int32(p.one))
+			} else if p.many > 0 {
+				for _, s := range r.wide[p.many-1] {
+					b.mark(int32(s))
+				}
+			}
+		}
+	}
+	out := make([]S, 0, b.n)
+	for w, x := range b.words {
+		for ; x != 0; x &= x - 1 {
+			out = append(out, S(w<<6|bits.TrailingZeros64(x)))
+		}
+	}
+	return out
+}
+
+// stateBits is the bitset behind ReachedStates; n counts the set bits.
+type stateBits struct {
+	words []uint64
+	n     int
+}
+
+// mark sets bit s, growing the bitset when s lies beyond it. A negative s
+// is a caller error and panics with an index out of range.
+func (b *stateBits) mark(s int32) {
+	w := int(s >> 6)
+	if w >= len(b.words) {
+		b.words = append(b.words, make([]uint64, w+1-len(b.words))...)
+	}
+	if bit := uint64(1) << (s & 63); b.words[w]&bit == 0 {
+		b.words[w] |= bit
+		b.n++
+	}
 }
 
 // NodeStatesIn returns the sorted abstract states recorded at a CFG node

@@ -2,8 +2,8 @@ package core
 
 // White-box tests of the tabulation solver's memory behaviour: the worklist
 // must not pin popped states through its backing array, oversized burst
-// arrays must be released on drain, and the AllStates/NodeStates snapshot
-// caches must be reused until the next insertion invalidates them.
+// arrays must be released on drain, and the NodeStates snapshot cache must
+// be reused until the next insertion invalidates it.
 
 import (
 	"bytes"
@@ -88,29 +88,27 @@ func TestRunReleasesOversizedWorklist(t *testing.T) {
 
 // syntheticResult builds a TDResult with nodes×contexts×width facts, all
 // nodes in one procedure.
-func syntheticResult(nodes, contexts, width int) *TDResult[int] {
-	r := newPathTable[int](make([]int32, nodes), 1)
+func syntheticResult[S ~int | ~int32](nodes, contexts, width int) *TDResult[S] {
+	r := newPathTable[S](make([]int32, nodes), 1)
 	for n := 0; n < nodes; n++ {
 		for c := 0; c < contexts; c++ {
-			outs := make(sortedSet[int], width)
+			outs := make(sortedSet[S], width)
 			for w := range outs {
-				outs[w] = n + c + w
+				outs[w] = S(n + c + w)
 			}
-			r.insertSet(r.cell(n, r.context(n, c)), outs, nil)
+			r.insertSet(r.cell(n, r.context(n, S(c))), outs, nil)
 		}
 		r.version += contexts * width
 	}
 	return r
 }
 
-// TestAllStatesMemoized checks that repeated snapshot calls allocate
-// nothing and that an insertion invalidates both caches.
-func TestAllStatesMemoized(t *testing.T) {
-	r := syntheticResult(64, 3, 4)
+// TestNodeStatesMemoized checks that repeated NodeStates calls allocate
+// nothing and that an insertion invalidates the cache; AllStates, which
+// memoizes nothing, sees the insertion too.
+func TestNodeStatesMemoized(t *testing.T) {
+	r := syntheticResult[int](64, 3, 4)
 	first := r.AllStates()
-	if avg := testing.AllocsPerRun(100, func() { r.AllStates() }); avg != 0 {
-		t.Errorf("AllStates allocated %.1f per call on a clean cache", avg)
-	}
 	if avg := testing.AllocsPerRun(100, func() { r.NodeStates(7) }); avg != 0 {
 		t.Errorf("NodeStates allocated %.1f per call on a clean cache", avg)
 	}
@@ -121,34 +119,45 @@ func TestAllStatesMemoized(t *testing.T) {
 	}
 	r.version++
 	second := r.AllStates()
-	if len(second) != len(first)+1 {
-		t.Fatalf("stale snapshot after insertion: %d vs %d states", len(second), len(first))
-	}
-	if !sortedSet[int](second).has(novel) {
-		t.Fatal("recomputed snapshot misses the new state")
+	if len(second) != len(first)+1 || !sortedSet[int](second).has(novel) {
+		t.Fatalf("AllStates after insertion: %d states, want %d with %d", len(second), len(first)+1, novel)
 	}
 	if !sortedSet[int](r.NodeStates(0)).has(novel) {
 		t.Fatal("recomputed node snapshot misses the new state")
 	}
 }
 
-func benchmarkAllStates(b *testing.B, fresh bool) {
-	r := syntheticResult(2000, 4, 6)
-	r.AllStates() // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if fresh {
-			r.version++ // forces a rebuild, like an interleaved insertion
+// TestReachedStatesMatchesAllStates checks the bitset scan against the map
+// scan under a bitset hint that is exact, too small (growth past it) and
+// zero, on single-state and wide cells, and that an empty table yields no
+// states.
+func TestReachedStatesMatchesAllStates(t *testing.T) {
+	r := syntheticResult[int32](64, 3, 4)
+	r.insert(r.cell(5, r.context(5, 0)), 1000) // beyond every hint below
+	want := r.AllStates()
+	for _, hint := range []int{int(want[len(want)-1]) + 1, 70, 0} {
+		if got := ReachedStates(r, hint); !slices.Equal(got, want) {
+			t.Errorf("hint %d: ReachedStates = %v, want %v", hint, got, want)
 		}
-		if len(r.AllStates()) == 0 {
-			b.Fatal("empty snapshot")
-		}
+	}
+	if got := ReachedStates(newPathTable[int32](make([]int32, 3), 1), 8); len(got) != 0 {
+		t.Errorf("empty table: ReachedStates = %v", got)
 	}
 }
 
-func BenchmarkAllStatesMemoized(b *testing.B) { benchmarkAllStates(b, false) }
-func BenchmarkAllStatesFresh(b *testing.B)    { benchmarkAllStates(b, true) }
+// BenchmarkReachedStates times the bitset error scan over 48,000 path
+// edges of 2,000 nodes, sized from the state count as the driver does.
+func BenchmarkReachedStates(b *testing.B) {
+	r := syntheticResult[int32](2000, 4, 6)
+	numStates := 2000 + 4 + 6
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(ReachedStates(r, numStates)) == 0 {
+			b.Fatal("empty scan")
+		}
+	}
+}
 
 // TestCompressedViewSmallerOnChains is the structural payoff check: on a
 // straight-line-heavy program the compressed view must have strictly fewer

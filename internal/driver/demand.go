@@ -108,9 +108,10 @@ func buildSliceTable(sl *core.SliceRun[typestate.AbsID, typestate.RelID, typesta
 		lists:  [][]string{nil},
 		at:     make([]uint16, res.TD.NumNodes()),
 	}
-	for _, s := range ts.ErrorSites(res.TD.AllStates()) {
-		if s == site {
+	for _, s := range core.ReachedStates(res.TD, ts.StateCount()) {
+		if ts.IsError(s) && ts.Site(s) == site {
 			t.ErrorSite = true
+			break
 		}
 	}
 	// index maps a list's length-prefixed encoding to its dictionary

@@ -101,7 +101,7 @@ func (b *Build) ErrorReport(res *Result) ([]string, error) {
 		}
 		return nil, fmt.Errorf("driver: %s run has no instantiated states to report on", res.Engine)
 	}
-	return b.TS.ErrorSites(res.TD.AllStates()), nil
+	return b.TS.ErrorSites(core.ReachedStates(res.TD, b.TS.StateCount())), nil
 }
 
 // SlicedErrorReport merges the per-slice error reports of a sliced run
@@ -130,7 +130,7 @@ func (b *Build) SlicedErrorReport(res *SlicedResult) ([]string, error) {
 			return nil, fmt.Errorf("driver: %s slice %s has no instantiated states to report on",
 				sl.Result.Engine, sl.ID)
 		}
-		for _, site := range ts.ErrorSites(sl.Result.TD.AllStates()) {
+		for _, site := range ts.ErrorSites(core.ReachedStates(sl.Result.TD, ts.StateCount())) {
 			set[site] = true
 		}
 	}

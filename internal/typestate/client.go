@@ -99,8 +99,8 @@ func NewAnalysis(prog *ir.Program, track map[string]*Property, oracle Oracle) (*
 func (a *Analysis) resetMutable() {
 	t := a.tab
 	t.sets = newSetTable(t.numPaths(), hashRow)
-	t.trans = newTable(0, hashRow[GState])
-	t.forms = newTable(0, hashRow[literal])
+	t.trans = newVarTable(hashRow[GState])
+	t.forms = newVarTable(hashRow[literal])
 	t.abs = newTable(4, hashRow[int32])
 	t.methodTrans = map[string]TransID{}
 	t.composeMemo = map[[2]TransID]TransID{}

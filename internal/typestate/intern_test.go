@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -48,8 +49,8 @@ func constHash[E any]([]E) uint64 { return 42 }
 func useConstHash(a *Analysis) {
 	t := a.tab
 	t.sets = newSetTable(t.numPaths(), constHash[uint64])
-	t.trans = newTable(0, constHash[GState])
-	t.forms = newTable(0, constHash[literal])
+	t.trans = newVarTable(constHash[GState])
+	t.forms = newVarTable(constHash[literal])
 	t.abs = newTable(4, constHash[int32])
 	a.rels = newTable(relWidth, constHash[int32])
 }
@@ -65,11 +66,17 @@ func forceCollisions(a *Analysis) {
 // checkIntern interns vals, which repeat values, through intern and checks
 // that new values get dense IDs in first-intern order and repeats their
 // first ID, that at reads every ID's value back, that size counts the
-// distinct values, and that the index grew at least three times.
-func checkIntern[V any, E ~int32 | ~uint64](t *testing.T, what string, tab *table[E], vals []V, intern func(V) int32, at func(int32) V) {
+// distinct values, that the index grew at least three times and that the
+// values fill at least minPages pages. It also holds on to the raw slice
+// tab.at returns for each new value right after its intern and checks at
+// the end that every one still holds its value on the memory tab.at
+// returns now: pages never move. In a variable-width table some value must
+// have skipped a page's remainder.
+func checkIntern[V any, E ~int32 | ~uint64](t *testing.T, what string, tab *table[E], minPages int, vals []V, intern func(V) int32, at func(int32) V) {
 	t.Helper()
 	first := map[string]int32{}
 	var distinct []V
+	var held [][]E
 	for i, v := range vals {
 		k := fmt.Sprint(v)
 		want, seen := first[k]
@@ -81,17 +88,66 @@ func checkIntern[V any, E ~int32 | ~uint64](t *testing.T, what string, tab *tabl
 		if id := intern(v); id != want {
 			t.Fatalf("%s %d (%v): id %d, want %d", what, i, v, id, want)
 		}
+		if !seen {
+			held = append(held, tab.at(want))
+		}
 	}
 	for id, v := range distinct {
 		if got := at(int32(id)); fmt.Sprint(got) != fmt.Sprint(v) {
 			t.Fatalf("%s: id %d reads back %v, want %v", what, id, got, v)
 		}
+		checkHeld(t, what, tab, int32(id), held[id])
 	}
 	if tab.size() != len(distinct) {
 		t.Fatalf("%s: size %d, want %d distinct", what, tab.size(), len(distinct))
 	}
 	if len(tab.slots) < 16<<3 {
 		t.Fatalf("%s: %d distinct values grew the index only to %d slots", what, len(distinct), len(tab.slots))
+	}
+	if len(tab.pages) < minPages {
+		t.Fatalf("%s: %d distinct values fill %d pages, want at least %d", what, len(distinct), len(tab.pages), minPages)
+	}
+	if tab.width < 0 && !slices.ContainsFunc(tab.pages[:len(tab.pages)-1], func(p []E) bool { return len(p) < cap(p) }) {
+		t.Fatalf("%s: no value skipped a page's remainder", what)
+	}
+}
+
+// checkHeld checks that a slice taken from tab.at(id) earlier still holds
+// the value tab.at(id) returns now, on the same memory.
+func checkHeld[E ~int32 | ~uint64](t *testing.T, what string, tab *table[E], id int32, held []E) {
+	t.Helper()
+	now := tab.at(id)
+	if !slices.Equal(held, now) {
+		t.Fatalf("%s: id %d held %v, now reads %v", what, id, held, now)
+	}
+	if len(now) > 0 && &held[0] != &now[0] {
+		t.Fatalf("%s: id %d moved after later interns", what, id)
+	}
+}
+
+// checkOversized interns into tab, which already holds values, one value
+// longer than pageCap elements and then a short new one, and checks that the
+// long value got a page of its own, that the short one starts the next
+// page, and that both read back.
+func checkOversized[E ~int32 | ~uint64](t *testing.T, what string, tab *table[E], long, short []E) {
+	t.Helper()
+	pages := len(tab.pages)
+	idLong, idShort := tab.intern(long), tab.intern(short)
+	heldLong := tab.at(idLong)
+	if len(tab.pages) != pages+2 {
+		t.Fatalf("%s: a %d-element value and a short one added %d pages, want 2", what, len(long), len(tab.pages)-pages)
+	}
+	if p := tab.pages[pages]; len(p) != len(long) || cap(p) != len(long) {
+		t.Fatalf("%s: oversized value's page has len %d cap %d, want %d", what, len(p), cap(p), len(long))
+	}
+	more := slices.Clone(short)
+	for i := 0; i < 200; i++ { // later interns must not move either value
+		more = append(more, short...)
+		tab.intern(more)
+	}
+	checkHeld(t, what+" (oversized)", tab, idLong, heldLong)
+	if !slices.Equal(tab.at(idLong), long) || !slices.Equal(tab.at(idShort), short) {
+		t.Fatalf("%s: oversized or following value does not read back", what)
 	}
 }
 
@@ -102,22 +158,34 @@ func withRepeats[V any](vals []V) []V { return append(vals, vals[:len(vals)/2]..
 // intern tables — path sets, transformers, formulas, abstract states and
 // relations — under the real hash and under a constant one, which puts
 // every value of a table in one probe run. Path sets run on universes that
-// fill one word, end mid-word and span several.
+// fill one word, end mid-word, span several and span 64 words, whose
+// first page holds one set and whose full pages 128, so the fixed-width
+// page arithmetic runs through doubling and full pages. Every table spans
+// at least three pages; the variable-width tables also take a value longer
+// than pageCap, and so does a fixed-width table whose width exceeds it.
 func TestInternCollisionChain(t *testing.T) {
 	const numG, n = 7, 300
 	for _, collide := range []bool{false, true} {
 		name := map[bool]string{false: "real hash", true: "constant hash"}[collide]
 		var a *Analysis
-		for _, numPaths := range []int{7, 64, 130} {
+		for _, numPaths := range []int{7, 4096, 64, 130} {
 			a = &Analysis{tab: &tables{paths: make([]path, numPaths), numG: numG}}
 			a.resetMutable()
 			if collide {
 				useConstHash(a)
 			}
-			sets := workloadSets(numPaths, min(n, 96), 3)
+			// 7 paths have 128 subsets: two 64-set pages at most.
+			count, minPages := n, 3
+			switch numPaths {
+			case 7:
+				count, minPages = 96, 2
+			case 4096:
+				count = 600
+			}
+			sets := workloadSets(numPaths, count, 3)
 			// Repeat values, plus the empty set and a prefix of another set.
 			sets = append(withRepeats(sets), nil, sets[0][:1])
-			checkIntern(t, fmt.Sprintf("%s, %d paths: set", name, numPaths), a.tab.sets, sets,
+			checkIntern(t, fmt.Sprintf("%s, %d paths: set", name, numPaths), a.tab.sets, minPages, sets,
 				func(s []PathID) int32 { return int32(a.tab.internSet(s)) },
 				func(id int32) []PathID { return a.tab.setElems(SetID(id)) })
 		}
@@ -132,9 +200,10 @@ func TestInternCollisionChain(t *testing.T) {
 			}
 			vecs = append(vecs, v)
 		}
-		checkIntern(t, name+": transformer", tab.trans, withRepeats(vecs),
+		checkIntern(t, name+": transformer", tab.trans, 3, withRepeats(vecs),
 			func(v []GState) int32 { return int32(tab.internTrans(v)) },
 			func(id int32) []GState { return tab.trans.at(id) })
+		checkOversized(t, name+": transformer", tab.trans, make([]GState, pageCap+1), []GState{numG, numG})
 
 		var forms [][]literal
 		for i := 0; i < n; i++ {
@@ -146,9 +215,14 @@ func TestInternCollisionChain(t *testing.T) {
 			}
 			forms = append(forms, f)
 		}
-		checkIntern(t, name+": formula", tab.forms, withRepeats(forms),
+		checkIntern(t, name+": formula", tab.forms, 3, withRepeats(forms),
 			func(f []literal) int32 { return int32(tab.internFormula(f)) },
 			func(id int32) []literal { return tab.formLits(FormulaID(id)) })
+		long := make([]literal, 2*pageCap)
+		for i := range long {
+			long[i] = mkLit(PathID(i), litInA)
+		}
+		checkOversized(t, name+": formula", tab.forms, long, long[2*pageCap-1:])
 
 		var states []absState
 		for i := 0; i < n; i++ {
@@ -157,7 +231,7 @@ func TestInternCollisionChain(t *testing.T) {
 				a: SetID(rng.Int31n(nSets)), nc: SetID(rng.Int31n(nSets)),
 			})
 		}
-		checkIntern(t, name+": abstract state", tab.abs, withRepeats(states),
+		checkIntern(t, name+": abstract state", tab.abs, 3, withRepeats(states),
 			func(s absState) int32 { return int32(tab.internAbs(s)) },
 			func(id int32) absState { return tab.absOf(AbsID(id)) })
 
@@ -173,9 +247,35 @@ func TestInternCollisionChain(t *testing.T) {
 				pre: FormulaID(rng.Intn(n)),
 			})
 		}
-		checkIntern(t, name+": relation", a.rels, withRepeats(rels),
+		checkIntern(t, name+": relation", a.rels, 3, withRepeats(rels),
 			func(r rel) int32 { return int32(a.internRel(r)) },
 			func(id int32) rel { return a.relOf(RelID(id)) })
+
+		// A fixed width beyond pageCap: every value is oversized and gets
+		// a page of its own.
+		hash := hashRow[uint64]
+		if collide {
+			hash = constHash[uint64]
+		}
+		wide := newTable(pageCap+1, hash)
+		var held [][]uint64
+		for i := 0; i < 4; i++ {
+			row := make([]uint64, pageCap+1)
+			row[i] = 1
+			if id := wide.intern(row); id != int32(i) || wide.intern(row) != id {
+				t.Fatalf("%s: wide row %d interned as %d", name, i, id)
+			}
+			held = append(held, wide.at(int32(i)))
+		}
+		if len(wide.pages) != 4 {
+			t.Fatalf("%s: 4 wide rows fill %d pages, want 4", name, len(wide.pages))
+		}
+		for i, h := range held {
+			checkHeld(t, name+": wide row", wide, int32(i), h)
+			if h[i] != 1 {
+				t.Fatalf("%s: wide row %d reads back wrong", name, i)
+			}
+		}
 	}
 }
 
