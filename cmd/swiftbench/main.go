@@ -14,10 +14,7 @@
 // byte-identical at any setting — only wall-clock changes, reported per run
 // and in total on stderr. -sliceworkers bounds how many slices a single
 // -slices run analyzes concurrently (default GOMAXPROCS); the sliced table
-// too is byte-identical at any setting. -nosparse falls back to the dense
-// FIFO worklist and -nostruct keeps the sparse scheduler but drops
-// loop-depth priority (plain RPO batching). Both ablations leave every
-// table byte-identical — only timing and the stderr telemetry change.
+// too is byte-identical at any setting.
 // -cpuprofile/-memprofile write pprof profiles; every engine run is labeled
 // with its suite, engine and (when sliced) slice, so `go tool pprof -tags`
 // attributes samples. -faultevery N (with -faultseed) arms the chaos mode,
@@ -95,13 +92,10 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		all         = fs.Bool("all", false, "render every table and figure")
 		quick       = fs.Bool("quick", false, "use reduced budgets (smoke run)")
 		taint       = fs.Bool("taint", false, "run the kill/gen taint client generality experiment")
-		ablation    = fs.Bool("ablation", false, "run the re-summarization ablation")
 		verify      = fs.Bool("verify", false, "assert the paper's completion pattern holds")
 		parallel    = fs.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent engine runs (1 = serial)")
 		slices      = fs.Bool("slices", false, "render the site-sliced vs monolithic cost table")
 		sliceWkrs   = fs.Int("sliceworkers", runtime.GOMAXPROCS(0), "max concurrent slices per -slices run (1 = serial)")
-		nosparse    = fs.Bool("nosparse", false, "run order-insensitive solvers on the dense FIFO worklist instead of the structure-driven sparse scheduler (A/B ablation)")
-		nostruct    = fs.Bool("nostruct", false, "keep the sparse scheduler but drop loop-depth priority: plain RPO batching (A/B ablation)")
 		warmbench   = fs.Bool("warmbench", false, "run the cold-vs-warm summary-store benchmark")
 		editbench   = fs.Bool("editbench", false, "run the edit-stream incremental re-analysis benchmark")
 		editBench   = fs.String("editbenchmark", "toba-s", "benchmark the -editbench edit stream mutates")
@@ -138,11 +132,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() != 0 {
 		fmt.Fprintf(stderr, "swiftbench: unexpected arguments: %v\n", fs.Args())
-		fs.Usage()
-		return 2
-	}
-	if *nosparse && *nostruct {
-		fmt.Fprintf(stderr, "swiftbench: -nostruct is only meaningful without -nosparse (the dense worklist has no structure to ignore)\n")
 		fs.Usage()
 		return 2
 	}
@@ -208,8 +197,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	if *quick {
 		budget = bench.QuickBudget()
 	}
-	budget.NoSparse = *nosparse
-	budget.NoStructIndex = *nostruct
 	budget.FaultEvery = *faultevery
 	budget.FaultSeed = *faultseed
 	s := bench.NewSuite()
@@ -229,7 +216,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		{"figure 5", *all || *figureN == 5, func() error { return s.Figure5(stdout, budget) }},
 		{"slices", *all || *slices, func() error { return s.SlicedTable(stdout, budget, *sliceWkrs) }},
 		{"taint", *all || *taint, func() error { return s.TaintTable(stdout, budget) }},
-		{"ablation", *all || *ablation, func() error { return s.AblationTable(stdout, budget) }},
 		{"verify", *verify, func() error { return s.Verify(stdout, budget) }},
 		{"warmbench", *warmbench, func() error { return s.WarmTable(stdout, budget, *storedir) }},
 		{"editbench", *editbench, func() error {

@@ -45,7 +45,9 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown query kind", []string{"-querybench", "-querykinds", "canReach,reaches"}, `unknown query kind "reaches"`},
 		{"soakclients without soak", []string{"-table", "1", "-soakclients", "4"}, "-soakclients is only meaningful"},
 		{"soakclients below two", []string{"-soak", "-soakclients", "1"}, "-soakclients 1 must be at least 2"},
-		{"nostruct with nosparse", []string{"-table", "2", "-nosparse", "-nostruct"}, "-nostruct is only meaningful"},
+		{"nosparse removed", []string{"-table", "2", "-nosparse"}, "flag provided but not defined: -nosparse"},
+		{"nostruct removed", []string{"-table", "2", "-nostruct"}, "flag provided but not defined: -nostruct"},
+		{"ablation removed", []string{"-ablation"}, "flag provided but not defined: -ablation"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,29 +130,6 @@ func TestCPUProfileFlushedOnMemprofileFailure(t *testing.T) {
 		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, stderr)
 	}
 	readGzipProfile(t, profile)
-}
-
-// TestSparseAblationFlagsByteIdentical pins the -nosparse/-nostruct
-// contract at the CLI: the scheduler ablations change only timing and
-// stderr telemetry, never a rendered table byte.
-func TestSparseAblationFlagsByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three full table-2 passes")
-	}
-	code, base, stderr := runCLI(t, "-quick", "-table", "2")
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
-	}
-	for _, flag := range []string{"-nosparse", "-nostruct"} {
-		code, got, stderr := runCLI(t, "-quick", "-table", "2", flag)
-		if code != 0 {
-			t.Fatalf("%s: exit = %d, stderr:\n%s", flag, code, stderr)
-		}
-		if got != base {
-			t.Errorf("%s: table 2 differs from the default scheduler:\n--- default:\n%s--- %s:\n%s",
-				flag, base, flag, got)
-		}
-	}
 }
 
 // TestWarmbenchFlag smokes the -warmbench step end to end on a real

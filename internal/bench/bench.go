@@ -39,14 +39,6 @@ type Budget struct {
 	Relations int
 	Timeout   time.Duration
 
-	// NoSparse and NoStructIndex forward the sparse-scheduler ablation
-	// knobs: dense FIFO fact draining, or sparse draining without
-	// loop-depth priority (plain RPO batching). Result tables are
-	// identical either way; the knobs exist so the experiment harness can
-	// time the ablations.
-	NoSparse      bool
-	NoStructIndex bool
-
 	// FaultEvery, when positive, arms a seeded fault-injection plan on
 	// every engine run (roughly one injected fault per FaultEvery client
 	// operations, drawn from FaultSeed): a chaos-smoke mode proving the
@@ -88,8 +80,6 @@ func (b Budget) config(k, theta int) core.Config {
 	cfg.MaxPathEdges = b.PathEdges
 	cfg.MaxRelations = b.Relations
 	cfg.Timeout = b.Timeout
-	cfg.NoSparse = b.NoSparse
-	cfg.NoStructIndex = b.NoStructIndex
 	if b.FaultEvery > 0 {
 		cfg.Fault = core.SeededFaultPlan(b.FaultSeed, b.FaultEvery)
 	}

@@ -34,9 +34,6 @@ func (s *Suite) EditTable(w io.Writer, budget Budget, dir, benchmark string, see
 	if budget.FaultEvery > 0 {
 		return fmt.Errorf("bench: EditTable is incompatible with fault injection (fault-armed runs bypass the store)")
 	}
-	if budget.config(1, 1).Ablation() {
-		return fmt.Errorf("bench: EditTable is incompatible with ablation knobs (ablation runs bypass the store)")
-	}
 	p, ok := benchprog.ProfileByName(benchmark)
 	if !ok {
 		return fmt.Errorf("bench: unknown benchmark %q", benchmark)

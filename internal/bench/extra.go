@@ -130,63 +130,6 @@ func (s *Suite) TaintTable(w io.Writer, budget Budget) error {
 	return nil
 }
 
-// AblationTable measures the adaptive re-summarization knob
-// (Config.Resummarize): Algorithm 1's one-shot triggering versus allowing
-// up to 4 summary recomputations when Σ-fallbacks accumulate. The sample
-// the recomputation ranks against is biased toward fallback states (the
-// dominant ones stopped arriving the moment the first summary was
-// installed), so re-ranking tends to evict the dominant case — the
-// one-shot default wins.
-func (s *Suite) AblationTable(w io.Writer, budget Budget) error {
-	names := []string{"toba-s", "javasrc-p", "hedc", "antlr"}
-	modes := []int{0, 4}
-	runs := make([]*EngineRun, len(names)*len(modes))
-	redone := make([]int, len(names)*len(modes))
-	var jobs []func() error
-	for i, name := range names {
-		for j, resummarize := range modes {
-			slot := i*len(modes) + j
-			name, resummarize := name, resummarize
-			jobs = append(jobs, func() error {
-				cfg := budget.config(5, 1)
-				cfg.Resummarize = resummarize
-				run, err := s.RunConfig(name, "swift", cfg)
-				if err != nil {
-					return err
-				}
-				redone[slot] = run.Result.Resummarized
-				run.Result = nil
-				runs[slot] = run
-				return nil
-			})
-		}
-	}
-	if err := s.forEach(jobs); err != nil {
-		return err
-	}
-	header := []string{"benchmark", "one-shot cost", "adaptive cost", "TD summ one-shot", "adaptive", "recomputed"}
-	var rows [][]string
-	for i, name := range names {
-		oneShot, adaptive := runs[i*len(modes)], runs[i*len(modes)+1]
-		s.Release(name)
-		t1, t2 := "DNF", "DNF"
-		if oneShot.Completed {
-			t1 = fmtDur(oneShot.Cost)
-		}
-		if adaptive.Completed {
-			t2 = fmtDur(adaptive.Cost)
-		}
-		rows = append(rows, []string{
-			name, t1, t2,
-			fmtK(oneShot.TDSummaries), fmtK(adaptive.TDSummaries),
-			fmt.Sprintf("%d", redone[i*len(modes)+1]),
-		})
-	}
-	fmt.Fprintln(w, "Ablation: one-shot triggering (Algorithm 1) vs adaptive re-summarization.")
-	table(w, header, rows)
-	return nil
-}
-
 // KSweep runs the Table 3 experiment on an arbitrary benchmark (the paper
 // uses avrora; smaller members make handy smoke runs). The per-k runs
 // execute concurrently and are assembled in k order.

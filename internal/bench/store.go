@@ -27,9 +27,6 @@ func (s *Suite) WarmTable(w io.Writer, budget Budget, dir string) error {
 	if budget.FaultEvery > 0 {
 		return fmt.Errorf("bench: WarmTable is incompatible with fault injection (fault-armed runs bypass the store)")
 	}
-	if budget.config(5, 1).Ablation() {
-		return fmt.Errorf("bench: WarmTable is incompatible with ablation knobs (ablation runs bypass the store)")
-	}
 	st, err := store.Open(dir, 256<<20)
 	if err != nil {
 		return err

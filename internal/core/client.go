@@ -190,23 +190,6 @@ type Config struct {
 	// only supported signal; sending on it does nothing.
 	Cancel <-chan struct{}
 
-	// NoSparse forces the order-insensitive solvers (RunTD, and RunBU's
-	// instantiation pass) onto the dense FIFO fact worklist instead of the
-	// structure-driven sparse scheduler (sparse.go). Both schedulers
-	// produce identical result tables and identical counters — budgets and
-	// Steps are counted in original-graph units either way — so this is an
-	// A/B knob for benchmarking and the equivalence property tests, not a
-	// semantic switch. The hybrid engines ignore it and always run dense
-	// (see RunSwift).
-	NoSparse bool
-
-	// NoStructIndex keeps the sparse scheduler but drops loop-depth
-	// priority: nodes drain in plain reverse postorder. An ablation knob
-	// isolating the loop nest's contribution from plain batched RPO
-	// draining; results and counters are identical either way. Implied
-	// moot when NoSparse is set.
-	NoStructIndex bool
-
 	// Fault, when non-nil, arms the deterministic fault-injection layer:
 	// every engine entry point wraps the client so the plan's scheduled
 	// faults (errors, panics, stalls, forced budget exhaustion) fire at
@@ -228,30 +211,23 @@ type Config struct {
 	// name. It has no effect on analysis results.
 	ProfileLabel string
 
-	// Resummarize bounds how many times the hybrid driver may recompute a
-	// procedure's bottom-up summary after the pruning oracle mispredicted
-	// the dominant case. The paper's Algorithm 1 summarizes each procedure
-	// once, ranking cases by the incoming states seen so far; when the
-	// trigger fires early in the run that sample is unrepresentative and
-	// the kept case can be useless (the failure mode Section 4 discusses).
-	// This implementation can watch the Σ-fallback rate per summarized
-	// procedure and re-run run_bu — with the now much larger sample — up
-	// to Resummarize times per procedure. Zero (the default) reproduces the
-	// one-shot behaviour of Algorithm 1, which also performs best in our
-	// experiments: after a procedure is summarized, only non-dominant
-	// states still reach it top-down, so the later sample is biased and
-	// re-ranking against it tends to evict the dominant case (the ablation
-	// benchmarks record this).
-	Resummarize int
+	// schedule picks the order-insensitive solvers' worklist (RunTD, and
+	// RunBU's instantiation pass). The zero value is the production
+	// schedule: the sparse scheduler with loop-depth priority (sparse.go).
+	// The other schedules produce identical result tables and counters;
+	// only tests select them, as equivalence oracles (export_test.go).
+	schedule schedule
 }
 
-// Ablation reports whether any A/B knob is set (NoSparse, NoStructIndex).
-// Neither changes a result, so store keys leave them out; the driver keeps
-// such runs away from the store and the slice memo, where they would
-// otherwise be answered by a default run.
-func (c Config) Ablation() bool {
-	return c.NoSparse || c.NoStructIndex
-}
+// schedule names a worklist schedule for td and bu. The hybrid ignores
+// it and always runs the dense FIFO (see RunSwift).
+type schedule uint8
+
+const (
+	scheduleSparse   schedule = iota // sparse, loop-depth priority
+	scheduleDense                    // dense FIFO fact worklist
+	schedulePlainRPO                 // sparse, plain reverse postorder
+)
 
 // DefaultConfig returns the configuration used throughout the evaluation
 // section: the paper's overall-optimal thresholds k=5, θ=1 and generous
@@ -264,7 +240,6 @@ func DefaultConfig() Config {
 		MaxTDSummaries: Unlimited,
 		MaxRelations:   Unlimited,
 		MaxBUSteps:     Unlimited,
-		Resummarize:    0,
 	}
 }
 

@@ -16,3 +16,20 @@ import (
 func RawViewAnalysis[S, R, P cmp.Ordered](a *Analysis[S, R, P]) *Analysis[S, R, P] {
 	return &Analysis[S, R, P]{Client: a.Client, Prog: a.Prog, CFG: a.CFG, view: ir.RawView(a.CFG)}
 }
+
+// DenseFIFO returns cfg with td and bu on the dense FIFO fact worklist
+// instead of the sparse scheduler. It is the oracle of the sparse ≡ dense
+// equivalence tests: both schedules must produce identical tables and
+// counters. The hybrid runs dense whatever the config says.
+func DenseFIFO(cfg Config) Config {
+	cfg.schedule = scheduleDense
+	return cfg
+}
+
+// PlainRPO returns cfg with the sparse scheduler draining nodes in plain
+// reverse postorder, without loop-depth priority; tables and counters
+// must again be identical.
+func PlainRPO(cfg Config) Config {
+	cfg.schedule = schedulePlainRPO
+	return cfg
+}

@@ -31,8 +31,8 @@ func fingerprintResult(res *core.Result[string, string, string], entry, init str
 		fmt.Fprintf(&b, "exit=%v\n", res.ExitStates(entry, init))
 	}
 	fmt.Fprintf(&b, "bustats=%+v\n", res.BUStats)
-	fmt.Fprintf(&b, "calls bu=%d td=%d sigma=%d panics=%d resum=%d\n",
-		res.CallsViaBU, res.CallsViaTD, res.CallsInSigma, res.ClientPanics, res.Resummarized)
+	fmt.Fprintf(&b, "calls bu=%d td=%d sigma=%d panics=%d\n",
+		res.CallsViaBU, res.CallsViaTD, res.CallsInSigma, res.ClientPanics)
 	fmt.Fprintf(&b, "triggered=%v failed=%v\n", res.Triggered, res.BUFailed)
 	names := make([]string, 0, len(res.BU))
 	for name := range res.BU {

@@ -56,10 +56,10 @@ func (a *Analysis[S, R, P]) cfgView() *ir.CFGView {
 }
 
 // sparseIndex returns the structure index of the traversal view, or nil
-// when the sparse scheduler is disabled (Config.NoSparse). Only td and bu
-// call it; the hybrid always passes newTDSolver a nil index (see RunSwift).
+// under the dense test schedule. Only td and bu call it; the hybrid always
+// passes newTDSolver a nil index (see RunSwift).
 func (a *Analysis[S, R, P]) sparseIndex(config Config) *ir.StructIndex {
-	if config.NoSparse {
+	if config.schedule == scheduleDense {
 		return nil
 	}
 	if a.structIdx == nil {
@@ -96,9 +96,6 @@ type Result[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	CallsViaBU   int
 	CallsViaTD   int
 	CallsInSigma int
-	// Resummarized counts adaptive summary recomputations (see
-	// Config.Resummarize).
-	Resummarized int
 	// ClientPanics counts client panics contained inside bottom-up
 	// triggers (each is retried up to panicRetryLimit times, then the
 	// trigger degrades to a BUFailed top-down fallback). Engine-level
@@ -255,14 +252,13 @@ func (a *Analysis[S, R, P]) RunSwift(initial S, config Config) *Result[S, R, P] 
 	client := effectiveClient(a.Client, config)
 	h := &hybrid[S, R, P]{
 		a: a, client: client, config: config, res: res,
-		watch:    map[string]*watchRec{},
 		pending:  map[string]bool{},
 		panicked: map[string]int{},
 	}
-	// Always the dense FIFO (nil index), whatever NoSparse and
-	// NoStructIndex say. Pop order decides when triggers fire and which
-	// EntrySeen sample they rank by, so this pins one schedule; Theorem 3.1
-	// makes the error report independent of it. The sparse scheduler was
+	// Always the dense FIFO (nil index), whatever config.schedule says.
+	// Pop order decides when triggers fire and which EntrySeen sample they
+	// rank by, so this pins one schedule; Theorem 3.1 makes the error
+	// report independent of it. The sparse scheduler was
 	// measured and rejected here (DESIGN.md §13.4).
 	t := newTDSolver(client, a.cfgView(), config, h, nil)
 	h.td = t
@@ -300,9 +296,6 @@ type hybrid[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	// panicked counts contained run_bu panics per trigger, bounding retries
 	// at panicRetryLimit before the trigger degrades to BUFailed.
 	panicked map[string]int
-	// watch tracks per-procedure Σ-fallbacks to drive adaptive
-	// re-summarization (Config.Resummarize).
-	watch map[string]*watchRec
 	// pending holds procedures whose trigger fired but whose run_bu was
 	// postponed because some reachable procedure had no top-down incoming
 	// state yet to rank by (Section 4). Postponed means deferred, not
@@ -310,13 +303,6 @@ type hybrid[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	pending map[string]bool
 	// retryTick throttles pending retries.
 	retryTick int
-}
-
-// watchRec tracks how useful a procedure's bottom-up summary has been.
-type watchRec struct {
-	fallbacks int // Σ-fallbacks since the last (re-)summarization
-	redone    int // re-summarizations performed
-	limit     int // fallback budget before the next re-summarization
 }
 
 // beforeCall applies a bottom-up summary when one exists and the incoming
@@ -329,9 +315,6 @@ func (h *hybrid[S, R, P]) beforeCall(callee string, s S) ([]S, bool, error) {
 	}
 	if Ignores(h.client, rs, s) {
 		h.res.CallsInSigma++
-		if err := h.noteFallback(callee); err != nil {
-			return nil, false, err
-		}
 		return nil, false, nil
 	}
 	results := ApplySummary(h.client, rs, s)
@@ -344,52 +327,6 @@ func (h *hybrid[S, R, P]) beforeCall(callee string, s S) ([]S, bool, error) {
 	}
 	h.res.CallsViaBU++
 	return results, true, nil
-}
-
-// noteFallback records a Σ-fallback and, once the summary has proven
-// ineffective often enough, recomputes it against the current (much larger)
-// incoming-state sample.
-func (h *hybrid[S, R, P]) noteFallback(callee string) error {
-	if h.config.Resummarize <= 0 {
-		return nil
-	}
-	w := h.watch[callee]
-	if w == nil {
-		w = &watchRec{limit: 8 * (h.config.K + 1)}
-		h.watch[callee] = w
-	}
-	w.fallbacks++
-	if w.redone >= h.config.Resummarize || w.fallbacks < w.limit {
-		return nil
-	}
-	w.redone++
-	w.fallbacks = 0
-	w.limit *= 4
-	old := h.res.BU[callee]
-	delete(h.res.BU, callee)
-	var stats BUStats
-	eta, err := safeRunBU(
-		h.client, h.a.Prog, h.config, h.config.Theta,
-		[]string{callee}, h.res.BU, h.res.TD.EntrySeen, &stats,
-	)
-	h.res.BUStats.add(stats)
-	if errors.Is(err, ErrClientPanic) {
-		// A panicking recomputation is treated like a blown budget: keep the
-		// old (still sound) summary and move on.
-		h.res.ClientPanics++
-		h.res.BU[callee] = old
-		return nil
-	}
-	if errors.Is(err, ErrBudget) {
-		h.res.BU[callee] = old
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	h.res.BU[callee] = eta[callee]
-	h.res.Resummarized++
-	return nil
 }
 
 // afterCall checks the trigger condition (line 17): once the callee has more

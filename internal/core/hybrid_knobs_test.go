@@ -1,7 +1,7 @@
 package core_test
 
-// The hybrid engine always runs with the dense FIFO, so the td/bu
-// scheduler knobs (NoSparse, NoStructIndex) must be inert for it. These
+// The hybrid engine always runs with the dense FIFO, so the td/bu test
+// schedules (core.DenseFIFO, core.PlainRPO) must be inert for it. These
 // tests pin that as byte identity of the encoded result tables.
 
 import (
@@ -18,13 +18,13 @@ import (
 	"swift/internal/wire"
 )
 
-// hybridKnobs are the settings each hybrid run is repeated under.
+// hybridKnobs are the schedules each hybrid run is repeated under.
 var hybridKnobs = []struct {
-	name string
-	set  func(*core.Config)
+	name  string
+	sched func(core.Config) core.Config
 }{
-	{"noSparse", func(c *core.Config) { c.NoSparse = true }},
-	{"noStructIndex", func(c *core.Config) { c.NoStructIndex = true }},
+	{"noSparse", core.DenseFIFO},
+	{"noStructIndex", core.PlainRPO},
 }
 
 // killgenTables encodes a kill/gen result: the full tabulation tables,
@@ -131,9 +131,7 @@ func TestHybridKnobsByteIdentical(t *testing.T) {
 			cfg.K = 1
 			base := run(t, "swift", cfg)
 			for _, knob := range hybridKnobs {
-				kcfg := cfg
-				knob.set(&kcfg)
-				if got := run(t, "swift", kcfg); !bytes.Equal(got, base) {
+				if got := run(t, "swift", knob.sched(cfg)); !bytes.Equal(got, base) {
 					t.Errorf("%s: encoded tables differ from the default run", knob.name)
 				}
 			}

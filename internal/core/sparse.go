@@ -100,7 +100,7 @@ func newSparseState[S cmp.Ordered](idx *ir.StructIndex, config Config, stats *Sp
 			continue
 		}
 		d := int64(idx.Depth[i])
-		if config.NoStructIndex {
+		if config.schedule == schedulePlainRPO {
 			d = maxd // uniform: plain RPO order, no region priority
 		}
 		sp.key[i] = (maxd-d)<<44 | rpo<<sparseNodeBits | int64(i)

@@ -7,8 +7,8 @@ package core_test
 // loop-depth priority) must produce result tables
 // and counters byte-identical to the dense FIFO baseline, under every
 // engine and at every slice-worker count. The sparse path is purely a
-// scheduling optimization; these tests are the contract that makes the
-// -nosparse/-nostruct ablation knobs meaningful A/B switches.
+// scheduling optimization; these tests pin that through the test-only
+// schedules core.DenseFIFO and core.PlainRPO.
 
 import (
 	"bytes"
@@ -27,22 +27,20 @@ import (
 // scheduler over the compressed view with loop-depth priority. The raw
 // rows run on the test-only raw view (core.RawViewAnalysis).
 var sparseConfigs = []struct {
-	name            string
-	noSparse, noIdx bool
-	raw             bool
+	name  string
+	sched func(core.Config) core.Config
+	dense bool
+	raw   bool
 }{
-	{"sparse+compressed", false, false, false},
-	{"dense", true, false, false},
-	{"nostruct", false, true, false},
-	{"sparse+raw", false, false, true},
-	{"dense+raw", true, false, true},
+	{"sparse+compressed", sparseDefault, false, false},
+	{"dense", core.DenseFIFO, true, false},
+	{"nostruct", core.PlainRPO, false, false},
+	{"sparse+raw", sparseDefault, false, true},
+	{"dense+raw", core.DenseFIFO, true, true},
 }
 
-func applySparse(cfg core.Config, noSparse, noIdx bool) core.Config {
-	cfg.NoSparse = noSparse
-	cfg.NoStructIndex = noIdx
-	return cfg
-}
+// sparseDefault leaves the production schedule in place.
+func sparseDefault(cfg core.Config) core.Config { return cfg }
 
 // onView returns an, or its raw-view oracle when raw is set.
 func onView(an *core.Analysis[string, string, string], raw bool) *core.Analysis[string, string, string] {
@@ -58,20 +56,20 @@ func onView(an *core.Analysis[string, string, string], raw bool) *core.Analysis[
 // (sparse) result is returned.
 func sparseVariants(t *testing.T, label string, an *core.Analysis[string, string, string], init string, cfg core.Config) *core.Result[string, string, string] {
 	t.Helper()
-	base := an.RunTD(init, applySparse(cfg, false, false))
+	base := an.RunTD(init, cfg)
 	if !base.TD.Sparse.Enabled {
 		t.Errorf("%s: sparse scheduler did not engage on the default config", label)
 	}
 	for _, v := range sparseConfigs[1:] {
-		got := onView(an, v.raw).RunTD(init, applySparse(cfg, v.noSparse, v.noIdx))
+		got := onView(an, v.raw).RunTD(init, v.sched(cfg))
 		if !errors.Is(got.Err, base.Err) && !errors.Is(base.Err, got.Err) {
 			t.Errorf("%s/%s: err = %v, want %v", label, v.name, got.Err, base.Err)
 			continue
 		}
 		sameTD(t, label+"/"+v.name, base.TD, got.TD)
-		if got.TD.Sparse.Enabled == v.noSparse {
-			t.Errorf("%s/%s: Sparse.Enabled = %v under noSparse=%v",
-				label, v.name, got.TD.Sparse.Enabled, v.noSparse)
+		if got.TD.Sparse.Enabled == v.dense {
+			t.Errorf("%s/%s: Sparse.Enabled = %v under dense=%v",
+				label, v.name, got.TD.Sparse.Enabled, v.dense)
 		}
 	}
 	return base
@@ -89,7 +87,7 @@ func TestSparseMatchesDenseOnFixture(t *testing.T) {
 	// it must be equally indifferent to the scheduler.
 	buBase := an.RunBU(init, core.BUConfig())
 	for _, v := range sparseConfigs[1:] {
-		got := onView(an, v.raw).RunBU(init, applySparse(core.BUConfig(), v.noSparse, v.noIdx))
+		got := onView(an, v.raw).RunBU(init, v.sched(core.BUConfig()))
 		if !buBase.Completed() || !got.Completed() {
 			t.Fatalf("bu/%s: %v / %v", v.name, buBase.Err, got.Err)
 		}
@@ -104,7 +102,7 @@ func TestSparseMatchesDenseOnFixture(t *testing.T) {
 // random programs: every scheduler/view combination of the top-down
 // solver, the bottom-up instantiation pass, and the hybrid (which must be
 // bit-identical because it always runs dense on the compressed view — the
-// knobs are no-ops there, not perturbations).
+// schedules are no-ops there, not perturbations).
 func TestSparseMatchesDenseRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 12; trial++ {
@@ -118,7 +116,7 @@ func TestSparseMatchesDenseRandomPrograms(t *testing.T) {
 		sparseVariants(t, label, an, init, core.TDConfig())
 
 		buBase := an.RunBU(init, core.BUConfig())
-		buDense := an.RunBU(init, applySparse(core.BUConfig(), true, false))
+		buDense := an.RunBU(init, core.DenseFIFO(core.BUConfig()))
 		if buBase.Err != nil || buDense.Err != nil {
 			t.Fatalf("%s: bu: %v / %v", label, buBase.Err, buDense.Err)
 		}
@@ -130,16 +128,27 @@ func TestSparseMatchesDenseRandomPrograms(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.K = 1
 		swBase := an.RunSwift(init, cfg)
-		swKnob := an.RunSwift(init, applySparse(cfg, true, true))
-		if swBase.Err != nil || swKnob.Err != nil {
-			t.Fatalf("%s: swift: %v / %v", label, swBase.Err, swKnob.Err)
+		if swBase.Err != nil {
+			t.Fatalf("%s: swift: %v", label, swBase.Err)
 		}
-		sameTD(t, label+"/swift", swBase.TD, swKnob.TD)
-		if swBase.TD.Sparse.Enabled || swKnob.TD.Sparse.Enabled {
+		if swBase.TD.Sparse.Enabled {
 			t.Errorf("%s: hybrid reported a sparse run; it must run dense on the compressed view", label)
 		}
-		if swBase.BUStats != swKnob.BUStats {
-			t.Errorf("%s: swift stats differ with knobs set", label)
+		for _, v := range sparseConfigs[1:] {
+			if v.raw {
+				continue
+			}
+			sw := an.RunSwift(init, v.sched(cfg))
+			if sw.Err != nil {
+				t.Fatalf("%s/%s: swift: %v", label, v.name, sw.Err)
+			}
+			sameTD(t, label+"/swift/"+v.name, swBase.TD, sw.TD)
+			if sw.TD.Sparse.Enabled {
+				t.Errorf("%s/%s: hybrid reported a sparse run; it must run dense on the compressed view", label, v.name)
+			}
+			if swBase.BUStats != sw.BUStats {
+				t.Errorf("%s/%s: swift stats differ under the test schedule", label, v.name)
+			}
 		}
 	}
 }
@@ -176,7 +185,7 @@ func TestSparseMatchesDenseOnBenchSuite(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				run := func(noSparse, noIdx bool) *driver.Result {
+				run := func(sched func(core.Config) core.Config) *driver.Result {
 					cfg := core.DefaultConfig()
 					// The quick-budget caps: the largest stand-ins are built
 					// to exhaust the TD path-edge budget, and the unpruned
@@ -184,17 +193,15 @@ func TestSparseMatchesDenseOnBenchSuite(t *testing.T) {
 					// all on the alias-tangled ones.
 					cfg.MaxPathEdges = 300_000
 					cfg.MaxRelations = 60_000
-					cfg.NoSparse = noSparse
-					cfg.NoStructIndex = noIdx
-					res, err := b.Run(engine, cfg)
+					res, err := b.Run(engine, sched(cfg))
 					if err != nil {
 						t.Fatal(err)
 					}
 					return res
 				}
-				dense := run(true, false)
-				sparse := run(false, false)
-				nostruct := run(false, true)
+				dense := run(core.DenseFIFO)
+				sparse := run(sparseDefault)
+				nostruct := run(core.PlainRPO)
 				for _, v := range []struct {
 					name string
 					res  *driver.Result
@@ -282,7 +289,9 @@ func TestSparseMatchesDenseSliced(t *testing.T) {
 	runSliced := func(workers int, noSparse bool) (*driver.SlicedResult, []string) {
 		cfg := core.DefaultConfig()
 		cfg.SliceWorkers = workers
-		cfg.NoSparse = noSparse
+		if noSparse {
+			cfg = core.DenseFIFO(cfg)
+		}
 		res, err := b.RunSliced("td", cfg)
 		if err != nil {
 			t.Fatalf("workers=%d nosparse=%v: %v", workers, noSparse, err)

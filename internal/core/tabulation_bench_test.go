@@ -7,10 +7,10 @@ package core_test
 //     entry-context cells as the path-edge table, structure-driven sparse
 //     scheduler (DESIGN.md §13).
 //   - BenchmarkTabulationDense — A/B control: the shipped solver with the
-//     sparse scheduler off (Config.NoSparse), i.e. the dense FIFO that was
+//     sparse scheduler off (core.DenseFIFO), i.e. the dense FIFO that was
 //     the shipped configuration before the structure layer.
 //   - BenchmarkTabulationNoStruct — A/B control: sparse scheduler without
-//     loop-depth priority (Config.NoStructIndex): plain RPO batching.
+//     loop-depth priority (core.PlainRPO): plain RPO batching.
 //   - BenchmarkTabulationRaw — the pre-optimization solver preserved in
 //     legacy_bench_test.go: one edge per traversal, map[pathPair]bool
 //     table. This is the "before" the ratio is measured against.
@@ -78,15 +78,13 @@ func BenchmarkTabulationCompressed(b *testing.B) {
 	}
 }
 
-// tabulationKnob benchmarks the shipped solver with one scheduler knob
-// set — the -nosparse/-nostruct ablation controls.
-func tabulationKnob(b *testing.B, noSparse, noIdx bool) {
+// tabulationKnob benchmarks the shipped solver under one test schedule —
+// the dense and plain-RPO controls.
+func tabulationKnob(b *testing.B, sched func(core.Config) core.Config) {
 	for _, name := range tabulationProfiles {
 		b.Run(name, func(b *testing.B) {
 			bl := tabulationBuild(b, name)
-			cfg := core.TDConfig()
-			cfg.NoSparse = noSparse
-			cfg.NoStructIndex = noIdx
+			cfg := sched(core.TDConfig())
 			if res, err := bl.Run("td", cfg); err != nil || res.Err != nil {
 				b.Fatalf("warmup: %v / %v", err, res.Err)
 			}
@@ -102,8 +100,8 @@ func tabulationKnob(b *testing.B, noSparse, noIdx bool) {
 	}
 }
 
-func BenchmarkTabulationDense(b *testing.B)    { tabulationKnob(b, true, false) }
-func BenchmarkTabulationNoStruct(b *testing.B) { tabulationKnob(b, false, true) }
+func BenchmarkTabulationDense(b *testing.B)    { tabulationKnob(b, core.DenseFIFO) }
+func BenchmarkTabulationNoStruct(b *testing.B) { tabulationKnob(b, core.PlainRPO) }
 
 func BenchmarkTabulationRaw(b *testing.B) {
 	for _, name := range tabulationProfiles {

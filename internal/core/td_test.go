@@ -178,13 +178,13 @@ func TestCompressedViewSmallerOnChains(t *testing.T) {
 }
 
 // TestHybridsRunOnCompressedView: the hybrid walks the compressed view
-// with the dense FIFO even when every td/bu ablation knob asks otherwise,
+// with the dense FIFO even when a td/bu test schedule asks otherwise,
 // so a fresh Analysis builds the view but never a structure index for
 // it.
 func TestHybridsRunOnCompressedView(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.K = 1
-	cfg.NoStructIndex = true
+	cfg = PlainRPO(cfg)
 	solver, taint := tdFixture(t, cfg)
 	a, err := NewAnalysis[string, string, string](taint, solver.cfg.Program)
 	if err != nil {

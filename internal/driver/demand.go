@@ -311,8 +311,7 @@ type DemandEvaluator struct {
 
 // NewDemandEvaluator validates the engine name (fault-armed configs are
 // rejected: injected operation indices would make slice outcomes depend
-// on cache state, exactly why Warm.Run bypasses the store for them; so are
-// ablation configs, whose slice keys would alias the default run's) and
+// on cache state, exactly why Warm.Run bypasses the store for them) and
 // binds the evaluator. A nil memo gets a fresh default-bound one.
 func NewDemandEvaluator(b *Build, engine string, cfg core.Config, memo *SliceMemo) (*DemandEvaluator, error) {
 	switch engine {
@@ -322,9 +321,6 @@ func NewDemandEvaluator(b *Build, engine string, cfg core.Config, memo *SliceMem
 	}
 	if cfg.Fault != nil {
 		return nil, fmt.Errorf("driver: demand queries are incompatible with fault injection")
-	}
-	if cfg.Ablation() {
-		return nil, fmt.Errorf("driver: demand queries are incompatible with ablation knobs")
 	}
 	if memo == nil {
 		memo = NewSliceMemo(0)

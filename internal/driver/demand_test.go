@@ -284,7 +284,7 @@ func resident(m *SliceMemo, key string) bool {
 }
 
 // TestDemandEvaluatorRejects covers constructor validation: unknown
-// engines, fault-armed configs and ablation configs are refused up front.
+// engines and fault-armed configs are refused up front.
 func TestDemandEvaluatorRejects(t *testing.T) {
 	b, err := FromSource(goodProgram)
 	if err != nil {
@@ -297,13 +297,6 @@ func TestDemandEvaluatorRejects(t *testing.T) {
 	cfg.Fault = &core.FaultPlan{Every: 3}
 	if _, err := NewDemandEvaluator(b, "td", cfg, nil); err == nil {
 		t.Error("fault-armed config should be rejected")
-	}
-	for name, set := range ablationKnobs {
-		cfg := core.DefaultConfig()
-		set(&cfg)
-		if _, err := NewDemandEvaluator(b, "td", cfg, nil); err == nil {
-			t.Errorf("%s config should be rejected", name)
-		}
 	}
 }
 
@@ -344,36 +337,6 @@ func TestSliceRunKeyDistinguishes(t *testing.T) {
 	}
 	if SliceRunKey(b, "td", kcfg, "h1").ID() != SliceRunKey(b, "td", cfg, "h1").ID() {
 		t.Error("td ignores K; its key should too")
-	}
-}
-
-// ablationKnobs sets each of core.Config's A/B knobs in turn.
-var ablationKnobs = map[string]func(*core.Config){
-	"noSparse":      func(c *core.Config) { c.NoSparse = true },
-	"noStructIndex": func(c *core.Config) { c.NoStructIndex = true },
-}
-
-// TestKeysIgnoreAblationKnobs: the ablation knobs never change an
-// artifact, so no knob splits the result or slice-memo key of any engine.
-// (Ablation runs stay out of the store and the memo instead; see
-// TestWarmAblationBypassesStore and TestDemandEvaluatorRejects.)
-func TestKeysIgnoreAblationKnobs(t *testing.T) {
-	b, err := FromSource(goodProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	for name, set := range ablationKnobs {
-		kcfg := cfg
-		set(&kcfg)
-		for _, engine := range []string{"td", "bu", "swift"} {
-			if ResultKey(b, engine, kcfg).ID() != ResultKey(b, engine, cfg).ID() {
-				t.Errorf("%s: %s result key split", engine, name)
-			}
-			if SliceRunKey(b, engine, kcfg, "h1").ID() != SliceRunKey(b, engine, cfg, "h1").ID() {
-				t.Errorf("%s: %s slice key split", engine, name)
-			}
-		}
 	}
 }
 

@@ -51,9 +51,12 @@ func EncodeResultTables(b *Build, res *Result) []byte {
 	for _, name := range res.Triggered {
 		w.String(name)
 	}
+	// The last slot held the count of adaptive re-summarizations, a
+	// retired feature. It stays a literal 0 so golden_digests.txt and
+	// stored result blobs keep their bytes under store.KeyVersion 3.
 	for _, n := range []int{
 		res.CallsViaBU, res.CallsViaTD, res.CallsInSigma,
-		res.ClientPanics, res.Resummarized,
+		res.ClientPanics, 0,
 	} {
 		w.Int(int64(n))
 	}

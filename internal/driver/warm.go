@@ -31,9 +31,7 @@ package driver
 //
 // Fault-injection runs (cfg.Fault != nil) bypass the store entirely: the
 // fault plan's operation indices count client calls, and warm-skipped
-// work would shift every subsequent fault site. Ablation runs
-// (cfg.Ablation()) bypass it too: store keys leave the knobs out, so a
-// stored artifact would answer the ablation with a default run's work.
+// work would shift every subsequent fault site.
 
 import (
 	"crypto/sha256"
@@ -204,9 +202,9 @@ func deterministicOutcome(err error) bool {
 // gets summary-level reuse.
 func (w Warm) Run(b *Build, engine string, cfg core.Config) (*Result, *WarmStats, error) {
 	stats := &WarmStats{}
-	if w.Store == nil || cfg.Fault != nil || cfg.Ablation() {
-		// No store, fault injection armed, or an ablation knob set (see
-		// file comment): run cold and unobserved.
+	if w.Store == nil || cfg.Fault != nil {
+		// No store, or fault injection armed (see file comment): run cold
+		// and unobserved.
 		res, err := b.Run(engine, cfg)
 		return res, stats, err
 	}

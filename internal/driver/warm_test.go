@@ -3,7 +3,6 @@ package driver
 import (
 	"bytes"
 	"errors"
-	"slices"
 	"strings"
 	"testing"
 
@@ -205,49 +204,6 @@ func TestWarmWithoutStoreRunsCold(t *testing.T) {
 	}
 	if *stats != (WarmStats{}) {
 		t.Fatalf("nil-store stats = %+v, want zero", *stats)
-	}
-}
-
-// TestWarmAblationBypassesStore: store keys leave the ablation knobs
-// out, so a Warm.Run with a knob set must neither read nor write the
-// store — otherwise it would be answered by the default run's tables and
-// summaries and silently skip the ablation. Its error report still equals
-// the default run's.
-func TestWarmAblationBypassesStore(t *testing.T) {
-	for _, engine := range []string{"td", "swift"} {
-		t.Run(engine, func(t *testing.T) {
-			st := openStore(t)
-			bb := mustBuild(t, badProgram)
-			base, _, err := Warm{Store: st}.Run(bb, engine, lowConfig())
-			if err != nil || !base.Completed() {
-				t.Fatalf("default run: %v / %v", err, base.Err)
-			}
-			want, err := bb.ErrorReport(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, set := range ablationKnobs {
-				before := st.Stats()
-				cfg := lowConfig()
-				set(&cfg)
-				b := mustBuild(t, badProgram)
-				res, stats, err := Warm{Store: st}.Run(b, engine, cfg)
-				if err != nil || !res.Completed() {
-					t.Fatalf("%s: %v / %v", name, err, res.Err)
-				}
-				after := st.Stats()
-				if after.Puts != before.Puts || after.MemHits != before.MemHits || after.DiskHits != before.DiskHits ||
-					after.MemMisses != before.MemMisses {
-					t.Errorf("%s: ablation run touched the store: %+v -> %+v", name, before, after)
-				}
-				if *stats != (WarmStats{}) {
-					t.Errorf("%s: warm stats = %+v, want zero", name, *stats)
-				}
-				if got, err := b.ErrorReport(res); err != nil || !slices.Equal(got, want) {
-					t.Errorf("%s: error report %v (%v), want %v", name, got, err, want)
-				}
-			}
-		})
 	}
 }
 

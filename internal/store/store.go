@@ -29,9 +29,8 @@ import (
 // artifact's bytes must be part of it: the engines' outputs depend on the
 // procedure bodies analyzed (Body: a closure hash), the client's frozen
 // construction (Frozen: property layout and may-alias oracle digest), and
-// the engine and its thresholds. The engines' ablation knobs are not part
-// of it: they never change an artifact, so the driver keeps ablation runs
-// out of the store instead.
+// the engine and its thresholds. The worklist schedule is not part of it:
+// every schedule produces the same artifact.
 type Key struct {
 	// Kind separates artifact namespaces: "summary" (one trigger outcome),
 	// "tables" (intern-table snapshot + TD tables of a full run), "result"

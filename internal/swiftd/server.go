@@ -142,8 +142,8 @@ type Server struct {
 
 // analyzeRequest is the POST /analyze body. Absent k/theta default to
 // core.DefaultConfig's thresholds; engine defaults to "swift". Unknown
-// fields are rejected (see decodeBody): the engines' ablation knobs are
-// benchmark settings, not part of the API.
+// fields are rejected (see decodeBody), among them the retired
+// scheduler ablation knobs.
 type analyzeRequest struct {
 	Source string `json:"source"`
 	Engine string `json:"engine"`
