@@ -46,10 +46,15 @@ func (b *Build) RunSliceSet(engine string, cfg core.Config, ids []core.SliceID) 
 // field. SliceMemo uses its content address as the memo key, so demand
 // queries reuse exactly when a warm-store artifact would.
 func SliceRunKey(b *Build, engine string, cfg core.Config, id core.SliceID) store.Key {
-	k := keyTemplate(b, engine, normalizeConfig(engine, cfg))
+	return SliceRunKeyFor(b.Digests(), engine, cfg, id)
+}
+
+// SliceRunKeyFor is SliceRunKey from a build's digests alone.
+func SliceRunKeyFor(d BuildDigests, engine string, cfg core.Config, id core.SliceID) store.Key {
+	k := keyFor(d.Frozen, engine, normalizeConfig(engine, cfg))
 	k.Kind = "slicerun"
 	k.Proc = string(id)
-	k.Body = ProgramDigest(b)
+	k.Body = d.Program
 	return k
 }
 

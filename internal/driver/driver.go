@@ -7,6 +7,7 @@ package driver
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"swift/internal/core"
 	"swift/internal/hir"
@@ -29,6 +30,15 @@ type Build struct {
 	TS *typestate.Analysis
 	// Core binds the client to the lowered program's CFG.
 	Core *core.Analysis[typestate.AbsID, typestate.RelID, typestate.FormulaID]
+
+	// bodies holds each lowered procedure's print, made once on first use
+	// (bodyPrints) and read by every program and closure digest. The
+	// lowered program never changes after the build, so neither do they.
+	bodiesOnce sync.Once
+	bodies     map[string][]byte
+	// program memoizes ProgramDigest.
+	programOnce sync.Once
+	program     string
 }
 
 // FromSource parses, validates and prepares a mini-Java program.

@@ -9,13 +9,7 @@ package driver
 // construction); the index exists so edit-stream benchmarks and servers
 // can surface how much of the program an edit invalidated.
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"sort"
-
-	"swift/internal/ir"
-)
+import "sort"
 
 // DigestIndex maps every procedure of one program version to its
 // call-graph-closure digest — the Body component of the "summary" store
@@ -25,33 +19,14 @@ import (
 type DigestIndex map[string]string
 
 // IndexClosures computes the digest index of the build's lowered
-// program. Each procedure's digest equals closureDigest of the same
-// root; body prints are memoized so indexing the whole program costs one
-// print per procedure plus one hash per closure.
+// program. Each procedure's digest equals closureDigest of the same root;
+// the body prints are the build's own, so indexing the whole program
+// costs one hash per closure.
 func IndexClosures(b *Build) DigestIndex {
 	prog := b.Lowered.Prog
-	bodies := map[string][]byte{}
-	bodyOf := func(name string) []byte {
-		if blob, ok := bodies[name]; ok {
-			return blob
-		}
-		var blob []byte
-		if p, ok := prog.Procs[name]; ok {
-			blob = []byte(ir.Print(&ir.Program{Procs: map[string]*ir.Proc{name: p}}))
-		}
-		bodies[name] = blob
-		return blob
-	}
 	idx := make(DigestIndex, len(prog.Procs))
 	for _, name := range prog.ProcNames() {
-		h := sha256.New()
-		for _, r := range prog.Reachable(name) {
-			h.Write([]byte(r))
-			h.Write([]byte{0})
-			h.Write(bodyOf(r))
-			h.Write([]byte{0})
-		}
-		idx[name] = hex.EncodeToString(h.Sum(nil))
+		idx[name] = closureDigest(b, name)
 	}
 	return idx
 }

@@ -42,7 +42,7 @@ func TestDigestIndexMatchesClosureDigest(t *testing.T) {
 		t.Fatalf("index has %d procedures, program %d", len(idx), len(names))
 	}
 	for _, name := range names {
-		if idx[name] != closureDigest(b.Lowered.Prog, name) {
+		if idx[name] != closureDigest(b, name) {
 			t.Errorf("index digest of %s differs from closureDigest", name)
 		}
 	}

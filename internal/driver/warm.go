@@ -92,32 +92,75 @@ func normalizeConfig(engine string, cfg core.Config) core.Config {
 
 // keyTemplate fills the key fields shared by every artifact of one run.
 func keyTemplate(b *Build, engine string, cfg core.Config) store.Key {
+	return keyFor(b.TS.FrozenDigest(), engine, cfg)
+}
+
+func keyFor(frozen, engine string, cfg core.Config) store.Key {
 	return store.Key{
-		Frozen: b.TS.FrozenDigest(),
+		Frozen: frozen,
 		Engine: engine,
 		K:      cfg.K,
 		Theta:  cfg.Theta,
 	}
 }
 
-// ProgramDigest returns the hex digest of the whole lowered program.
+// bodyPrints returns each lowered procedure's ir.Print, printed once per
+// build. Slice runs may ask from several goroutines, hence the sync.Once.
+func (b *Build) bodyPrints() map[string][]byte {
+	b.bodiesOnce.Do(func() {
+		prog := b.Lowered.Prog
+		b.bodies = make(map[string][]byte, len(prog.Procs))
+		for name, p := range prog.Procs {
+			b.bodies[name] = []byte(ir.Print(&ir.Program{Procs: map[string]*ir.Proc{name: p}}))
+		}
+	})
+	return b.bodies
+}
+
+// ProgramDigest returns the hex digest of the whole lowered program: the
+// SHA-256 of ir.Print of it, which is the procedure prints in name order
+// joined by newlines. It is computed once per build.
 func ProgramDigest(b *Build) string {
-	sum := sha256.Sum256([]byte(ir.Print(b.Lowered.Prog)))
-	return hex.EncodeToString(sum[:])
+	b.programOnce.Do(func() {
+		bodies := b.bodyPrints()
+		h := sha256.New()
+		for i, name := range b.Lowered.Prog.ProcNames() {
+			if i > 0 {
+				h.Write([]byte{'\n'})
+			}
+			h.Write(bodies[name])
+		}
+		b.program = hex.EncodeToString(h.Sum(nil))
+	})
+	return b.program
+}
+
+// BuildDigests are the two content digests every store key of a build
+// carries: the client's frozen-construction digest and the whole lowered
+// program's digest. Two builds of one source have equal digests, so a
+// caller that remembers them per source can derive a result key without
+// building again.
+type BuildDigests struct {
+	Frozen  string
+	Program string
+}
+
+// Digests returns the build's key digests, each computed at most once.
+func (b *Build) Digests() BuildDigests {
+	return BuildDigests{Frozen: b.TS.FrozenDigest(), Program: ProgramDigest(b)}
 }
 
 // closureDigest hashes the bodies of every procedure reachable from root
 // by call chains (root included), in sorted order. Procedures named but
 // absent from the program hash as their name alone, matching how the
 // solvers treat them (no-op bodies).
-func closureDigest(prog *ir.Program, root string) string {
+func closureDigest(b *Build, root string) string {
+	bodies := b.bodyPrints()
 	h := sha256.New()
-	for _, name := range prog.Reachable(root) {
+	for _, name := range b.Lowered.Prog.Reachable(root) {
 		h.Write([]byte(name))
 		h.Write([]byte{0})
-		if p, ok := prog.Procs[name]; ok {
-			h.Write([]byte(ir.Print(&ir.Program{Procs: map[string]*ir.Proc{name: p}})))
-		}
+		h.Write(bodies[name])
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -128,9 +171,15 @@ func closureDigest(prog *ir.Program, root string) string {
 // cache layer. The body digest covers the entire lowered program, so any
 // source change invalidates it.
 func ResultKey(b *Build, engine string, cfg core.Config) store.Key {
-	k := keyTemplate(b, engine, normalizeConfig(engine, cfg))
+	return ResultKeyFor(b.Digests(), engine, cfg)
+}
+
+// ResultKeyFor is ResultKey from a build's digests alone, for callers
+// that remember them and want the key without building.
+func ResultKeyFor(d BuildDigests, engine string, cfg core.Config) store.Key {
+	k := keyFor(d.Frozen, engine, normalizeConfig(engine, cfg))
 	k.Kind = "result"
-	k.Body = ProgramDigest(b)
+	k.Body = d.Program
 	return k
 }
 
@@ -149,7 +198,7 @@ type summarySource struct {
 func (s *summarySource) key(trigger string) store.Key {
 	d, ok := s.digests[trigger]
 	if !ok {
-		d = closureDigest(s.b.Lowered.Prog, trigger)
+		d = closureDigest(s.b, trigger)
 		s.digests[trigger] = d
 	}
 	k := s.tmpl

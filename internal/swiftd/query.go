@@ -81,6 +81,15 @@ func batchDigest(qs []query.Query) string {
 	return "batch-" + hex.EncodeToString(sum[:16])
 }
 
+// queryResultKey is the whole-response cache key of one batch: the
+// program's slice-run key with the batch digest in the Proc field.
+func queryResultKey(d driver.BuildDigests, engine string, cfg core.Config, qs []query.Query) store.Key {
+	key := driver.SliceRunKeyFor(d, engine, cfg, "")
+	key.Kind = "queryresult"
+	key.Proc = batchDigest(qs)
+	return key
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r) {
 		return
@@ -112,7 +121,28 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		cfg.Theta = *req.Theta
 	}
 
-	b, err := driver.FromSource(req.Source)
+	// Whole-response cache: same program bytes, engine, thresholds and
+	// batch → same answers, so a hit is exact. Like /analyze, a source the
+	// key memo has seen looks its batch up before building; a cached batch
+	// was validated when it was answered. A fresh batch always builds:
+	// validation and node mapping need the CFG.
+	var resp queryResponse
+	cached := func(key store.Key) bool {
+		if !s.fetchResult(key, &resp) {
+			return false
+		}
+		s.countQueries(qs)
+		s.queryResultHits.Add(1)
+		resp.Cached = true
+		s.writeJSON(w, resp)
+		return true
+	}
+	sum := sha256.Sum256([]byte(req.Source))
+	d, known := s.keys.get(sum)
+	if known && cached(queryResultKey(d, req.Engine, cfg, qs)) {
+		return
+	}
+	b, err := s.build(req.Source, sum)
 	if err != nil {
 		s.httpError(w, http.StatusUnprocessableEntity, "build failed: %v", err)
 		return
@@ -130,19 +160,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.countQueries(qs)
-
-	// Whole-response cache: same program bytes, engine, thresholds and
-	// batch → same answers, so a hit is exact.
-	key := driver.SliceRunKey(b, req.Engine, cfg, "")
-	key.Kind = "queryresult"
-	key.Proc = batchDigest(qs)
-	var resp queryResponse
-	if s.lookupResult(key, &resp, &s.queryResultHits, &s.queryResultMisses) {
-		resp.Cached = true
-		s.writeJSON(w, resp)
+	key := queryResultKey(b.Digests(), req.Engine, cfg, qs)
+	if !known && cached(key) {
 		return
 	}
+	s.countQueries(qs)
+	s.queryResultMisses.Add(1)
 
 	ctx, cancelCtx := s.requestContext(r)
 	defer cancelCtx()

@@ -1,7 +1,8 @@
 // Package swiftd implements the analysis server behind cmd/swiftd: a
 // JSON-over-HTTP front end over the persistent artifact store, hardened
 // for production use. Beyond the three cache layers (whole-response
-// blobs, per-trigger summaries, intern-table snapshots) it provides:
+// blobs, per-trigger summaries, intern-table snapshots) and the
+// source-digest memo in front of them (keymemo.go) it provides:
 //
 //   - cooperative cancellation: every engine run carries a cancel
 //     channel wired to the request context, so a client disconnect or a
@@ -18,6 +19,7 @@ package swiftd
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -82,7 +84,9 @@ func (o Options) withDefaults() Options {
 // a request: whole-response blobs (Kind "result"/"queryresult"),
 // per-trigger summaries and intern-table snapshots (via driver.Warm).
 // All are keyed by content digests, so serving a cached response for a
-// byte-identical program is exact, not heuristic.
+// byte-identical program is exact, not heuristic. The key memo finds the
+// digests of source bytes built before, so a repeat request reaches its
+// cached response without building.
 type Server struct {
 	store *store.Store
 	opts  Options
@@ -99,6 +103,12 @@ type Server struct {
 	// across requests and program versions (its keys carry the program
 	// digests, so cross-version reuse is impossible by construction).
 	sliceMemo *driver.SliceMemo
+
+	// keys is the source-digest memo in front of the result cache
+	// (keymemo.go); builds counts front-end runs, so /stats shows which
+	// requests skipped them.
+	keys   *keyMemo
+	builds atomic.Int64
 
 	requests      atomic.Int64
 	resultHits    atomic.Int64
@@ -232,15 +242,20 @@ type structureStats struct {
 
 // statsResponse is the GET /stats reply.
 type statsResponse struct {
-	Requests      int64            `json:"requests"`
-	ResultHits    int64            `json:"resultHits"`
-	ResultMisses  int64            `json:"resultMisses"`
-	ResultCorrupt int64            `json:"resultCorrupt"`
-	Incremental   incrementalStats `json:"incremental"`
-	Query         queryStats       `json:"query"`
-	Robustness    robustnessStats  `json:"robustness"`
-	Structure     structureStats   `json:"structure"`
-	Store         store.Stats      `json:"store"`
+	Requests      int64 `json:"requests"`
+	ResultHits    int64 `json:"resultHits"`
+	ResultMisses  int64 `json:"resultMisses"`
+	ResultCorrupt int64 `json:"resultCorrupt"`
+	// Builds counts front-end builds (parse → points-to → lower → client
+	// construction) across /analyze and /query, failed ones included;
+	// KeyMemo snapshots the source-digest memo whose hits skip them.
+	Builds      int64            `json:"builds"`
+	KeyMemo     keyMemoStats     `json:"keyMemo"`
+	Incremental incrementalStats `json:"incremental"`
+	Query       queryStats       `json:"query"`
+	Robustness  robustnessStats  `json:"robustness"`
+	Structure   structureStats   `json:"structure"`
+	Store       store.Stats      `json:"store"`
 }
 
 // New returns a Server over st. The store stays owned by the caller
@@ -253,6 +268,7 @@ func New(st *store.Store, opts Options) *Server {
 		gate:      newGate(opts.MaxInFlight, opts.MaxQueue, opts.QueueWait),
 		flights:   newFlightGroup(),
 		sliceMemo: driver.NewSliceMemo(0),
+		keys:      newKeyMemo(keyMemoEntries),
 	}
 }
 
@@ -500,23 +516,36 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		cfg.Theta = *req.Theta
 	}
 
-	// The build (parse → points-to → lower → client construction) always
-	// runs: the cache keys are content digests of the built pipeline.
-	b, err := driver.FromSource(req.Source)
+	// The cache keys are content digests of the built pipeline. A source
+	// the key memo has seen maps to its build's digests, so its result key
+	// is known and a cached response is served without building. A memo
+	// or store miss builds (parse → points-to → lower → client
+	// construction). Either way the request counts one result hit or miss.
+	var resp analyzeResponse
+	cached := func(key store.Key) bool {
+		if !s.fetchResult(key, &resp) {
+			return false
+		}
+		s.resultHits.Add(1)
+		resp.Cached = true
+		s.writeJSON(w, resp)
+		return true
+	}
+	sum := sha256.Sum256([]byte(req.Source))
+	d, known := s.keys.get(sum)
+	if known && cached(driver.ResultKeyFor(d, req.Engine, cfg)) {
+		return
+	}
+	b, err := s.build(req.Source, sum)
 	if err != nil {
 		s.httpError(w, http.StatusUnprocessableEntity, "build failed: %v", err)
 		return
 	}
-
 	key := driver.ResultKey(b, req.Engine, cfg)
-	{
-		var resp analyzeResponse
-		if s.lookupResult(key, &resp, &s.resultHits, &s.resultMisses) {
-			resp.Cached = true
-			s.writeJSON(w, resp)
-			return
-		}
+	if !known && cached(key) {
+		return
 	}
+	s.resultMisses.Add(1)
 
 	ctx, cancelCtx := s.requestContext(r)
 	defer cancelCtx()
@@ -597,22 +626,34 @@ func (s *Server) computeAnalyze(ctx context.Context, b *driver.Build, req analyz
 	return flightResult{status: http.StatusOK, body: append(blob, '\n')}
 }
 
-// lookupResult fetches and decodes a cached response blob, counting the
-// outcome. A blob that fails to decode is corrupt: it is deleted and
-// counted (resultCorrupt) so the caller recomputes once instead of every
-// subsequent request paying a failed unmarshal. Without the delete, a
-// rerun that ends in a wall-clock timeout (which never publishes) would
-// leave the garbage blob in place forever. Shared by /analyze and /query.
-func (s *Server) lookupResult(key store.Key, out any, hits, misses *atomic.Int64) bool {
+// build runs the front end on src and remembers the build's digests under
+// the source's hash sum, so a repeat of src finds its key without
+// building. A failed build is not remembered.
+func (s *Server) build(src string, sum sourceSum) (*driver.Build, error) {
+	s.builds.Add(1)
+	b, err := driver.FromSource(src)
+	if err != nil {
+		return nil, err
+	}
+	s.keys.put(sum, b.Digests())
+	return b, nil
+}
+
+// fetchResult fetches and decodes a cached response blob; the caller
+// counts the hit or miss. A blob that fails to decode is corrupt: it is
+// deleted and counted (resultCorrupt) so the caller recomputes once
+// instead of every subsequent request paying a failed unmarshal. Without
+// the delete, a rerun that ends in a wall-clock timeout (which never
+// publishes) would leave the garbage blob in place forever. Shared by
+// /analyze and /query.
+func (s *Server) fetchResult(key store.Key, out any) bool {
 	if blob, ok := s.store.Get(key); ok {
 		if err := json.Unmarshal(blob, out); err == nil {
-			hits.Add(1)
 			return true
 		}
 		s.store.Delete(key)
 		s.resultCorrupt.Add(1)
 	}
-	misses.Add(1)
 	return false
 }
 
@@ -654,6 +695,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ResultHits:    s.resultHits.Load(),
 		ResultMisses:  s.resultMisses.Load(),
 		ResultCorrupt: s.resultCorrupt.Load(),
+		Builds:        s.builds.Load(),
+		KeyMemo:       s.keys.stats(),
 		Incremental: incrementalStats{
 			RestoredRuns:   s.restoredRuns.Load(),
 			RelaxedRuns:    s.relaxedRuns.Load(),

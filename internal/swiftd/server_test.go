@@ -134,6 +134,11 @@ func TestAnalyzeRepeatHitsCache(t *testing.T) {
 	if stats.Store.Puts == 0 {
 		t.Fatalf("store stats = %+v, expected puts from the first run", stats.Store)
 	}
+	// The repeat found its key through the source-digest memo and skipped
+	// the front end.
+	if stats.Builds != 1 || stats.KeyMemo != (keyMemoStats{Entries: 1, MaxEntries: keyMemoEntries, Hits: 1, Misses: 1}) {
+		t.Fatalf("builds = %d, keyMemo = %+v; want 1 build, 1 entry of %d, 1 hit, 1 miss", stats.Builds, stats.KeyMemo, keyMemoEntries)
+	}
 }
 
 // TestAnalyzeEngineAndConfigPartitionCache: different engines and

@@ -3,6 +3,7 @@ package typestate
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"swift/internal/ir"
 )
@@ -45,6 +46,12 @@ type Analysis struct {
 
 	// compiled transfer cache (compile.go), lazily populated
 	compiled map[*ir.Prim]func(AbsID, []AbsID) []AbsID
+
+	// frozen memoizes FrozenDigest (codec.go). Every instance computes
+	// its own: a slice clone's digest covers its slice, so it must never
+	// inherit its parent's.
+	frozenOnce sync.Once
+	frozen     string
 }
 
 // NewAnalysis prepares a type-state analysis of prog. track maps allocation

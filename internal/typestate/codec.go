@@ -52,8 +52,14 @@ const (
 // construction tables (see the file comment for what that covers and why
 // the oracle matrix must be included). Slice clones digest differently from
 // the monolithic instance: a slice spawns tuples at one site only, so its
-// summaries are not interchangeable with the monolithic run's.
+// summaries are not interchangeable with the monolithic run's. Everything
+// it covers is frozen at construction, so it is computed once per instance.
 func (a *Analysis) FrozenDigest() string {
+	a.frozenOnce.Do(func() { a.frozen = a.computeFrozenDigest() })
+	return a.frozen
+}
+
+func (a *Analysis) computeFrozenDigest() string {
 	t := a.tab
 	var w wire.Writer
 	w.Uint(uint64(t.numPaths()))

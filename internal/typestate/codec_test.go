@@ -125,6 +125,39 @@ func TestRestoreTablesRejectsDigestMismatch(t *testing.T) {
 	}
 }
 
+// TestFrozenDigestMemo: the memoized frozen digest equals a recomputation
+// after a run has grown the intern tables, and each slice clone computes
+// its own, distinct from the parent's, whether the parent's memo was
+// filled before the clone was made or after.
+func TestFrozenDigestMemo(t *testing.T) {
+	for _, parentFirst := range []bool{true, false} {
+		ts, an := buildPair(t, figure1Program(), figure1Track())
+		if parentFirst {
+			ts.FrozenDigest()
+		}
+		runSwift(t, ts, an)
+		seen := map[string]bool{}
+		for _, id := range ts.Slices() {
+			c, _, err := ts.SliceClient(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clone := c.(*Analysis)
+			d := clone.FrozenDigest()
+			if d != clone.computeFrozenDigest() {
+				t.Errorf("slice %s: memoized digest differs from a recomputation", id)
+			}
+			if d == ts.FrozenDigest() || seen[d] {
+				t.Errorf("slice %s: digest %.12s is not its own", id, d)
+			}
+			seen[d] = true
+		}
+		if ts.FrozenDigest() != ts.computeFrozenDigest() {
+			t.Errorf("parentFirst=%v: memoized digest differs from a recomputation", parentFirst)
+		}
+	}
+}
+
 // TestTablesCodecRejectsCorruption: every truncation must error, and no
 // byte flip may panic. (A flip can legitimately decode — the digest only
 // guards the frozen construction — but it must never crash the decoder.)
