@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"swift/internal/core"
 	"swift/internal/driver"
@@ -266,9 +267,11 @@ func TestKeyMemoQuery(t *testing.T) {
 // TestKeyMemoConcurrentMixed runs /analyze and /query requests for a few
 // sources concurrently against a two-entry memo, so lookups, fills and
 // evictions interleave, and checks every reply against a sequential
-// server's. Run it under -race.
+// server's. Run it under -race. The queue holds every worker, so no
+// request is shed.
 func TestKeyMemoConcurrentMixed(t *testing.T) {
-	srv, ts := newTestServer(t)
+	const workers = 4
+	srv, ts := newTestServerOpts(t, Options{Quiet: true, MaxQueue: workers, QueueWait: time.Minute})
 	srv.keys.max = 2
 	_, refTS := newTestServer(t)
 	sources := []string{testProgram, testProgram + "\n", incTestProgramV1, incTestProgramV2, "class {"}
@@ -306,7 +309,7 @@ func TestKeyMemoConcurrentMixed(t *testing.T) {
 		wantCode[i], want[i] = code, normalize(j.path, body)
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
