@@ -21,22 +21,14 @@
 // injecting roughly one seeded client fault per N operations into every
 // run; aborted runs render as DNF cells.
 //
-//	swiftbench -warmbench -storedir DIR   cold-vs-warm summary-store benchmark
+//	swiftbench -warmbench -storedir DIR   cold-vs-warm tables-store benchmark
 //
 // -warmbench runs the hybrid engine twice over the suite against the
-// persistent summary store in -storedir (memory-only when empty) and
-// verifies the warm pass reuses every stored summary and reproduces the
-// cold pass's result tables byte for byte. Rerunning against the same
-// directory starts warm from disk — the CI smoke does exactly that.
-//
-//	swiftbench -editbench [-editbenchmark NAME] [-edits N] [-editseed S]
-//
-// -editbench runs a deterministic edit stream (seeded single-procedure
-// mutations) over one benchmark, analyzing each program version cold and
-// incrementally against the store in -storedir, across all three engines.
-// It verifies that reverting the edit reproduces the base run's result
-// tables byte for byte under every engine and that the hybrid engine
-// answers triggers with untouched call-graph closures from the store.
+// persistent tables store in -storedir (memory-only when empty) and
+// verifies the warm pass restores every stored tables snapshot and
+// reproduces the cold pass's result tables byte for byte. Rerunning
+// against the same directory starts warm from disk — the CI smoke does
+// exactly that.
 //
 //	swiftbench -querybench [-querybenchmark NAME] [-queries N] [-queryseed S] [-querykinds K,K]
 //
@@ -96,11 +88,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		parallel    = fs.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent engine runs (1 = serial)")
 		slices      = fs.Bool("slices", false, "render the site-sliced vs monolithic cost table")
 		sliceWkrs   = fs.Int("sliceworkers", runtime.GOMAXPROCS(0), "max concurrent slices per -slices run (1 = serial)")
-		warmbench   = fs.Bool("warmbench", false, "run the cold-vs-warm summary-store benchmark")
-		editbench   = fs.Bool("editbench", false, "run the edit-stream incremental re-analysis benchmark")
-		editBench   = fs.String("editbenchmark", "toba-s", "benchmark the -editbench edit stream mutates")
-		editN       = fs.Int("edits", 4, "number of edits in the -editbench stream")
-		editSeed    = fs.Int64("editseed", 7, "seed of the -editbench edit stream")
+		warmbench   = fs.Bool("warmbench", false, "run the cold-vs-warm tables-store benchmark")
 		querybench  = fs.Bool("querybench", false, "run the demand-vs-exhaustive point-query benchmark")
 		queryN      = fs.Int("queries", 2000, "number of seeded queries per -querybench stream")
 		querySeed   = fs.Int64("queryseed", 1, "seed of the -querybench query stream")
@@ -108,7 +96,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		queryBench  = fs.String("querybenchmark", "", "restrict -querybench to one benchmark (default: full suite)")
 		soak        = fs.Bool("soak", false, "run the swiftd concurrent-load soak smoke (coalescing, shedding, cancellation, drain)")
 		soakClients = fs.Int("soakclients", 0, "concurrent clients in the -soak coalesce wave (0 = default)")
-		storedir    = fs.String("storedir", "", "persistent store directory for -warmbench/-editbench (empty = memory-only)")
+		storedir    = fs.String("storedir", "", "persistent store directory for -warmbench (empty = memory-only)")
 		faultevery  = fs.Int64("faultevery", 0, "chaos mode: inject roughly one seeded client fault per N operations into every run (0 = off)")
 		faultseed   = fs.Uint64("faultseed", 1, "seed for -faultevery's fault schedule")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -135,8 +123,8 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *storedir != "" && !*warmbench && !*editbench {
-		fmt.Fprintf(stderr, "swiftbench: -storedir is only meaningful with -warmbench or -editbench\n")
+	if *storedir != "" && !*warmbench {
+		fmt.Fprintf(stderr, "swiftbench: -storedir is only meaningful with -warmbench\n")
 		fs.Usage()
 		return 2
 	}
@@ -147,11 +135,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if *soakClients != 0 && *soakClients < 2 {
 		fmt.Fprintf(stderr, "swiftbench: -soakclients %d must be at least 2\n", *soakClients)
-		fs.Usage()
-		return 2
-	}
-	if *editN < 1 {
-		fmt.Fprintf(stderr, "swiftbench: -edits %d must be at least 1\n", *editN)
 		fs.Usage()
 		return 2
 	}
@@ -218,9 +201,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		{"taint", *all || *taint, func() error { return s.TaintTable(stdout, budget) }},
 		{"verify", *verify, func() error { return s.Verify(stdout, budget) }},
 		{"warmbench", *warmbench, func() error { return s.WarmTable(stdout, budget, *storedir) }},
-		{"editbench", *editbench, func() error {
-			return s.EditTable(stdout, budget, *storedir, *editBench, *editSeed, *editN)
-		}},
 		{"querybench", *querybench, func() error {
 			return s.QueryBenchTable(stdout, budget, *queryBench, *queryN, *querySeed, kinds, *sliceWkrs)
 		}},

@@ -32,7 +32,6 @@ func TestFlagValidation(t *testing.T) {
 		{"no selection", []string{"-quick"}, "Usage"},
 		{"stray args", []string{"-table", "1", "stray"}, "unexpected arguments"},
 		{"storedir without warmbench", []string{"-table", "1", "-storedir", "/tmp/x"}, "-storedir is only meaningful"},
-		{"edits below one", []string{"-editbench", "-edits", "0"}, "-edits 0 must be at least 1"},
 		{"unknown flag", []string{"-frobnicate"}, "flag provided but not defined"},
 		{"record removed", []string{"-record", "/tmp/x"}, "flag provided but not defined: -record"},
 		{"replay removed", []string{"-replay", "/tmp/x"}, "flag provided but not defined: -replay"},
@@ -48,6 +47,10 @@ func TestFlagValidation(t *testing.T) {
 		{"nosparse removed", []string{"-table", "2", "-nosparse"}, "flag provided but not defined: -nosparse"},
 		{"nostruct removed", []string{"-table", "2", "-nostruct"}, "flag provided but not defined: -nostruct"},
 		{"ablation removed", []string{"-ablation"}, "flag provided but not defined: -ablation"},
+		{"editbench removed", []string{"-editbench"}, "flag provided but not defined: -editbench"},
+		{"editbenchmark removed", []string{"-editbenchmark", "elevator"}, "flag provided but not defined: -editbenchmark"},
+		{"edits removed", []string{"-edits", "0"}, "flag provided but not defined: -edits"},
+		{"editseed removed", []string{"-editseed", "7"}, "flag provided but not defined: -editseed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,11 +109,11 @@ func TestCPUProfileFlushedOnStepFailure(t *testing.T) {
 	profile := filepath.Join(t.TempDir(), "cpu.pprof")
 	code, _, stderr := runCLI(t,
 		"-quick", "-cpuprofile", profile,
-		"-editbench", "-editbenchmark", "no-such-benchmark")
+		"-querybench", "-querybenchmark", "no-such-benchmark")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(stderr, "editbench") {
+	if !strings.Contains(stderr, "querybench") {
 		t.Errorf("stderr does not name the failing step:\n%s", stderr)
 	}
 	if len(readGzipProfile(t, profile)) == 0 {
@@ -185,23 +188,5 @@ func TestQuerybenchFlag(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("querybench output lacks %q:\n%s", want, stdout)
 		}
-	}
-}
-
-// TestEditbenchFlag smokes the -editbench step end to end: a short edit
-// stream on a small benchmark, store in a real directory, with the
-// harness's hard checks (revert byte-identity, hybrid summary reuse)
-// enforced inside the step.
-func TestEditbenchFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-engine edit stream")
-	}
-	code, stdout, stderr := runCLI(t, "-quick", "-editbench",
-		"-editbenchmark", "elevator", "-edits", "2", "-storedir", t.TempDir())
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stdout, "revert byte-identical under td/bu/swift,") {
-		t.Errorf("editbench summary missing:\n%s", stdout)
 	}
 }

@@ -1,7 +1,7 @@
 // Command swiftd is the analysis server: a long-lived JSON-over-HTTP
-// daemon that runs the type-state engines against a persistent summary
-// store, so repeated analyses of the same (or overlapping) programs are
-// answered from cache.
+// daemon that runs the type-state engines against a persistent artifact
+// store, so repeated analyses of the same program are answered from
+// cache.
 //
 //	swiftd -addr 127.0.0.1:7411 -store /var/cache/swift
 //

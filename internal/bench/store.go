@@ -10,7 +10,7 @@ import (
 	"swift/internal/store"
 )
 
-// WarmTable is the cold-versus-warm benchmark of the persistent summary
+// WarmTable is the cold-versus-warm benchmark of the persistent tables
 // store: two serial passes of the hybrid engine (k=5, θ=1 — the headline
 // Table 2 configuration) over the suite against one store directory,
 // printing per-benchmark wall-clock and cache telemetry. Within the
@@ -20,9 +20,8 @@ import (
 // report every first-pass run as restored).
 //
 // The table is diagnostic output; the correctness checks are hard
-// errors: every warm pass must restore the cold pass's intern tables,
-// reuse its summaries without a single miss, and reproduce its result
-// tables byte for byte (driver.EncodeResultTables).
+// errors: every warm pass must restore the cold pass's intern tables and
+// reproduce its result tables byte for byte (driver.EncodeResultTables).
 func (s *Suite) WarmTable(w io.Writer, budget Budget, dir string) error {
 	if budget.FaultEvery > 0 {
 		return fmt.Errorf("bench: WarmTable is incompatible with fault injection (fault-armed runs bypass the store)")
@@ -87,25 +86,20 @@ func (s *Suite) WarmTable(w io.Writer, budget Budget, dir string) error {
 	}
 
 	fmt.Fprintf(w, "Warm-start benchmark (swift, k=5, θ=1) — store: %s\n\n", storeDesc(dir))
-	fmt.Fprintf(w, "%-12s %9s %9s %9s %9s %14s %14s\n",
-		"benchmark", "wall1", "wall2", "restored1", "restored2", "hits/miss 1", "hits/miss 2")
+	fmt.Fprintf(w, "%-12s %9s %9s %9s %9s\n",
+		"benchmark", "wall1", "wall2", "restored1", "restored2")
 	firstRestored := 0
 	for i, name := range names {
 		f, g := first[i], second[i]
 		if f.stats.RestoredTables {
 			firstRestored++
 		}
-		fmt.Fprintf(w, "%-12s %9s %9s %9s %9s %9d/%-4d %9d/%-4d\n",
+		fmt.Fprintf(w, "%-12s %9s %9s %9s %9s\n",
 			name, fmtDur(f.wall), fmtDur(g.wall),
-			yn(f.stats.RestoredTables), yn(g.stats.RestoredTables),
-			f.stats.SummaryHits, f.stats.SummaryMisses,
-			g.stats.SummaryHits, g.stats.SummaryMisses)
+			yn(f.stats.RestoredTables), yn(g.stats.RestoredTables))
 
 		if !g.stats.RestoredTables {
 			return fmt.Errorf("bench: %s: warm pass did not restore tables", name)
-		}
-		if g.stats.SummaryMisses != 0 {
-			return fmt.Errorf("bench: %s: warm pass had %d summary misses", name, g.stats.SummaryMisses)
 		}
 		if !bytes.Equal(f.enc, g.enc) {
 			return fmt.Errorf("bench: %s: warm result tables differ from the first pass", name)

@@ -6,22 +6,20 @@ package benchprog
 // self-contained mutation of a freshly generated base program (edits are
 // not cumulative), so "revert" is simply analyzing the base program again.
 //
-// The edit kinds are chosen to exercise the summary store's invalidation
-// frontier from both sides:
+// The edit kinds are chosen to exercise the artifact store's keys from
+// both sides:
 //
 //   - EditTweakBody and EditAddCall change one procedure's body without
 //     adding variables, allocation sites or points-to flows. The type-state
 //     client's frozen construction (path universe, may-alias oracle —
-//     typestate.FrozenDigest) is therefore unchanged, and every trigger
-//     whose call-graph closure avoids the edited procedure keeps its
-//     summary-store key: an incremental run reuses those summaries.
+//     typestate.FrozenDigest) is therefore unchanged; only the program
+//     digest moves.
 //
 //   - EditRemoveCall deletes a call edge, which may shrink the callee's
 //     points-to sets and with them the may-alias matrix; EditRename
 //     renames a procedure, which renames every local in its frame and so
 //     changes the path universe. Both typically change the frozen digest
-//     and honestly invalidate the whole store — the cold end of the
-//     cold-vs-incremental contrast.
+//     as well.
 
 import (
 	"fmt"

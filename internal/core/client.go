@@ -132,10 +132,9 @@ var (
 	ErrDeadline = errors.New("core: analysis deadline exceeded")
 	// ErrCanceled indicates the caller canceled the run via Config.Cancel.
 	// Like ErrDeadline it is nondeterministic — a rerun of the same inputs
-	// would not abort — so canceled outcomes are never published to a
-	// summary source, never snapshotted as tables, and never memoized as
-	// slice results (see publishOutcome and the driver's warm/demand
-	// paths).
+	// would not abort — so canceled outcomes are never snapshotted as
+	// tables and never memoized as slice results (see the driver's
+	// warm/demand paths).
 	ErrCanceled = errors.New("core: analysis canceled")
 )
 

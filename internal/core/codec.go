@@ -10,8 +10,7 @@ import (
 
 // This file gives the persistent store (internal/store, internal/driver)
 // codec access to the framework's result shapes whose representation is
-// unexported: RSet construction from decoded parts, and a versioned,
-// canonical encoding of TDResult tables. Canonical means independent of
+// unexported: a versioned, canonical encoding of TDResult tables. Canonical means independent of
 // map iteration order and of the order contexts arrived in — procedures,
 // entry contexts and states are written sorted — so runs that reach the
 // same tables under different schedules encode byte-identically. State
@@ -21,25 +20,9 @@ import (
 
 const tdMagic = "SWTD1"
 
-// MakeRSet builds a summary-domain element from decoded parts,
-// canonicalizing both sets. It is the only way to construct an RSet
-// outside this package (the set representation is unexported on purpose —
-// the solvers rely on its invariants).
-func MakeRSet[R cmp.Ordered, P cmp.Ordered](rels []R, sigma []P) RSet[R, P] {
-	return RSet[R, P]{Rels: newSortedSet(rels), Sigma: newSortedSet(sigma)}
-}
-
-// RSetParts returns the relation and Sigma members of a summary, sorted.
-// The returned slices are the set's own storage; callers must not mutate
-// them.
-func RSetParts[R cmp.Ordered, P cmp.Ordered](x RSet[R, P]) (rels []R, sigma []P) {
-	return x.Rels, x.Sigma
-}
-
 // EncodeTDResult appends the canonical encoding of the top-down tables to
 // w: path edges, procedure summaries, incoming-state multisets and the
-// work counters. The unexported snapshot caches are derived state and are
-// not part of the encoding.
+// work counters.
 func EncodeTDResult[S cmp.Ordered](w *wire.Writer, r *TDResult[S], enc func(S) int64) {
 	w.Raw([]byte(tdMagic))
 	w.Uint(uint64(len(r.rows)))

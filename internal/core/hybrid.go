@@ -27,12 +27,6 @@ type Analysis[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	// instance is shared by every run, including concurrent sliced runs
 	// (RunSliceSet pre-builds it).
 	structIdx *ir.StructIndex
-
-	// Warm, when non-nil, is consulted before every run_bu invocation and
-	// offered every deterministic outcome (see warm.go). Sliced runs do not
-	// inherit it: RunSliced's per-slice analyses are built without it, as
-	// slice clients produce summaries in a different ID space.
-	Warm SummarySource[R, P]
 }
 
 // NewAnalysis validates the program, builds its CFG and returns an Analysis
@@ -190,23 +184,9 @@ func (a *Analysis[S, R, P]) RunBU(initial S, config Config) *Result[S, R, P] {
 	err := func() (err error) {
 		defer contain(&err)
 		f := a.Prog.Reachable(a.Prog.Entry)
-		// The whole bottom-up phase is one run_bu invocation over the entry
-		// closure, so it warm-starts as a single outcome keyed on the entry.
-		// Failed outcomes are not reused here: a budget abort is this
-		// engine's terminal result, so reproducing it saves nothing and
-		// would fabricate BUStats-free failures.
-		var eta map[string]RSet[R, P]
-		if a.Warm != nil {
-			if out, ok := a.Warm.Lookup(a.Prog.Entry, f); ok && !out.Failed {
-				eta = out.Eta
-			}
-		}
-		if eta == nil {
-			eta, err = safeRunBU(client, a.Prog, config, Unlimited, f, nil, nil, &res.BUStats)
-			if err != nil {
-				return err
-			}
-			publishOutcome(a.Warm, a.Prog.Entry, f, eta, nil)
+		eta, err := safeRunBU(client, a.Prog, config, Unlimited, f, nil, nil, &res.BUStats)
+		if err != nil {
+			return err
 		}
 		res.BU = eta
 		inst := &buInstantiator[S, R, P]{client: client, eta: eta, res: res}
@@ -421,23 +401,6 @@ func (h *hybrid[S, R, P]) trigger(f string, force bool) error {
 		}
 	}
 	delete(h.pending, f)
-	// Warm-start: the lookup sits exactly where run_bu would start, after
-	// the postpone check, so a warm run makes the same scheduling decisions
-	// as the cold run that published the outcome — the prerequisite for
-	// byte-identical replays (see warm.go and internal/driver).
-	if h.a.Warm != nil {
-		if out, ok := h.a.Warm.Lookup(f, frontier); ok {
-			if out.Failed {
-				h.res.BUFailed[f] = true
-				return nil
-			}
-			for name, rs := range out.Eta {
-				h.res.BU[name] = rs
-			}
-			h.res.Triggered = append(h.res.Triggered, f)
-			return nil
-		}
-	}
 	for {
 		// Each trigger gets the full MaxRelations/MaxBUSteps budget from the
 		// config (per-trigger counters, aggregated after).
@@ -447,7 +410,6 @@ func (h *hybrid[S, R, P]) trigger(f string, force bool) error {
 			frontier, h.res.BU, h.res.TD.EntrySeen, &stats,
 		)
 		h.res.BUStats.add(stats)
-		publishOutcome(h.a.Warm, f, frontier, eta, err)
 		if errors.Is(err, ErrClientPanic) {
 			// A contained panic inside the trigger: retry a bounded number
 			// of times, then degrade to the same top-down fallback a blown

@@ -84,15 +84,6 @@ type TDResult[S cmp.Ordered] struct {
 	ctxs   []procContexts[S]
 	rows   [][]pathCell[S]
 	wide   []sortedSet[S]
-
-	// version counts path-edge insertions; the per-node snapshot cache
-	// below is dropped when it moves. NodeStates memoizes because clients
-	// call it per check (per-node property tests); it is not safe for
-	// concurrent use — call it after the run, or from the solver's
-	// goroutine.
-	version   int
-	nodeSnap  map[int]sortedSet[S]
-	nodeSnapV int
 }
 
 // newPathTable returns a result with an empty path-edge table over nodes
@@ -210,35 +201,16 @@ func (r *TDResult[S]) SummaryCount(proc string) int {
 	return n
 }
 
-// nodeSnapshots returns the per-node snapshot cache, valid for the current
-// version.
-func (r *TDResult[S]) nodeSnapshots() map[int]sortedSet[S] {
-	if r.nodeSnap == nil || r.nodeSnapV != r.version {
-		r.nodeSnap = map[int]sortedSet[S]{}
-		r.nodeSnapV = r.version
-	}
-	return r.nodeSnap
-}
-
-// NodeStates returns the sorted abstract states recorded at a CFG node,
-// ignoring entry contexts. The result is memoized until the next path-edge
-// insertion; callers must not mutate it.
+// NodeStates returns the sorted distinct abstract states recorded at a
+// CFG node, ignoring entry contexts, in a fresh slice.
 func (r *TDResult[S]) NodeStates(node int) []S {
-	snap := r.nodeSnapshots()
-	if s, ok := snap[node]; ok {
-		return s
-	}
 	s := r.AppendNodeStates(nil, node)
 	slices.Sort(s)
-	s = slices.Compact(s)
-	snap[node] = s
-	return s
+	return slices.Compact(s)
 }
 
 // AppendNodeStates appends the abstract states recorded at a CFG node under
-// every entry context to dst, unsorted and possibly repeated. Unlike
-// NodeStates it memoizes nothing, so a reader that visits each node once
-// (building a per-node table) leaves no snapshot behind.
+// every entry context to dst, unsorted and possibly repeated.
 func (r *TDResult[S]) AppendNodeStates(dst []S, node int) []S {
 	for _, p := range r.rows[node] {
 		dst = r.appendCell(dst, p)
@@ -472,7 +444,6 @@ func (t *tdSolver[S, R, P]) insertFact(node int, c int32, out S) (bool, error) {
 	if !t.res.insert(t.res.cell(node, c), out) {
 		return false, nil
 	}
-	t.res.version++
 	t.res.NumPathEdges++
 	if t.sp != nil {
 		// The sparse scheduler pops per node batch, not per fact; charge
@@ -518,7 +489,6 @@ func (t *tdSolver[S, R, P]) insertFactSet(node int, c int32, states sortedSet[S]
 	if len(added) == 0 {
 		return nil, nil
 	}
-	t.res.version++
 	if t.sp != nil {
 		t.res.Steps += len(added) // per-fact step charge; see insertFact
 	}

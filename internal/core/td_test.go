@@ -1,9 +1,8 @@
 package core
 
 // White-box tests of the tabulation solver's memory behaviour: the worklist
-// must not pin popped states through its backing array, oversized burst
-// arrays must be released on drain, and the NodeStates snapshot cache must
-// be reused until the next insertion invalidates it.
+// must not pin popped states through its backing array and oversized
+// burst arrays must be released on drain.
 
 import (
 	"bytes"
@@ -98,33 +97,8 @@ func syntheticResult[S ~int | ~int32](nodes, contexts, width int) *TDResult[S] {
 			}
 			r.insertSet(r.cell(n, r.context(n, S(c))), outs, nil)
 		}
-		r.version += contexts * width
 	}
 	return r
-}
-
-// TestNodeStatesMemoized checks that repeated NodeStates calls allocate
-// nothing and that an insertion invalidates the cache; AllStates, which
-// memoizes nothing, sees the insertion too.
-func TestNodeStatesMemoized(t *testing.T) {
-	r := syntheticResult[int](64, 3, 4)
-	first := r.AllStates()
-	if avg := testing.AllocsPerRun(100, func() { r.NodeStates(7) }); avg != 0 {
-		t.Errorf("NodeStates allocated %.1f per call on a clean cache", avg)
-	}
-	// Simulate what insertFact does: new fact, version bump.
-	const novel = 1 << 20
-	if !r.insert(r.cell(0, r.context(0, 0)), novel) {
-		t.Fatal("novel state not added")
-	}
-	r.version++
-	second := r.AllStates()
-	if len(second) != len(first)+1 || !sortedSet[int](second).has(novel) {
-		t.Fatalf("AllStates after insertion: %d states, want %d with %d", len(second), len(first)+1, novel)
-	}
-	if !sortedSet[int](r.NodeStates(0)).has(novel) {
-		t.Fatal("recomputed node snapshot misses the new state")
-	}
 }
 
 // TestReachedStatesMatchesAllStates checks the bitset scan against the map

@@ -1,7 +1,7 @@
 package driver
 
 // Cancellation tests at the warm/demand layer: a canceled run publishes
-// nothing to the store (no tables snapshot, no summaries), memoizes no
+// nothing to the store (no tables snapshot), memoizes no
 // slice tables, and a subsequent identical request recomputes tables
 // byte-identical to a never-canceled cold run — for all three engines.
 
@@ -52,7 +52,7 @@ func closedCancel() chan struct{} {
 
 // TestCanceledWarmRunPublishesNothing: for every engine, a Warm.Run with
 // a pre-closed cancel channel returns ErrCanceled and leaves the store
-// untouched — zero Puts across the tables, summary and any other layer.
+// untouched — zero Puts across the tables and any other layer.
 func TestCanceledWarmRunPublishesNothing(t *testing.T) {
 	src := heavySource(2000)
 	for _, engine := range []string{"td", "bu", "swift"} {
@@ -117,7 +117,7 @@ func TestCancelThenRecomputeByteIdentical(t *testing.T) {
 			if !res2.Completed() {
 				t.Fatalf("recompute did not complete: %v", res2.Err)
 			}
-			if stats2.RestoredTables || stats2.SummaryHits > 0 {
+			if stats2.RestoredTables {
 				t.Fatalf("recompute warm-started from a canceled run's leftovers: %+v", stats2)
 			}
 			if got := EncodeResultTables(b2, res2); !bytes.Equal(got, want) {

@@ -13,30 +13,16 @@ import (
 	"swift/internal/typestate"
 )
 
-// refProgramDigest and refClosureDigest are the digests computed from
-// scratch, printing every body anew: the definitions the per-build memos
-// must reproduce.
+// refProgramDigest is the program digest computed from scratch: the
+// definition the per-build memo must reproduce.
 func refProgramDigest(prog *ir.Program) string {
 	sum := sha256.Sum256([]byte(ir.Print(prog)))
 	return hex.EncodeToString(sum[:])
 }
 
-func refClosureDigest(prog *ir.Program, root string) string {
-	h := sha256.New()
-	for _, name := range prog.Reachable(root) {
-		h.Write([]byte(name))
-		h.Write([]byte{0})
-		if p, ok := prog.Procs[name]; ok {
-			h.Write([]byte(ir.Print(&ir.Program{Procs: map[string]*ir.Proc{name: p}})))
-		}
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // TestDigestMemosMatchRecomputation: on every benchprog profile, the
-// memoized program and closure digests equal a recomputation that prints
-// every body anew, before and after an engine run; and the memoized frozen
+// memoized program digest equals a recomputation, before and after an
+// engine run; and the memoized frozen
 // digest read after a run (its intern tables grown) equals the digest a
 // second, fresh build computes. The digests are read first from several
 // goroutines at once, as slice runs may.
@@ -64,7 +50,6 @@ func TestDigestMemosMatchRecomputation(t *testing.T) {
 				if got := b.Digests().Program; got != wantProgram {
 					t.Errorf("%s: concurrent program digest %s, want %s", p.Name, got, wantProgram)
 				}
-				closureDigest(b, "main")
 			}()
 		}
 		wg.Wait()
@@ -73,16 +58,6 @@ func TestDigestMemosMatchRecomputation(t *testing.T) {
 		}
 		if got := ProgramDigest(b); got != wantProgram {
 			t.Errorf("%s: program digest %s, want %s", p.Name, got, wantProgram)
-		}
-		idx := IndexClosures(b)
-		for _, name := range append(prog.ProcNames(), "absent.proc") {
-			want := refClosureDigest(prog, name)
-			if got := closureDigest(b, name); got != want {
-				t.Errorf("%s: closure digest of %s %s, want %s", p.Name, name, got, want)
-			}
-			if _, ok := prog.Procs[name]; ok && idx[name] != want {
-				t.Errorf("%s: index digest of %s %s, want %s", p.Name, name, idx[name], want)
-			}
 		}
 		if got, want := b.TS.FrozenDigest(), build().TS.FrozenDigest(); got != want {
 			t.Errorf("%s: memoized frozen digest %s, fresh build's %s", p.Name, got, want)

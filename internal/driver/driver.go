@@ -31,12 +31,8 @@ type Build struct {
 	// Core binds the client to the lowered program's CFG.
 	Core *core.Analysis[typestate.AbsID, typestate.RelID, typestate.FormulaID]
 
-	// bodies holds each lowered procedure's print, made once on first use
-	// (bodyPrints) and read by every program and closure digest. The
-	// lowered program never changes after the build, so neither do they.
-	bodiesOnce sync.Once
-	bodies     map[string][]byte
-	// program memoizes ProgramDigest.
+	// program memoizes ProgramDigest. The lowered program never changes
+	// after the build, so neither does its digest.
 	programOnce sync.Once
 	program     string
 }

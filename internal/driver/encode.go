@@ -35,7 +35,7 @@ func EncodeResultTables(b *Build, res *Result) []byte {
 	if res.TD != nil {
 		core.EncodeTDResult(&w, res.TD, func(s typestate.AbsID) int64 { return int64(s) })
 	}
-	w.String(string(b.TS.EncodeSummaries(nil, res.BU, false)))
+	w.String(string(b.TS.EncodeSummaries(res.BU)))
 	failed := make([]string, 0, len(res.BUFailed))
 	for name, v := range res.BUFailed {
 		if v {

@@ -20,7 +20,7 @@ const goldenKeysPath = "testdata/golden_keys.txt"
 
 // goldenKeys renders every store key a build of testdata/mirror.mj and of
 // elevator produces, with the bytes stored under it: the result and slice
-// keys of each engine, and the tables and summary blobs Warm.Run writes
+// keys of each engine, and the tables blobs Warm.Run writes
 // into an empty disk store, found by listing the store's directory. Each
 // engine runs at the default thresholds and at K=1, θ=2.
 func goldenKeys(t *testing.T) string {

@@ -2,16 +2,14 @@ package driver
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"swift/internal/benchprog"
 )
 
-// tweakUtil0 is the canonical closure-preserving edit for these tests:
-// Util0.process sits at the top of the utility chain, so every other
-// utility layer's call-graph closure excludes it and keeps its summary
-// keys across the edit.
+// tweakUtil0 is the edit these tests apply: a body tweak of
+// Util0.process, which changes the program digest but not the frozen
+// construction.
 var tweakUtil0 = benchprog.Edit{Kind: benchprog.EditTweakBody, Class: "Util0", Method: "process"}
 
 func buildToba(t *testing.T, edits ...benchprog.Edit) *Build {
@@ -29,91 +27,6 @@ func buildToba(t *testing.T, edits ...benchprog.Edit) *Build {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// TestDigestIndexMatchesClosureDigest: the index must produce exactly
-// the digests the summary keys use, or its invalidation frontier would
-// not describe the store.
-func TestDigestIndexMatchesClosureDigest(t *testing.T) {
-	b := buildToba(t)
-	idx := IndexClosures(b)
-	names := b.Lowered.Prog.ProcNames()
-	if len(idx) != len(names) {
-		t.Fatalf("index has %d procedures, program %d", len(idx), len(names))
-	}
-	for _, name := range names {
-		if idx[name] != closureDigest(b, name) {
-			t.Errorf("index digest of %s differs from closureDigest", name)
-		}
-	}
-}
-
-// TestDigestIndexFrontier: identical programs diff to nothing; a
-// single-procedure body edit invalidates exactly the edited procedure
-// and its transitive callers — a proper subset of the program.
-func TestDigestIndexFrontier(t *testing.T) {
-	base := IndexClosures(buildToba(t))
-	if ch := base.Changed(IndexClosures(buildToba(t))); len(ch) != 0 {
-		t.Fatalf("identical programs have frontier %v", ch)
-	}
-	edited := IndexClosures(buildToba(t, tweakUtil0))
-	frontier := edited.Changed(base)
-	if len(frontier) == 0 {
-		t.Fatal("edit produced an empty invalidation frontier")
-	}
-	if len(frontier) >= len(base) {
-		t.Fatalf("frontier covers %d of %d procedures; want a proper subset", len(frontier), len(base))
-	}
-	if !slices.Contains(frontier, "Util0.process") {
-		t.Fatalf("frontier %v does not contain the edited procedure", frontier)
-	}
-	for _, name := range frontier {
-		if edited[name] == base[name] {
-			t.Errorf("%s is in the frontier but its digest is unchanged", name)
-		}
-	}
-}
-
-// TestIncrementalSummaryReuseAfterEdit is the tentpole acceptance
-// criterion at the driver layer: after a single-procedure edit, triggers
-// whose call-graph closure is untouched are answered from the store, in
-// relaxed mode (no tables snapshot exists for the new program digest).
-func TestIncrementalSummaryReuseAfterEdit(t *testing.T) {
-	st := openStore(t)
-	cfg := lowConfig()
-
-	cold := buildToba(t)
-	res1, stats1, err := Warm{Store: st}.Run(cold, "swift", cfg)
-	if err != nil {
-		t.Fatalf("cold: %v", err)
-	}
-	if !res1.Completed() {
-		t.Fatalf("cold did not complete: %v", res1.Err)
-	}
-	if stats1.SummaryMisses == 0 {
-		t.Fatal("cold run triggered no run_bu; the fixture no longer exercises summaries")
-	}
-
-	edited := buildToba(t, tweakUtil0)
-	if cold.TS.FrozenDigest() != edited.TS.FrozenDigest() {
-		t.Fatal("tweak edit changed the frozen digest; relaxed reuse is impossible")
-	}
-	res2, stats2, err := Warm{Store: st}.Run(edited, "swift", cfg)
-	if err != nil {
-		t.Fatalf("edited: %v", err)
-	}
-	if !res2.Completed() {
-		t.Fatalf("edited run did not complete: %v", res2.Err)
-	}
-	if stats2.RestoredTables {
-		t.Fatal("edited program restored the base program's tables snapshot")
-	}
-	if stats2.SummaryHits == 0 {
-		t.Fatal("edited run reused no summaries; untouched closures must hit")
-	}
-	if !stats2.Relaxed {
-		t.Fatal("summary reuse without tables restore not flagged as relaxed")
-	}
 }
 
 // TestIncrementalRevertByteIdentical: after an edit is reverted (the
@@ -150,9 +63,6 @@ func TestIncrementalRevertByteIdentical(t *testing.T) {
 			if !stats3.RestoredTables {
 				t.Fatal("reverted program did not restore the base snapshot")
 			}
-			if stats3.SummaryMisses != 0 {
-				t.Fatalf("reverted run had %d summary misses, want 0", stats3.SummaryMisses)
-			}
 			if !bytes.Equal(enc1, EncodeResultTables(revert, res3)) {
 				t.Fatal("reverted result tables differ from the cold run's")
 			}
@@ -173,7 +83,7 @@ func TestWarmRestoreFailedNoPublish(t *testing.T) {
 	if _, stats, err := (Warm{Store: st}).Run(cold, "swift", cfg); err != nil || !stats.PublishedTables {
 		t.Fatalf("cold: err=%v stats=%+v", err, stats)
 	}
-	tablesKey := keyTemplate(cold, "swift", normalizeConfig("swift", cfg))
+	tablesKey := keyFor(cold.TS.FrozenDigest(), "swift", normalizeConfig("swift", cfg))
 	tablesKey.Kind = "tables"
 	tablesKey.Body = ProgramDigest(cold)
 	blob, ok := st.Get(tablesKey)

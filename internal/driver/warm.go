@@ -1,48 +1,26 @@
 package driver
 
 // This file wires the persistent artifact store (internal/store) into the
-// pipeline: Warm.Run is Build.Run with a summary cache and intern-table
-// snapshots around it.
+// pipeline: Warm.Run is Build.Run with intern-table snapshots around it.
 //
-// Two artifact kinds cooperate:
+// The "tables" artifact is the full mutable intern-table snapshot of a
+// completed run (typestate.EncodeTables), keyed by the whole program's
+// digest. A warm run restores it into its fresh pipeline before solving,
+// which pins every interned ID to the cold run's value. The engine still
+// runs in full, so every warm result is byte-identical to a cold run's
+// (EncodeResultTables).
 //
-//   - "tables": the full mutable intern-table snapshot of a completed run
-//     (typestate.EncodeTables), keyed by the whole program's digest. A
-//     warm run restores it into its fresh pipeline before solving, which
-//     pins every interned ID to the cold run's value — the precondition
-//     for byte-identical result tables (EncodeResultTables) under the
-//     deterministic engines.
-//
-//   - "summary": one trigger outcome (typestate.EncodeSummaries), keyed
-//     by the trigger's call-graph-closure digest. The closure covers
-//     every procedure whose body can influence the outcome — including
-//     already-summarized callees outside the run_bu frontier, whose
-//     stored summaries the solver consults — so a hit is sound whenever
-//     the key matches. Lookup additionally requires the stored frontier
-//     to equal the live one; otherwise the outcome belongs to a different
-//     summarization state and is treated as a miss.
-//
-// Summary hits without a restored tables snapshot ("relaxed" reuse,
-// e.g. after editing an unrelated procedure changed the program digest
-// but not a trigger's closure) are still sound and yield the same error
-// report, but decoded components intern to different IDs, so the result
-// tables need not be byte-identical to a cold run's. WarmStats records
-// which mode a run got.
-//
-// Fault-injection runs (cfg.Fault != nil) bypass the store entirely: the
-// fault plan's operation indices count client calls, and warm-skipped
-// work would shift every subsequent fault site.
+// Fault-injection runs (cfg.Fault != nil) bypass the store entirely, so
+// a fault plan always meets the pipeline a cold run would.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"slices"
 
 	"swift/internal/core"
 	"swift/internal/ir"
 	"swift/internal/store"
-	"swift/internal/typestate"
 )
 
 // Warm runs engines against a persistent artifact store.
@@ -64,13 +42,11 @@ type WarmStats struct {
 	// run never publishes its tables; the corrupt snapshot is deleted so a
 	// later fresh run can re-publish a good one.
 	RestoreFailed bool
-	// Relaxed reports summary-level reuse without a restored tables
-	// snapshot: sound, same error report, but decoded components intern to
-	// fresh IDs, so result tables need not be byte-identical to the cold
-	// run that published the summaries.
-	Relaxed bool
-	// SummaryHits and SummaryMisses count run_bu invocations answered from
-	// the store versus computed (and, when deterministic, published).
+	// Relaxed, SummaryHits and SummaryMisses are always zero: runs no
+	// longer reuse stored trigger summaries. They remain only because the
+	// swiftperf benchmark (cmd/swiftperf/internal/perf/replay.go) still
+	// reads them; they go when that benchmark next changes.
+	Relaxed       bool
 	SummaryHits   int64
 	SummaryMisses int64
 }
@@ -90,11 +66,6 @@ func normalizeConfig(engine string, cfg core.Config) core.Config {
 	return cfg
 }
 
-// keyTemplate fills the key fields shared by every artifact of one run.
-func keyTemplate(b *Build, engine string, cfg core.Config) store.Key {
-	return keyFor(b.TS.FrozenDigest(), engine, cfg)
-}
-
 func keyFor(frozen, engine string, cfg core.Config) store.Key {
 	return store.Key{
 		Frozen: frozen,
@@ -104,33 +75,12 @@ func keyFor(frozen, engine string, cfg core.Config) store.Key {
 	}
 }
 
-// bodyPrints returns each lowered procedure's ir.Print, printed once per
-// build. Slice runs may ask from several goroutines, hence the sync.Once.
-func (b *Build) bodyPrints() map[string][]byte {
-	b.bodiesOnce.Do(func() {
-		prog := b.Lowered.Prog
-		b.bodies = make(map[string][]byte, len(prog.Procs))
-		for name, p := range prog.Procs {
-			b.bodies[name] = []byte(ir.Print(&ir.Program{Procs: map[string]*ir.Proc{name: p}}))
-		}
-	})
-	return b.bodies
-}
-
-// ProgramDigest returns the hex digest of the whole lowered program: the
-// SHA-256 of ir.Print of it, which is the procedure prints in name order
-// joined by newlines. It is computed once per build.
+// ProgramDigest returns the hex digest of the whole lowered program, the
+// SHA-256 of its ir.Print. It is computed once per build.
 func ProgramDigest(b *Build) string {
 	b.programOnce.Do(func() {
-		bodies := b.bodyPrints()
-		h := sha256.New()
-		for i, name := range b.Lowered.Prog.ProcNames() {
-			if i > 0 {
-				h.Write([]byte{'\n'})
-			}
-			h.Write(bodies[name])
-		}
-		b.program = hex.EncodeToString(h.Sum(nil))
+		sum := sha256.Sum256([]byte(ir.Print(b.Lowered.Prog)))
+		b.program = hex.EncodeToString(sum[:])
 	})
 	return b.program
 }
@@ -150,22 +100,6 @@ func (b *Build) Digests() BuildDigests {
 	return BuildDigests{Frozen: b.TS.FrozenDigest(), Program: ProgramDigest(b)}
 }
 
-// closureDigest hashes the bodies of every procedure reachable from root
-// by call chains (root included), in sorted order. Procedures named but
-// absent from the program hash as their name alone, matching how the
-// solvers treat them (no-op bodies).
-func closureDigest(b *Build, root string) string {
-	bodies := b.bodyPrints()
-	h := sha256.New()
-	for _, name := range b.Lowered.Prog.Reachable(root) {
-		h.Write([]byte(name))
-		h.Write([]byte{0})
-		h.Write(bodies[name])
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // ResultKey is the store key under which a whole analysis response for
 // this (program, engine, config) may be cached — swiftd's outermost
 // cache layer. The body digest covers the entire lowered program, so any
@@ -183,54 +117,6 @@ func ResultKeyFor(d BuildDigests, engine string, cfg core.Config) store.Key {
 	return k
 }
 
-// summarySource adapts the store to core.SummarySource for one run.
-type summarySource struct {
-	b     *Build
-	store *store.Store
-	tmpl  store.Key
-
-	digests map[string]string // trigger → closure digest
-
-	hits   int64
-	misses int64
-}
-
-func (s *summarySource) key(trigger string) store.Key {
-	d, ok := s.digests[trigger]
-	if !ok {
-		d = closureDigest(s.b, trigger)
-		s.digests[trigger] = d
-	}
-	k := s.tmpl
-	k.Kind = "summary"
-	k.Proc = trigger
-	k.Body = d
-	return k
-}
-
-// Lookup implements core.SummarySource. Corrupt blobs, digest mismatches
-// and frontier mismatches all degrade to misses.
-func (s *summarySource) Lookup(trigger string, frontier []string) (core.TriggerOutcome[typestate.RelID, typestate.FormulaID], bool) {
-	var zero core.TriggerOutcome[typestate.RelID, typestate.FormulaID]
-	blob, ok := s.store.Get(s.key(trigger))
-	if !ok {
-		s.misses++
-		return zero, false
-	}
-	storedFrontier, eta, failed, err := s.b.TS.DecodeSummaries(blob)
-	if err != nil || !slices.Equal(storedFrontier, frontier) {
-		s.misses++
-		return zero, false
-	}
-	s.hits++
-	return core.TriggerOutcome[typestate.RelID, typestate.FormulaID]{Eta: eta, Failed: failed}, true
-}
-
-// Publish implements core.SummarySource.
-func (s *summarySource) Publish(trigger string, frontier []string, out core.TriggerOutcome[typestate.RelID, typestate.FormulaID]) {
-	s.store.Put(s.key(trigger), s.b.TS.EncodeSummaries(frontier, out.Eta, out.Failed))
-}
-
 // deterministicOutcome reports whether a run outcome is reproducible on
 // an identical rebuild: a completed run, or a budget abort that did not
 // involve the wall clock or a caller cancellation. ErrCanceled never
@@ -245,10 +131,9 @@ func deterministicOutcome(err error) bool {
 		!errors.Is(err, core.ErrCanceled)
 }
 
-// Run executes the engine like Build.Run, warm-starting from the store
-// and feeding it afterwards. b must be a freshly built pipeline for
-// tables restore (and publication) to engage; a non-fresh pipeline still
-// gets summary-level reuse.
+// Run executes the engine like Build.Run, restoring a stored tables
+// snapshot first and publishing one afterwards. b must be a freshly built
+// pipeline for either to engage; a non-fresh pipeline just runs.
 func (w Warm) Run(b *Build, engine string, cfg core.Config) (*Result, *WarmStats, error) {
 	stats := &WarmStats{}
 	if w.Store == nil || cfg.Fault != nil {
@@ -257,10 +142,7 @@ func (w Warm) Run(b *Build, engine string, cfg core.Config) (*Result, *WarmStats
 		res, err := b.Run(engine, cfg)
 		return res, stats, err
 	}
-	ncfg := normalizeConfig(engine, cfg)
-	tmpl := keyTemplate(b, engine, ncfg)
-
-	tablesKey := tmpl
+	tablesKey := keyFor(b.TS.FrozenDigest(), engine, normalizeConfig(engine, cfg))
 	tablesKey.Kind = "tables"
 	tablesKey.Body = ProgramDigest(b)
 
@@ -276,14 +158,7 @@ func (w Warm) Run(b *Build, engine string, cfg core.Config) (*Result, *WarmStats
 		}
 	}
 
-	src := &summarySource{b: b, store: w.Store, tmpl: tmpl, digests: map[string]string{}}
-	b.Core.Warm = src
-	defer func() { b.Core.Warm = nil }()
-
 	res, err := b.Run(engine, cfg)
-	stats.SummaryHits = src.hits
-	stats.SummaryMisses = src.misses
-	stats.Relaxed = stats.SummaryHits > 0 && !stats.RestoredTables
 	if err != nil {
 		return res, stats, err
 	}

@@ -27,19 +27,19 @@ import (
 
 // Key identifies one cached artifact. Every field that can change the
 // artifact's bytes must be part of it: the engines' outputs depend on the
-// procedure bodies analyzed (Body: a closure hash), the client's frozen
+// procedure bodies analyzed (Body: a program hash), the client's frozen
 // construction (Frozen: property layout and may-alias oracle digest), and
 // the engine and its thresholds. The worklist schedule is not part of it:
 // every schedule produces the same artifact.
 type Key struct {
-	// Kind separates artifact namespaces: "summary" (one trigger outcome),
-	// "tables" (intern-table snapshot + TD tables of a full run), "result"
-	// (swiftd response blobs).
+	// Kind separates artifact namespaces: "tables" (intern-table snapshot
+	// of a full run), "result" (swiftd response blobs), "slicerun" (one
+	// site slice's run), "queryresult" (swiftd /query response blobs).
 	Kind string
-	// Proc is the trigger procedure ("" for whole-program artifacts).
+	// Proc names the part of the program the artifact covers: a slice's
+	// site, a query batch's digest, or "" for whole-program artifacts.
 	Proc string
-	// Body is the hex digest of the procedure bodies the artifact depends
-	// on — the call-graph closure of Proc, or the whole program.
+	// Body is the hex digest of the program the artifact depends on.
 	Body string
 	// Frozen is the client's frozen-construction digest
 	// (typestate.FrozenDigest).
@@ -53,7 +53,7 @@ type Key struct {
 // KeyVersion is the key-format version rendered into every ID. Bump it
 // whenever an engine's artifacts change for unchanged key fields, so a disk
 // store written by older code reads as empty instead of restoring
-// summaries and tables the new code would not produce. Version 2: the
+// artifacts the new code would not produce. Version 2: the
 // hybrid engines moved to the compressed view, which changes when their
 // triggers fire. Version 3: the four ablation-knob fields left the key, so
 // version-2 IDs no longer render the same way.

@@ -1,7 +1,7 @@
 // Package swiftd implements the analysis server behind cmd/swiftd: a
 // JSON-over-HTTP front end over the persistent artifact store, hardened
-// for production use. Beyond the three cache layers (whole-response
-// blobs, per-trigger summaries, intern-table snapshots) and the
+// for production use. Beyond the two cache layers (whole-response
+// blobs, intern-table snapshots) and the
 // source-digest memo in front of them (keymemo.go) it provides:
 //
 //   - cooperative cancellation: every engine run carries a cancel
@@ -80,10 +80,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the swiftd request handler. Three cache layers cooperate on
-// a request: whole-response blobs (Kind "result"/"queryresult"),
-// per-trigger summaries and intern-table snapshots (via driver.Warm).
-// All are keyed by content digests, so serving a cached response for a
+// Server is the swiftd request handler. Two cache layers cooperate on a
+// request: whole-response blobs (Kind "result"/"queryresult") and
+// intern-table snapshots (via driver.Warm). Both are keyed by content
+// digests, so serving a cached response for a
 // byte-identical program is exact, not heuristic. The key memo finds the
 // digests of source bytes built before, so a repeat request reaches its
 // cached response without building.
@@ -126,13 +126,9 @@ type Server struct {
 	queryResultMisses atomic.Int64
 
 	// Incremental telemetry: cumulative warm-path counters across every
-	// engine run, surfaced in /stats so repeated /analyze calls on
-	// successive program versions show how much the store reused.
+	// engine run, surfaced in /stats.
 	restoredRuns   atomic.Int64
-	relaxedRuns    atomic.Int64
 	failedRestores atomic.Int64
-	summaryHits    atomic.Int64
-	summaryMisses  atomic.Int64
 
 	// Robustness telemetry (see robustnessStats).
 	engineRuns      atomic.Int64
@@ -177,26 +173,18 @@ type analyzeResponse struct {
 	// TablesDigest fingerprints the deterministic result tables
 	// (driver.ResultTablesDigest), so clients can compare runs.
 	TablesDigest string `json:"tablesDigest,omitempty"`
-	// Warm-start telemetry of the run that produced this response. Relaxed
-	// means summaries were reused without a restored tables snapshot (same
-	// report, but tables need not be byte-identical to the cold run).
+	// RestoredTables reports that the run restored a stored tables
+	// snapshot first; the answer is the same either way.
 	RestoredTables bool  `json:"restoredTables"`
-	Relaxed        bool  `json:"relaxed"`
-	SummaryHits    int64 `json:"summaryHits"`
-	SummaryMisses  int64 `json:"summaryMisses"`
 	ElapsedMS      int64 `json:"elapsedMs"`
 }
 
 // incrementalStats is the /stats incremental telemetry block.
 type incrementalStats struct {
-	// RestoredRuns counts runs that restored a tables snapshot
-	// (byte-identity mode); RelaxedRuns counts runs with summary reuse but
-	// no snapshot; FailedRestores counts corrupt snapshots dropped.
+	// RestoredRuns counts runs that restored a tables snapshot;
+	// FailedRestores counts corrupt snapshots dropped.
 	RestoredRuns   int64 `json:"restoredRuns"`
-	RelaxedRuns    int64 `json:"relaxedRuns"`
 	FailedRestores int64 `json:"failedRestores"`
-	SummaryHits    int64 `json:"summaryHits"`
-	SummaryMisses  int64 `json:"summaryMisses"`
 }
 
 // robustnessStats is the /stats robustness telemetry block.
@@ -572,14 +560,9 @@ func (s *Server) computeAnalyze(ctx context.Context, b *driver.Build, req analyz
 	if wstats.RestoredTables {
 		s.restoredRuns.Add(1)
 	}
-	if wstats.Relaxed {
-		s.relaxedRuns.Add(1)
-	}
 	if wstats.RestoreFailed {
 		s.failedRestores.Add(1)
 	}
-	s.summaryHits.Add(wstats.SummaryHits)
-	s.summaryMisses.Add(wstats.SummaryMisses)
 	if res.TD != nil && res.TD.Sparse.Enabled {
 		sp := res.TD.Sparse
 		s.sparseRuns.Add(1)
@@ -597,9 +580,6 @@ func (s *Server) computeAnalyze(ctx context.Context, b *driver.Build, req analyz
 		Completed:      res.Completed(),
 		TablesDigest:   driver.ResultTablesDigest(b, res),
 		RestoredTables: wstats.RestoredTables,
-		Relaxed:        wstats.Relaxed,
-		SummaryHits:    wstats.SummaryHits,
-		SummaryMisses:  wstats.SummaryMisses,
 		ElapsedMS:      time.Since(start).Milliseconds(),
 	}
 	if res.Err != nil {
@@ -699,10 +679,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		KeyMemo:       s.keys.stats(),
 		Incremental: incrementalStats{
 			RestoredRuns:   s.restoredRuns.Load(),
-			RelaxedRuns:    s.relaxedRuns.Load(),
 			FailedRestores: s.failedRestores.Load(),
-			SummaryHits:    s.summaryHits.Load(),
-			SummaryMisses:  s.summaryMisses.Load(),
 		},
 		Query: s.queryStatsSnapshot(),
 		Robustness: robustnessStats{

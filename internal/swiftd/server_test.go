@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -331,10 +332,9 @@ func TestCorruptResultCacheDropped(t *testing.T) {
 // incTestProgramV1/V2 are two versions of one program: V2 adds a
 // redundant g.read() inside Worker.other. The edit adds no variables, no
 // allocation sites and no points-to flows, so the client's frozen
-// construction is unchanged and Worker.use — whose call-graph closure
-// does not contain Worker.other — keeps its summary-store key across
-// versions. Worker.use is invoked in two distinct states (closed, then
-// opened), so it triggers run_bu at K=1.
+// construction is unchanged while the program digest moves. Worker.use
+// is invoked in two distinct states (closed, then opened), so it
+// triggers run_bu at K=1.
 const incTestProgramV1 = `
 property File {
   states closed opened error
@@ -389,47 +389,32 @@ class Worker {
 }
 `
 
-// TestIncrementalTelemetryAcrossVersions: analyzing an edited program
-// version reuses the untouched procedure's summary (relaxed mode — no
-// tables snapshot for the new program digest) and the /stats incremental
-// block records it.
-func TestIncrementalTelemetryAcrossVersions(t *testing.T) {
+// TestEditStreamRepliesMatchFreshServer: the store history of a
+// long-lived server never changes an answer. Over a short edit stream,
+// each swift /analyze reply of one server with a disk store carries the
+// tablesDigest and errorSites of a fresh server's reply to the same
+// source.
+func TestEditStreamRepliesMatchFreshServer(t *testing.T) {
 	_, ts := newTestServer(t)
-	one := 1
-
-	first, code := postAnalyze(t, ts.URL, analyzeRequest{Source: incTestProgramV1, Engine: "swift", K: &one})
-	if code != http.StatusOK {
-		t.Fatalf("v1 status = %d", code)
-	}
-	if first.SummaryMisses == 0 {
-		t.Fatal("v1 run triggered no run_bu; the fixture no longer exercises summaries")
-	}
-	if first.SummaryHits != 0 {
-		t.Fatalf("v1 run on an empty store reported %d summary hits", first.SummaryHits)
-	}
-
-	second, code := postAnalyze(t, ts.URL, analyzeRequest{Source: incTestProgramV2, Engine: "swift", K: &one})
-	if code != http.StatusOK {
-		t.Fatalf("v2 status = %d", code)
-	}
-	if second.Cached {
-		t.Fatal("v2 hit the whole-response cache despite a different program digest")
-	}
-	if second.SummaryHits == 0 {
-		t.Fatal("v2 run reused no summaries; want a hit for the untouched closure")
-	}
-	if second.RestoredTables {
-		t.Fatal("v2 restored tables despite a different program digest")
-	}
-	if !second.Relaxed {
-		t.Fatal("v2 summary reuse without tables restore not reported as relaxed")
-	}
-
-	stats := getStats(t, ts.URL)
-	if stats.Incremental.SummaryHits == 0 || stats.Incremental.RelaxedRuns == 0 {
-		t.Errorf("incremental stats = %+v, want nonzero summaryHits and relaxedRuns", stats.Incremental)
-	}
-	if stats.Incremental.FailedRestores != 0 {
-		t.Errorf("incremental stats = %+v, want no failed restores", stats.Incremental)
+	var srcs []string
+	eachVersion(t, "toba-s", 4, 6, func(src string) { srcs = append(srcs, src) })
+	srcs = append(srcs, srcs[0]) // the base again, after its edits
+	for i, src := range srcs {
+		req := analyzeRequest{Source: src, Engine: "swift"}
+		got, code := postAnalyze(t, ts.URL, req)
+		if code != http.StatusOK {
+			t.Fatalf("version %d: status = %d", i, code)
+		}
+		_, freshTS := newTestServer(t)
+		want, code := postAnalyze(t, freshTS.URL, req)
+		if code != http.StatusOK {
+			t.Fatalf("version %d: fresh status = %d", i, code)
+		}
+		if got.TablesDigest == "" || got.TablesDigest != want.TablesDigest {
+			t.Errorf("version %d: tablesDigest %q, a fresh server's %q", i, got.TablesDigest, want.TablesDigest)
+		}
+		if !slices.Equal(got.ErrorSites, want.ErrorSites) {
+			t.Errorf("version %d: errorSites %v, a fresh server's %v", i, got.ErrorSites, want.ErrorSites)
+		}
 	}
 }

@@ -1,15 +1,15 @@
 package typestate
 
 // This file makes the type-state client's artifacts serializable for the
-// persistent summary store (internal/store):
+// persistent artifact store (internal/store):
 //
 //   - FrozenDigest fingerprints everything NewAnalysis freezes before any
 //     solver runs: the path and site universes, the property layout, the
 //     may-alias oracle matrix and the relevance filter. Two Analysis
 //     instances with equal digests assign identical IDs to every frozen
 //     value (construction is deterministic), and — crucially for soundness
-//     — agree on every mayalias literal a stored summary may test. A
-//     summary computed under one oracle is NOT valid under another, which
+//     — agree on every mayalias literal a stored artifact may encode. An
+//     artifact computed under one oracle is NOT valid under another, which
 //     is why the digest is part of every store key.
 //
 //   - EncodeTables/RestoreTables snapshot the intern tables (path
@@ -21,18 +21,18 @@ package typestate
 //     reuse (ID order drives sorted sets, worklist order and pruning
 //     tie-breaks; see intern.go).
 //
-//   - EncodeSummaries/DecodeSummaries serialize one trigger outcome (the
-//     eta map of pruned bottom-up summaries) structurally: mutable-table
-//     IDs are never written, only frozen IDs and inlined set/vector/
-//     formula contents, and the relations of each procedure are sorted by
-//     their encoded bytes. The encoding is therefore canonical across
-//     clients — decode into any same-digest instance and re-encode, and
-//     the bytes are identical whatever IDs that instance assigned.
+//   - EncodeSummaries serializes a run's bottom-up summaries
+//     structurally: mutable-table IDs are never written, only frozen IDs
+//     and inlined set/vector/formula contents, and the relations of each
+//     procedure are sorted by their encoded bytes. The encoding is
+//     therefore canonical across clients: equal summaries encode to the
+//     same bytes whatever IDs an instance assigned.
 //
-// Every decoder treats malformed input as an error (never a panic): the
-// store turns codec errors into cache misses.
+// RestoreTables treats malformed input as an error (never a panic): the
+// store turns it into a cache miss.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -427,125 +427,23 @@ func (a *Analysis) encFormula(id FormulaID) []byte {
 	return w.Bytes()
 }
 
-// decSet decodes and interns an inlined path set.
-func (a *Analysis) decSet(r *wire.Reader) (SetID, error) {
-	elems := wire.ReadI32s[PathID](r)
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	if err := validateIDSlice(elems, a.tab.numPaths(), true, "path"); err != nil {
-		return 0, err
-	}
-	return a.tab.internSet(elems), nil
-}
+// The canonical blob order below is what makes the whole summary
+// encoding ID-independent: blobs are sorted by their bytes, and equal
+// relations encode to equal bytes in every same-digest client.
 
-// decFormulaLits decodes, validates and interns an inlined formula.
-func (a *Analysis) decFormulaLits(r *wire.Reader) (FormulaID, error) {
-	lits := wire.ReadI32s[literal](r)
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	if err := validateLits(lits, a.tab.numPaths()); err != nil {
-		return 0, err
-	}
-	return a.tab.internFormula(lits), nil
-}
-
-// decRel decodes one encRel blob into this instance, interning every
-// component.
-func (a *Analysis) decRel(blob []byte) (RelID, error) {
-	t := a.tab
-	r := wire.NewReader(blob)
-	kind := r.Uint()
-	if r.Err() == nil && kind > uint64(kXform) {
-		return 0, fmt.Errorf("typestate: unknown relation kind %d", kind)
-	}
-	var x rel
-	x.kind = relKind(kind)
-	if x.kind == kConst {
-		var out absState
-		var err error
-		if out.h, err = id32[SiteID](r.Int(), len(t.sites), "site"); err != nil {
-			return 0, err
-		}
-		if out.t, err = id32[GState](r.Int(), t.numG, "global state"); err != nil {
-			return 0, err
-		}
-		if out.a, err = a.decSet(r); err != nil {
-			return 0, err
-		}
-		if out.nc, err = a.decSet(r); err != nil {
-			return 0, err
-		}
-		// kConst relations leave every transformer component at its zero
-		// value (exactly how the solvers build them — see RTrans/RComp),
-		// so the struct interns back to the original relation.
-		x.out = t.internAbs(out)
-	} else {
-		vec := wire.ReadI32s[GState](r)
-		if err := r.Err(); err != nil {
-			return 0, err
-		}
-		if len(vec) != t.numG {
-			return 0, fmt.Errorf("typestate: transformer vector has %d states, want %d", len(vec), t.numG)
-		}
-		if err := validateIDSlice(vec, t.numG, false, "global state"); err != nil {
-			return 0, err
-		}
-		x.iota = t.internTrans(vec)
-		var err error
-		x.aK.Co = r.Bool()
-		if x.aK.Set, err = a.decSet(r); err != nil {
-			return 0, err
-		}
-		if x.aG, err = a.decSet(r); err != nil {
-			return 0, err
-		}
-		x.nK.Co = r.Bool()
-		if x.nK.Set, err = a.decSet(r); err != nil {
-			return 0, err
-		}
-		if x.nG, err = a.decSet(r); err != nil {
-			return 0, err
-		}
-	}
-	var err error
-	if x.pre, err = a.decFormulaLits(r); err != nil {
-		return 0, err
-	}
-	if err := r.Done(); err != nil {
-		return 0, err
-	}
-	id := a.internRel(x)
-	if a.relOf(id) != x {
-		// internRel canonicalized it, so it would re-encode differently.
-		return 0, fmt.Errorf("typestate: relation is not in canonical form")
-	}
-	return id, nil
-}
-
-// kConst relations round-trip their unused transformer components through
-// the defaults decRel assigns, so encode→decode→re-encode is stable only
-// because encRel never writes them. The canonical blob order below is what
-// makes the whole summary encoding ID-independent: blobs are sorted by
-// their bytes, and equal relations encode to equal bytes in every
-// same-digest client.
-
-// EncodeSummaries serializes one trigger outcome: the frontier it covered,
-// the per-procedure pruned summaries, and whether the trigger failed (a
-// deterministic budget abort, cached so warm runs skip the doomed
-// recomputation). Procedures are written in sorted-name order and each
-// procedure's relations and Sigma formulas in sorted encoded-byte order,
-// so any same-digest client re-encodes a decoded summary byte-identically.
-func (a *Analysis) EncodeSummaries(frontier []string, eta map[string]rsetT, failed bool) []byte {
+// EncodeSummaries serializes a run's bottom-up summaries (the BU table
+// of EncodeResultTables). Procedures are written in sorted-name order and
+// each procedure's relations and Sigma formulas in sorted encoded-byte
+// order, so same-digest clients encode equal summaries byte-identically.
+// The empty frontier and the false failed flag after the digest are a
+// fixed part of the format, kept so that stored result blobs and their
+// keys do not change.
+func (a *Analysis) EncodeSummaries(eta map[string]rsetT) []byte {
 	var w wire.Writer
 	w.Raw([]byte(summariesMagic))
 	w.String(a.FrozenDigest())
-	w.Bool(failed)
-	w.Uint(uint64(len(frontier)))
-	for _, f := range frontier {
-		w.String(f)
-	}
+	w.Bool(false) // failed
+	w.Uint(0)     // frontier length
 	procs := make([]string, 0, len(eta))
 	for name := range eta {
 		procs = append(procs, name)
@@ -559,7 +457,7 @@ func (a *Analysis) EncodeSummaries(frontier []string, eta map[string]rsetT, fail
 		for i, id := range rs.Rels {
 			relBlobs[i] = a.encRel(id)
 		}
-		slices.SortFunc(relBlobs, sliceCmp)
+		slices.SortFunc(relBlobs, bytes.Compare)
 		w.Uint(uint64(len(relBlobs)))
 		for _, b := range relBlobs {
 			w.Uint(uint64(len(b)))
@@ -569,7 +467,7 @@ func (a *Analysis) EncodeSummaries(frontier []string, eta map[string]rsetT, fail
 		for i, id := range rs.Sigma {
 			sigBlobs[i] = a.encFormula(id)
 		}
-		slices.SortFunc(sigBlobs, sliceCmp)
+		slices.SortFunc(sigBlobs, bytes.Compare)
 		w.Uint(uint64(len(sigBlobs)))
 		for _, b := range sigBlobs {
 			w.Uint(uint64(len(b)))
@@ -577,86 +475,4 @@ func (a *Analysis) EncodeSummaries(frontier []string, eta map[string]rsetT, fail
 		}
 	}
 	return w.Bytes()
-}
-
-func sliceCmp(a, b []byte) int { return slices.Compare(a, b) }
-
-// DecodeSummaries decodes an EncodeSummaries artifact into this instance,
-// interning every component value. It fails if the artifact was produced
-// under a different frozen digest — using such a summary would consult the
-// wrong may-alias oracle — and on any input EncodeSummaries would not
-// write: procedure names must be strictly increasing, each procedure's
-// relation and Sigma blobs strictly increasing by bytes, and every
-// relation canonical. The returned eta is freshly allocated on every call,
-// so callers may install it into a Result without aliasing the store.
-func (a *Analysis) DecodeSummaries(data []byte) (frontier []string, eta map[string]rsetT, failed bool, err error) {
-	r := wire.NewReader(data)
-	r.Expect(summariesMagic)
-	digest := r.String()
-	if e := r.Err(); e != nil {
-		return nil, nil, false, e
-	}
-	if want := a.FrozenDigest(); digest != want {
-		return nil, nil, false, fmt.Errorf("typestate: summary frozen digest %.12s… does not match this pipeline's %.12s…", digest, want)
-	}
-	failed = r.Bool()
-	nf := r.Len()
-	frontier = make([]string, 0, nf)
-	for i := 0; i < nf && r.Err() == nil; i++ {
-		frontier = append(frontier, r.String())
-	}
-	np := r.Len()
-	eta = make(map[string]rsetT, np)
-	prevName := ""
-	for i := 0; i < np && r.Err() == nil; i++ {
-		name := r.String()
-		if r.Err() == nil && i > 0 && name <= prevName {
-			return nil, nil, false, fmt.Errorf("typestate: summary procedure %q does not follow %q in sorted order", name, prevName)
-		}
-		prevName = name
-		nr := r.Len()
-		relIDs := make([]RelID, 0, nr)
-		var prev []byte
-		for j := 0; j < nr && r.Err() == nil; j++ {
-			blob := r.Raw(r.Len())
-			if r.Err() != nil {
-				break
-			}
-			if j > 0 && sliceCmp(prev, blob) >= 0 {
-				return nil, nil, false, fmt.Errorf("typestate: relations of %q not in strictly increasing byte order", name)
-			}
-			prev = blob
-			id, derr := a.decRel(blob)
-			if derr != nil {
-				return nil, nil, false, derr
-			}
-			relIDs = append(relIDs, id)
-		}
-		ns := r.Len()
-		sigIDs := make([]FormulaID, 0, ns)
-		for j := 0; j < ns && r.Err() == nil; j++ {
-			blob := r.Raw(r.Len())
-			if r.Err() != nil {
-				break
-			}
-			if j > 0 && sliceCmp(prev, blob) >= 0 {
-				return nil, nil, false, fmt.Errorf("typestate: Sigma of %q not in strictly increasing byte order", name)
-			}
-			prev = blob
-			sub := wire.NewReader(blob)
-			id, derr := a.decFormulaLits(sub)
-			if derr == nil {
-				derr = sub.Done()
-			}
-			if derr != nil {
-				return nil, nil, false, derr
-			}
-			sigIDs = append(sigIDs, id)
-		}
-		eta[name] = core.MakeRSet(relIDs, sigIDs)
-	}
-	if e := r.Done(); e != nil {
-		return nil, nil, false, e
-	}
-	return frontier, eta, failed, nil
 }
