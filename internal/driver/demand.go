@@ -17,7 +17,6 @@ package driver
 // depend on Config.SliceWorkers, batch composition, or cache state.
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -28,6 +27,7 @@ import (
 	"unsafe"
 
 	"swift/internal/core"
+	"swift/internal/lru"
 	"swift/internal/store"
 	"swift/internal/typestate"
 )
@@ -195,21 +195,11 @@ func (t *SliceTable) Bytes() int64 {
 // slice; both publish the identical table, so the race costs duplicate
 // work, never a divergent answer.
 type SliceMemo struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64 // sum of the resident cells' bytes
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
+	mu     sync.Mutex
+	tables *lru.Cache[string, *SliceTable] // bounded by the tables' Bytes
 
 	hits   atomic.Int64
 	misses atomic.Int64
-}
-
-// memoCell is one LRU slot; bytes is its table's Bytes at insertion.
-type memoCell struct {
-	key   string
-	table *SliceTable
-	bytes int64
 }
 
 // DefaultSliceMemoBytes bounds a NewSliceMemo(0) memo. A table of a
@@ -225,11 +215,7 @@ func NewSliceMemo(maxBytes int64) *SliceMemo {
 	if maxBytes <= 0 {
 		maxBytes = DefaultSliceMemoBytes
 	}
-	return &SliceMemo{
-		maxBytes: maxBytes,
-		entries:  map[string]*list.Element{},
-		order:    list.New(),
-	}
+	return &SliceMemo{tables: lru.New[string](maxBytes, (*SliceTable).Bytes)}
 }
 
 // lookup returns the memoized table for the key, updating recency and the
@@ -237,44 +223,24 @@ func NewSliceMemo(maxBytes int64) *SliceMemo {
 func (m *SliceMemo) lookup(key string) (*SliceTable, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.entries[key]
-	if !ok {
+	t, ok := m.tables.Get(key)
+	if ok {
+		m.hits.Add(1)
+	} else {
 		m.misses.Add(1)
-		return nil, false
 	}
-	m.order.MoveToFront(el)
-	m.hits.Add(1)
-	return el.Value.(*memoCell).table, true
+	return t, ok
 }
 
-// add publishes a table under the key, then evicts least recently used
-// entries until the resident bytes fit the bound. A table larger than the
-// whole bound is not retained and evicts nothing. Re-adding an existing
-// key replaces its table and bytes and refreshes recency; the tables are
-// deterministic, so which copy survives is unobservable.
+// add publishes a table under the key, evicting least recently used
+// tables until the resident bytes fit the bound; a table larger than the
+// whole bound is not retained and evicts nothing. The tables are
+// deterministic, so when a re-add replaces a resident table, which copy
+// survives is unobservable.
 func (m *SliceMemo) add(key string, t *SliceTable) {
-	b := t.Bytes()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if b > m.maxBytes {
-		return
-	}
-	if el, ok := m.entries[key]; ok {
-		c := el.Value.(*memoCell)
-		m.bytes += b - c.bytes
-		c.table, c.bytes = t, b
-		m.order.MoveToFront(el)
-	} else {
-		m.entries[key] = m.order.PushFront(&memoCell{key: key, table: t, bytes: b})
-		m.bytes += b
-	}
-	for m.bytes > m.maxBytes {
-		back := m.order.Back()
-		c := back.Value.(*memoCell)
-		m.order.Remove(back)
-		delete(m.entries, c.key)
-		m.bytes -= c.bytes
-	}
+	m.tables.Add(key, t)
 }
 
 // MemoStats is a point-in-time snapshot of a SliceMemo.
@@ -292,8 +258,8 @@ type MemoStats struct {
 func (m *SliceMemo) Stats() MemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load(), Entries: len(m.entries),
-		Bytes: m.bytes, MaxBytes: m.maxBytes}
+	return MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load(), Entries: m.tables.Len(),
+		Bytes: m.tables.Cost(), MaxBytes: m.tables.Max()}
 }
 
 // DemandEvaluator is the batch evaluator behind point queries: it binds

@@ -191,30 +191,11 @@ func sizedTable(site string, nodes int) *SliceTable {
 	return &SliceTable{Site: site, lists: [][]string{nil}, at: make([]uint16, nodes)}
 }
 
-// checkMemoBytes asserts the memo's Bytes equals the sum of its resident
-// tables' Bytes and stays within the bound.
-func checkMemoBytes(t *testing.T, m *SliceMemo) {
-	t.Helper()
-	m.mu.Lock()
-	var sum int64
-	for el := m.order.Front(); el != nil; el = el.Next() {
-		sum += el.Value.(*memoCell).table.Bytes()
-	}
-	m.mu.Unlock()
-	s := m.Stats()
-	if s.Bytes != sum {
-		t.Errorf("Stats().Bytes = %d, resident tables sum to %d", s.Bytes, sum)
-	}
-	if s.Bytes > s.MaxBytes {
-		t.Errorf("Stats().Bytes = %d over the %d-byte bound", s.Bytes, s.MaxBytes)
-	}
-}
-
-// TestSliceMemoByteBound pins the byte budget: eviction is LRU by bytes (a
-// large table pushes out as many small ones as it needs), re-adding a key
-// does not count its bytes twice, a table larger than the whole bound is
-// not retained, and Stats().Bytes is always the sum of the resident
-// tables.
+// TestSliceMemoByteBound pins the memo's bound: it is in the tables'
+// Bytes, Stats reports it and the resident bytes, a large table pushes
+// out as many small ones as it needs, and a table larger than the whole
+// bound is not retained and flushes nothing. The LRU's own rules
+// (replacement, recency, the oversize rule) are pinned in internal/lru.
 func TestSliceMemoByteBound(t *testing.T) {
 	small, big := sizedTable("s", 100), sizedTable("b", 1000)
 	bound := 4*small.Bytes() + small.Bytes()/2
@@ -224,48 +205,29 @@ func TestSliceMemoByteBound(t *testing.T) {
 	}
 	for _, k := range []string{"a", "b", "c", "d"} {
 		m.add(k, sizedTable("s", 100))
-		checkMemoBytes(t, m)
 	}
 	if s := m.Stats(); s.Entries != 4 || s.Bytes != 4*small.Bytes() {
 		t.Fatalf("four small tables: %+v, want 4 entries of %d bytes", s, small.Bytes())
 	}
 
-	// Re-adding a resident key replaces its bytes instead of adding them.
-	m.add("b", sizedTable("s", 100))
-	checkMemoBytes(t, m)
-	if s := m.Stats(); s.Entries != 4 || s.Bytes != 4*small.Bytes() {
-		t.Errorf("re-add double-counted: %+v", s)
-	}
-	// Re-adding with a different size swaps the old size for the new one.
-	m.add("b", sizedTable("s", 10))
-	checkMemoBytes(t, m)
-	if s, want := m.Stats(), 3*small.Bytes()+sizedTable("s", 10).Bytes(); s.Bytes != want {
-		t.Errorf("resized re-add: bytes %d, want %d", s.Bytes, want)
-	}
-	m.add("b", sizedTable("s", 100))
-
-	// Recency is now a (LRU), c, d, b (MRU); touching a makes c the LRU.
-	// A table the size of two small ones then evicts c and d, not just c.
-	if _, ok := m.lookup("a"); !ok {
-		t.Fatal("a missing")
-	}
+	// A table the size of two small ones evicts the two least recent.
 	base := sizedTable("m", 0).Bytes()
-	m.add("m", sizedTable("m", int(2*small.Bytes()-base)/2))
-	checkMemoBytes(t, m)
-	for k, want := range map[string]bool{"c": false, "d": false, "b": true, "a": true, "m": true} {
+	double := sizedTable("m", int(2*small.Bytes()-base)/2)
+	m.add("m", double)
+	if s, want := m.Stats(), 2*small.Bytes()+double.Bytes(); s.Entries != 3 || s.Bytes != want {
+		t.Errorf("after the double-size add: %+v, want 3 entries of %d bytes", s, want)
+	}
+	for k, want := range map[string]bool{"a": false, "b": false, "c": true, "d": true, "m": true} {
 		if resident(m, k) != want {
 			t.Errorf("after the double-size add, resident(%s) = %v, want %v", k, !want, want)
 		}
 	}
 
-	// A table larger than the whole bound is not retained, and does not
-	// flush the tables that fit.
 	if big.Bytes() <= bound {
 		t.Fatalf("big table %d bytes fits the %d-byte bound", big.Bytes(), bound)
 	}
 	before := m.Stats()
 	m.add("big", big)
-	checkMemoBytes(t, m)
 	if resident(m, "big") {
 		t.Error("a table over the whole bound was retained")
 	}
@@ -274,12 +236,12 @@ func TestSliceMemoByteBound(t *testing.T) {
 	}
 }
 
-// resident reports whether the memo holds key, without touching recency or
-// the hit/miss counters.
+// resident reports whether the memo holds key, without counting a hit or
+// a miss.
 func resident(m *SliceMemo, key string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.entries[key]
+	_, ok := m.tables.Get(key)
 	return ok
 }
 

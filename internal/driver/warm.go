@@ -117,12 +117,12 @@ func ResultKeyFor(d BuildDigests, engine string, cfg core.Config) store.Key {
 	return k
 }
 
-// deterministicOutcome reports whether a run outcome is reproducible on
+// DeterministicOutcome reports whether a run outcome is reproducible on
 // an identical rebuild: a completed run, or a budget abort that did not
 // involve the wall clock or a caller cancellation. ErrCanceled never
 // wraps ErrBudget today, but the exclusion is spelled out anyway: a
 // canceled run's tables are partial and must never be snapshotted.
-func deterministicOutcome(err error) bool {
+func DeterministicOutcome(err error) bool {
 	if err == nil {
 		return true
 	}
@@ -168,7 +168,7 @@ func (w Warm) Run(b *Build, engine string, cfg core.Config) (*Result, *WarmStats
 	// cold run — and a failed restore may have polluted it), and a
 	// deterministic outcome; re-publishing after a restore is skipped —
 	// the stored snapshot already equals these tables.
-	if wasFresh && !stats.RestoredTables && !stats.RestoreFailed && deterministicOutcome(res.Err) {
+	if wasFresh && !stats.RestoredTables && !stats.RestoreFailed && DeterministicOutcome(res.Err) {
 		w.Store.Put(tablesKey, b.TS.EncodeTables())
 		stats.PublishedTables = true
 	}

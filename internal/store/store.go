@@ -15,7 +15,6 @@ package store
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -23,6 +22,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"swift/internal/lru"
 )
 
 // Key identifies one cached artifact. Every field that can change the
@@ -33,11 +34,11 @@ import (
 // every schedule produces the same artifact.
 type Key struct {
 	// Kind separates artifact namespaces: "tables" (intern-table snapshot
-	// of a full run), "result" (swiftd response blobs), "slicerun" (one
-	// site slice's run), "queryresult" (swiftd /query response blobs).
+	// of a full run), "result" (swiftd /analyze response blobs) and
+	// "slicerun" (one site slice's run, the slice memo's key).
 	Kind string
 	// Proc names the part of the program the artifact covers: a slice's
-	// site, a query batch's digest, or "" for whole-program artifacts.
+	// site, or "" for whole-program artifacts.
 	Proc string
 	// Body is the hex digest of the program the artifact depends on.
 	Body string
@@ -94,21 +95,18 @@ type Stats struct {
 type Store struct {
 	dir string // "" = memory-only
 
-	mu       sync.Mutex
-	closed   bool
-	maxBytes int64
-	curBytes int64
-	lru      *list.List               // front = most recent; values are *entry
-	entries  map[string]*list.Element // id → element
-	stats    Stats
+	mu     sync.Mutex
+	closed bool
+	mem    *lru.Cache[string, []byte] // memory tier: id → blob, bounded by bytes
+	stats  Stats
 
 	probeSeq atomic.Int64
 }
 
-// entry is one memory-tier resident blob.
-type entry struct {
-	id   string
-	blob []byte
+// newMemTier returns an empty memory tier holding at most maxBytes of
+// blobs.
+func newMemTier(maxBytes int64) *lru.Cache[string, []byte] {
+	return lru.New[string](max(maxBytes, 0), func(b []byte) int64 { return int64(len(b)) })
 }
 
 // Open returns a store over dir (created if missing) holding at most
@@ -120,12 +118,7 @@ func Open(dir string, maxMemBytes int64) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	return &Store{
-		dir:      dir,
-		maxBytes: maxMemBytes,
-		lru:      list.New(),
-		entries:  map[string]*list.Element{},
-	}, nil
+	return &Store{dir: dir, mem: newMemTier(maxMemBytes)}, nil
 }
 
 // path returns the disk location of an id, fanned out by the first byte
@@ -144,10 +137,8 @@ func (s *Store) Get(key Key) ([]byte, bool) {
 		s.mu.Unlock()
 		return nil, false
 	}
-	if el, ok := s.entries[id]; ok {
-		s.lru.MoveToFront(el)
+	if blob, ok := s.mem.Get(id); ok {
 		s.stats.MemHits++
-		blob := el.Value.(*entry).blob
 		s.mu.Unlock()
 		return blob, true
 	}
@@ -196,31 +187,16 @@ func (s *Store) Put(key Key, blob []byte) {
 	}
 }
 
-// installLocked inserts or refreshes a memory-tier entry and evicts from
-// the LRU tail until the byte budget holds. A blob larger than the whole
-// budget is evicted too — even freshly installed — so the documented
-// "at most maxMemBytes in memory" bound always holds; the disk tier
-// still serves oversized blobs. Callers hold mu.
+// installLocked inserts or refreshes a memory-tier entry and evicts least
+// recently used ones until the byte budget holds. A blob larger than the
+// whole budget is not kept resident and evicts nothing, so the documented
+// "at most maxMemBytes in memory" bound holds without flushing the tier;
+// the disk tier still serves oversized blobs. Callers hold mu.
 func (s *Store) installLocked(id string, blob []byte) {
-	if s.maxBytes <= 0 {
-		return
-	}
-	if el, ok := s.entries[id]; ok {
-		e := el.Value.(*entry)
-		s.curBytes += int64(len(blob)) - int64(len(e.blob))
-		e.blob = blob
-		s.lru.MoveToFront(el)
-	} else {
-		s.entries[id] = s.lru.PushFront(&entry{id: id, blob: blob})
-		s.curBytes += int64(len(blob))
-	}
-	for s.curBytes > s.maxBytes && s.lru.Len() > 0 {
-		el := s.lru.Back()
-		e := el.Value.(*entry)
-		s.lru.Remove(el)
-		delete(s.entries, e.id)
-		s.curBytes -= int64(len(e.blob))
-		s.stats.Evictions++
+	// A zero budget disables the tier, which then keeps not even empty
+	// blobs.
+	if s.mem.Max() > 0 {
+		s.stats.Evictions += int64(s.mem.Add(id, blob))
 	}
 }
 
@@ -235,12 +211,7 @@ func (s *Store) Delete(key Key) {
 		s.mu.Unlock()
 		return
 	}
-	if el, ok := s.entries[id]; ok {
-		e := el.Value.(*entry)
-		s.lru.Remove(el)
-		delete(s.entries, id)
-		s.curBytes -= int64(len(e.blob))
-	}
+	s.mem.Remove(id)
 	s.stats.Deletes++
 	s.mu.Unlock()
 
@@ -287,7 +258,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.MemBytes, st.MaxMemBytes = s.curBytes, max(s.maxBytes, 0)
+	st.MemBytes, st.MaxMemBytes = s.mem.Cost(), s.mem.Max()
 	return st
 }
 
@@ -295,7 +266,7 @@ func (s *Store) Stats() Stats {
 func (s *Store) MemLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lru.Len()
+	return s.mem.Len()
 }
 
 // Close marks the store closed and drops the memory tier. Every write
@@ -311,9 +282,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.lru.Init()
-	s.entries = map[string]*list.Element{}
-	s.curBytes = 0
+	s.mem = newMemTier(s.mem.Max())
 	return nil
 }
 

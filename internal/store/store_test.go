@@ -121,7 +121,8 @@ func TestLRUEviction(t *testing.T) {
 
 // TestOversizedBlobNotResident: a blob larger than the whole memory
 // budget must not stay resident (it would pin the tier over budget
-// forever); with a disk tier it is still served from disk.
+// forever), nor flush the blobs that fit; with a disk tier it is still
+// served from disk.
 func TestOversizedBlobNotResident(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 10)
@@ -130,8 +131,12 @@ func TestOversizedBlobNotResident(t *testing.T) {
 	}
 	s.Put(k("x", "small"), []byte("aaaaa"))
 	s.Put(k("x", "huge"), make([]byte, 100))
-	if s.Stats().MemBytes > 10 {
-		t.Errorf("mem bytes = %d, over the 10-byte budget", s.Stats().MemBytes)
+	if st := s.Stats(); st.MemBytes != 5 || st.Evictions != 0 || s.MemLen() != 1 {
+		t.Errorf("after the oversized put: mem bytes %d, evictions %d, %d resident; want the small blob alone resident and nothing evicted",
+			st.MemBytes, st.Evictions, s.MemLen())
+	}
+	if _, ok := s.Get(k("x", "small")); !ok || s.Stats().MemHits != 1 {
+		t.Errorf("the small blob was not served from memory (hit %v, stats %+v)", ok, s.Stats())
 	}
 	if blob, ok := s.Get(k("x", "huge")); !ok || len(blob) != 100 {
 		t.Fatalf("disk tier did not serve the oversized blob: %d bytes, %v", len(blob), ok)

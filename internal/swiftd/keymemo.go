@@ -14,11 +14,11 @@ package swiftd
 // source) unless store.KeyVersion were bumped with every such change.
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"sync"
 
 	"swift/internal/driver"
+	"swift/internal/lru"
 )
 
 // keyMemoEntries bounds the memo. An entry is a 32-byte source hash, two
@@ -30,19 +30,12 @@ const keyMemoEntries = 4096
 type sourceSum = [sha256.Size]byte
 
 // keyMemo is an LRU map from source hashes to build digests, bounded by
-// entry count and safe for concurrent use.
+// entry count (each entry costs 1) and safe for concurrent use.
 type keyMemo struct {
 	mu      sync.Mutex
-	max     int                         // entry bound; tests shrink it
-	lru     *list.List                  // front = most recent; values are *keyMemoEntry
-	entries map[sourceSum]*list.Element // source hash → element
+	digests *lru.Cache[sourceSum, driver.BuildDigests]
 	hits    int64
 	misses  int64
-}
-
-type keyMemoEntry struct {
-	sum     sourceSum
-	digests driver.BuildDigests
 }
 
 // keyMemoStats is the /stats keyMemo block.
@@ -54,7 +47,7 @@ type keyMemoStats struct {
 }
 
 func newKeyMemo(max int) *keyMemo {
-	return &keyMemo{max: max, lru: list.New(), entries: map[sourceSum]*list.Element{}}
+	return &keyMemo{digests: lru.New[sourceSum](int64(max), func(driver.BuildDigests) int64 { return 1 })}
 }
 
 // get returns the digests remembered for a source hash, counting the
@@ -62,36 +55,25 @@ func newKeyMemo(max int) *keyMemo {
 func (m *keyMemo) get(sum sourceSum) (driver.BuildDigests, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.entries[sum]
-	if !ok {
+	d, ok := m.digests.Get(sum)
+	if ok {
+		m.hits++
+	} else {
 		m.misses++
-		return driver.BuildDigests{}, false
 	}
-	m.hits++
-	m.lru.MoveToFront(el)
-	return el.Value.(*keyMemoEntry).digests, true
+	return d, ok
 }
 
 // put remembers a successful build's digests, evicting the least recently
-// used entries past the bound.
+// used entry past the bound.
 func (m *keyMemo) put(sum sourceSum, d driver.BuildDigests) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if el, ok := m.entries[sum]; ok {
-		el.Value.(*keyMemoEntry).digests = d
-		m.lru.MoveToFront(el)
-		return
-	}
-	m.entries[sum] = m.lru.PushFront(&keyMemoEntry{sum: sum, digests: d})
-	for m.lru.Len() > m.max {
-		old := m.lru.Back()
-		m.lru.Remove(old)
-		delete(m.entries, old.Value.(*keyMemoEntry).sum)
-	}
+	m.digests.Add(sum, d)
 }
 
 func (m *keyMemo) stats() keyMemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return keyMemoStats{Entries: m.lru.Len(), MaxEntries: m.max, Hits: m.hits, Misses: m.misses}
+	return keyMemoStats{Entries: m.digests.Len(), MaxEntries: int(m.digests.Max()), Hits: m.hits, Misses: m.misses}
 }

@@ -134,7 +134,8 @@ func TestKeyMemoHitWithoutBlobRebuilds(t *testing.T) {
 }
 
 // TestKeyMemoSkipsFailedBuilds: a source that fails to build gets 422 on
-// every request, from both endpoints, and is never remembered.
+// every request, from both endpoints, and is never remembered. Only
+// /analyze looks the memo up.
 func TestKeyMemoSkipsFailedBuilds(t *testing.T) {
 	_, ts := newTestServer(t)
 	const bad = "class {"
@@ -143,15 +144,15 @@ func TestKeyMemoSkipsFailedBuilds(t *testing.T) {
 			t.Fatalf("/analyze %d: status %d, want 422", i, code)
 		}
 		q := query.Query{Kind: query.KindIsError, Site: "h1"}
-		if _, code := postQuery(t, ts.URL, queryRequest{Source: bad, Query: &q}); code != http.StatusUnprocessableEntity {
+		if _, code := postQuery(t, ts.URL, queryRequest{analyzeRequest: analyzeRequest{Source: bad}, Query: &q}); code != http.StatusUnprocessableEntity {
 			t.Fatalf("/query %d: status %d, want 422", i, code)
 		}
 	}
 	s := getStats(t, ts.URL)
-	if s.Builds != 6 || s.KeyMemo.Entries != 0 || s.KeyMemo.Hits != 0 || s.KeyMemo.Misses != 6 {
-		t.Errorf("stats builds=%d keyMemo=%+v, want 6 builds, 6 misses, no entry", s.Builds, s.KeyMemo)
+	if s.Builds != 6 || s.KeyMemo.Entries != 0 || s.KeyMemo.Hits != 0 || s.KeyMemo.Misses != 3 {
+		t.Errorf("stats builds=%d keyMemo=%+v, want 6 builds, 3 misses, no entry", s.Builds, s.KeyMemo)
 	}
-	if s.ResultHits+s.ResultMisses+s.Query.ResultHits+s.Query.ResultMisses != 0 {
+	if s.ResultHits+s.ResultMisses+s.Query.Batches != 0 {
 		t.Errorf("failed builds counted result lookups: %+v", s)
 	}
 }
@@ -186,7 +187,7 @@ func TestKeyMemoWhitespaceVariant(t *testing.T) {
 // build.
 func TestKeyMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	srv, ts := newTestServer(t)
-	srv.keys.max = 2
+	srv.keys = newKeyMemo(2)
 	src := func(i int) string { return testProgram + fmt.Sprintf("%*s", i, "") }
 	builds := func() int64 { return srv.builds.Load() }
 	post := func(i int, wantBuilds int64) {
@@ -213,54 +214,47 @@ func TestKeyMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
-// TestKeyMemoQuery: a /query batch answered before is served through the
-// memo without a build; a new batch on a known source builds, and an
-// invalid one is still a 400 that counts no result lookup.
+// TestKeyMemoQuery: /query fills the key memo but never reads it. A
+// repeat batch builds again and answers from the slice memo, running no
+// slice; a new batch on a known source builds too, and an invalid one is
+// still a 400 that evaluates nothing.
 func TestKeyMemoQuery(t *testing.T) {
 	srv, ts := newTestServer(t)
-	batch := queryRequest{Source: testProgram, Queries: []query.Query{
+	batch := queryRequest{analyzeRequest: analyzeRequest{Source: testProgram}, Queries: []query.Query{
 		{Kind: query.KindIsError, Site: "h1"}, {Kind: query.KindIsError, Site: "h2"},
 	}}
-	code, first := postBytes(t, ts.URL, "/query", batch)
+	first, code := postQuery(t, ts.URL, batch)
 	if code != http.StatusOK {
 		t.Fatalf("first batch status %d", code)
 	}
-	code, memoHit := postBytes(t, ts.URL, "/query", batch)
+	again, code := postQuery(t, ts.URL, batch)
 	if code != http.StatusOK {
 		t.Fatalf("repeat batch status %d", code)
 	}
-	if got := srv.builds.Load(); got != 1 {
-		t.Errorf("builds = %d after a repeat batch, want 1", got)
+	if got := srv.builds.Load(); got != 2 {
+		t.Errorf("builds = %d after a repeat batch, want 2", got)
 	}
-	_, storeHit := postBytes(t, serverOver(t, srv.store).URL, "/query", batch)
-	if !bytes.Equal(memoHit, storeHit) {
-		t.Errorf("memo hit reply\n%s differs from the store hit reply\n%s", memoHit, storeHit)
+	if again.Slices != 2 || again.MemoHits != again.Slices || again.Work != 0 {
+		t.Errorf("repeat batch %+v, want all 2 slices from the slice memo and no work", again)
 	}
-	var a, b queryResponse
-	if err := json.Unmarshal(first, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(memoHit, &b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Cached || !b.Cached || !reflect.DeepEqual(a.Answers, b.Answers) {
-		t.Errorf("first %+v, repeat %+v; want equal answers, only the repeat cached", a, b)
+	if !reflect.DeepEqual(first.Answers, again.Answers) {
+		t.Errorf("first answers %+v, repeat %+v; want equal", first.Answers, again.Answers)
 	}
 
 	fresh := query.Query{Kind: query.KindCanReach, Site: "h1", Proc: "Worker.doubleOpen", Node: 1, State: "error"}
-	if _, code := postQuery(t, ts.URL, queryRequest{Source: testProgram, Query: &fresh}); code != http.StatusOK {
+	if _, code := postQuery(t, ts.URL, queryRequest{analyzeRequest: analyzeRequest{Source: testProgram}, Query: &fresh}); code != http.StatusOK {
 		t.Fatalf("fresh batch status %d", code)
 	}
 	bad := query.Query{Kind: query.KindIsError, Site: "nosuchsite"}
-	if _, code := postQuery(t, ts.URL, queryRequest{Source: testProgram, Query: &bad}); code != http.StatusBadRequest {
+	if _, code := postQuery(t, ts.URL, queryRequest{analyzeRequest: analyzeRequest{Source: testProgram}, Query: &bad}); code != http.StatusBadRequest {
 		t.Fatalf("invalid batch status %d, want 400", code)
 	}
 	s := getStats(t, ts.URL)
-	if s.Builds != 3 || s.KeyMemo.Hits != 3 {
-		t.Errorf("builds %d, keyMemo %+v; want 3 builds, 3 memo hits", s.Builds, s.KeyMemo)
+	if s.Builds != 4 || s.KeyMemo.Hits != 0 || s.KeyMemo.Misses != 0 || s.KeyMemo.Entries != 1 {
+		t.Errorf("builds %d, keyMemo %+v; want 4 builds, no lookups, 1 entry", s.Builds, s.KeyMemo)
 	}
-	if q := s.Query; q.ResultHits != 1 || q.ResultMisses != 2 || q.Batches != 3 || q.Queries != 5 {
-		t.Errorf("query stats %+v, want 1 hit, 2 misses, 3 batches, 5 queries", q)
+	if q := s.Query; q.Batches != 3 || q.Queries != 5 {
+		t.Errorf("query stats %+v, want 3 batches, 5 queries", q)
 	}
 }
 
@@ -272,7 +266,7 @@ func TestKeyMemoQuery(t *testing.T) {
 func TestKeyMemoConcurrentMixed(t *testing.T) {
 	const workers = 4
 	srv, ts := newTestServerOpts(t, Options{Quiet: true, MaxQueue: workers, QueueWait: time.Minute})
-	srv.keys.max = 2
+	srv.keys = newKeyMemo(2)
 	_, refTS := newTestServer(t)
 	sources := []string{testProgram, testProgram + "\n", incTestProgramV1, incTestProgramV2, "class {"}
 	type job struct {
@@ -284,8 +278,8 @@ func TestKeyMemoConcurrentMixed(t *testing.T) {
 		for _, engine := range []string{"td", "swift"} {
 			jobs = append(jobs,
 				job{"/analyze", analyzeRequest{Source: src, Engine: engine}},
-				job{"/query", queryRequest{Source: src, Engine: engine, Query: &query.Query{Kind: query.KindIsError, Site: "h1"}}},
-				job{"/query", queryRequest{Source: src, Engine: engine, Query: &query.Query{Kind: query.KindIsError, Site: "h2"}}},
+				job{"/query", queryRequest{analyzeRequest: analyzeRequest{Source: src, Engine: engine}, Query: &query.Query{Kind: query.KindIsError, Site: "h1"}}},
+				job{"/query", queryRequest{analyzeRequest: analyzeRequest{Source: src, Engine: engine}, Query: &query.Query{Kind: query.KindIsError, Site: "h2"}}},
 			)
 		}
 	}

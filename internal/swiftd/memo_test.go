@@ -33,8 +33,8 @@ func TestQueryStatsReportCacheBytes(t *testing.T) {
 			t.Fatalf("%s: /analyze status = %d", engine, code)
 		}
 		if _, code := postQuery(t, ts.URL, queryRequest{
-			Source: testProgram, Engine: engine,
-			Queries: []query.Query{{Kind: query.KindIsError, Site: "h1"}, {Kind: query.KindIsError, Site: "h2"}},
+			analyzeRequest: analyzeRequest{Source: testProgram, Engine: engine},
+			Queries:        []query.Query{{Kind: query.KindIsError, Site: "h1"}, {Kind: query.KindIsError, Site: "h2"}},
 		}); code != http.StatusOK {
 			t.Fatalf("%s: /query status = %d", engine, code)
 		}
@@ -109,7 +109,7 @@ func TestSliceMemoBoundedOverLongStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reqs[i] = queryRequest{Source: src, Engine: "swift", Queries: qs}
+		reqs[i] = queryRequest{analyzeRequest: analyzeRequest{Source: src, Engine: "swift"}, Queries: qs}
 	}
 	for i, req := range reqs {
 		got := answerQueries(t, srv, req)
@@ -159,7 +159,7 @@ func BenchmarkSliceMemoEditStream(b *testing.B) {
 				b.Fatal(err)
 			}
 			post("/analyze", analyzeRequest{Source: src, Engine: "swift"})
-			post("/query", queryRequest{Source: src, Engine: "swift", Queries: qs})
+			post("/query", queryRequest{analyzeRequest: analyzeRequest{Source: src, Engine: "swift"}, Queries: qs})
 			if served++; served%50 == 0 {
 				runtime.GC()
 				var ms runtime.MemStats

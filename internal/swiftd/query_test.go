@@ -4,10 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"testing"
 
-	"swift/internal/core"
-	"swift/internal/driver"
 	"swift/internal/query"
 )
 
@@ -32,15 +31,15 @@ func postQuery(t *testing.T, url string, req queryRequest) (queryResponse, int) 
 }
 
 // TestQuerySingleAndBatch covers the endpoint end to end: a single query,
-// a batch, demand telemetry, the shared slice memo across requests, the
-// whole-response cache, and the /stats query block.
+// a batch, demand telemetry, the shared slice memo across requests (a
+// repeat batch runs no slice), and the /stats query block.
 func TestQuerySingleAndBatch(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	// Single isError on the misused site.
 	single, code := postQuery(t, ts.URL, queryRequest{
-		Source: testProgram,
-		Query:  &query.Query{Kind: query.KindIsError, Site: "h1"},
+		analyzeRequest: analyzeRequest{Source: testProgram},
+		Query:          &query.Query{Kind: query.KindIsError, Site: "h1"},
 	})
 	if code != http.StatusOK {
 		t.Fatalf("single query status = %d", code)
@@ -48,14 +47,14 @@ func TestQuerySingleAndBatch(t *testing.T) {
 	if len(single.Answers) != 1 || !single.Answers[0].Reachable {
 		t.Fatalf("isError(h1) answers = %+v, want one reachable answer", single.Answers)
 	}
-	if single.Cached || single.Slices != 1 || single.MemoMisses != 1 || single.Work <= 0 {
+	if single.Slices != 1 || single.MemoMisses != 1 || single.Work <= 0 {
 		t.Fatalf("single telemetry = %+v, want 1 fresh slice with work", single)
 	}
 
 	// A batch touching both sites: h1's slice comes from the memo shared
 	// with the previous request, h2's is fresh.
 	batch, code := postQuery(t, ts.URL, queryRequest{
-		Source: testProgram,
+		analyzeRequest: analyzeRequest{Source: testProgram},
 		Queries: []query.Query{
 			{Kind: query.KindIsError, Site: "h2"},
 			{Kind: query.KindStatesAt, Site: "h1", Proc: "Worker.doubleOpen", Node: 1},
@@ -82,20 +81,24 @@ func TestQuerySingleAndBatch(t *testing.T) {
 		t.Errorf("batch telemetry = %+v, want 2 slices with 1 memo hit", batch)
 	}
 
-	// The identical batch again: whole response from the blob cache.
+	// The identical batch again: every slice comes from the memo, so the
+	// batch costs no analysis work and answers identically.
 	again, code := postQuery(t, ts.URL, queryRequest{
-		Source: testProgram,
+		analyzeRequest: analyzeRequest{Source: testProgram},
 		Queries: []query.Query{
 			{Kind: query.KindIsError, Site: "h2"},
 			{Kind: query.KindStatesAt, Site: "h1", Proc: "Worker.doubleOpen", Node: 1},
 			{Kind: query.KindCanReach, Site: "h1", Proc: "Worker.doubleOpen", Node: 1, State: "error"},
 		},
 	})
-	if code != http.StatusOK || !again.Cached {
-		t.Fatalf("repeat batch: status=%d cached=%v, want a cache hit", code, again.Cached)
+	if code != http.StatusOK {
+		t.Fatalf("repeat batch status = %d", code)
 	}
-	if len(again.Answers) != 3 || !again.Answers[2].Reachable {
-		t.Errorf("cached answers = %+v, want the original three", again.Answers)
+	if again.Slices != 2 || again.MemoHits != again.Slices || again.MemoMisses != 0 || again.Work != 0 {
+		t.Errorf("repeat batch telemetry = %+v, want 2 memo hits of 2 slices and no work", again)
+	}
+	if !reflect.DeepEqual(again.Answers, batch.Answers) {
+		t.Errorf("repeat answers = %+v, want %+v", again.Answers, batch.Answers)
 	}
 
 	stats := getStats(t, ts.URL)
@@ -106,11 +109,8 @@ func TestQuerySingleAndBatch(t *testing.T) {
 	if q.IsError != 3 || q.StatesAt != 2 || q.CanReach != 2 {
 		t.Errorf("per-kind counts = %+v, want isError 3, statesAt 2, canReach 2", q)
 	}
-	if q.ResultHits != 1 || q.ResultMisses != 2 {
-		t.Errorf("query result cache = %+v, want 1 hit / 2 misses", q)
-	}
-	if q.SliceMemo.Misses != 2 || q.SliceMemo.Entries != 2 {
-		t.Errorf("slice memo = %+v, want 2 misses and 2 entries", q.SliceMemo)
+	if q.SliceMemo.Hits != 3 || q.SliceMemo.Misses != 2 || q.SliceMemo.Entries != 2 {
+		t.Errorf("slice memo = %+v, want 3 hits, 2 misses and 2 entries", q.SliceMemo)
 	}
 }
 
@@ -120,17 +120,17 @@ func TestQueryRejectsBadRequests(t *testing.T) {
 	srv, ts := newTestServer(t)
 	one := &query.Query{Kind: query.KindIsError, Site: "h1"}
 
-	if _, code := postQuery(t, ts.URL, queryRequest{Source: testProgram, Engine: "frobnicate", Query: one}); code != http.StatusBadRequest {
+	if _, code := postQuery(t, ts.URL, queryRequest{analyzeRequest: analyzeRequest{Source: testProgram, Engine: "frobnicate"}, Query: one}); code != http.StatusBadRequest {
 		t.Errorf("bad engine status = %d, want 400", code)
 	}
-	if _, code := postQuery(t, ts.URL, queryRequest{Source: "class {", Query: one}); code != http.StatusUnprocessableEntity {
+	if _, code := postQuery(t, ts.URL, queryRequest{analyzeRequest: analyzeRequest{Source: "class {"}, Query: one}); code != http.StatusUnprocessableEntity {
 		t.Errorf("unparsable source status = %d, want 422", code)
 	}
-	if _, code := postQuery(t, ts.URL, queryRequest{Source: testProgram}); code != http.StatusBadRequest {
+	if _, code := postQuery(t, ts.URL, queryRequest{analyzeRequest: analyzeRequest{Source: testProgram}}); code != http.StatusBadRequest {
 		t.Errorf("no query status = %d, want 400", code)
 	}
 	if _, code := postQuery(t, ts.URL, queryRequest{
-		Source: testProgram, Query: one,
+		analyzeRequest: analyzeRequest{Source: testProgram}, Query: one,
 		Queries: []query.Query{*one},
 	}); code != http.StatusBadRequest {
 		t.Errorf("both query and queries status = %d, want 400", code)
@@ -142,7 +142,7 @@ func TestQueryRejectsBadRequests(t *testing.T) {
 		{Kind: query.KindCanReach, Site: "h1", Proc: "Main.main", Node: 0, State: "ajar"},
 	} {
 		q := q
-		if _, code := postQuery(t, ts.URL, queryRequest{Source: testProgram, Query: &q}); code != http.StatusBadRequest {
+		if _, code := postQuery(t, ts.URL, queryRequest{analyzeRequest: analyzeRequest{Source: testProgram}, Query: &q}); code != http.StatusBadRequest {
 			t.Errorf("invalid query %v status = %d, want 400", q, code)
 		}
 	}
@@ -156,44 +156,6 @@ func TestQueryRejectsBadRequests(t *testing.T) {
 	}
 	if n := srv.sliceMemo.Stats().Entries; n != 0 {
 		t.Errorf("rejected requests ran %d slices", n)
-	}
-}
-
-// TestQueryCorruptCacheDropped: /query shares /analyze's corrupt-entry
-// deletion path — a garbage blob is deleted, counted, recomputed and
-// replaced, instead of being re-parsed on every request.
-func TestQueryCorruptCacheDropped(t *testing.T) {
-	srv, ts := newTestServer(t)
-	req := queryRequest{Source: testProgram, Query: &query.Query{Kind: query.KindIsError, Site: "h1"}}
-
-	if _, code := postQuery(t, ts.URL, req); code != http.StatusOK {
-		t.Fatalf("first request status = %d", code)
-	}
-	b, err := driver.FromSource(testProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := driver.SliceRunKey(b, "swift", core.DefaultConfig(), "")
-	key.Kind = "queryresult"
-	key.Proc = batchDigest([]query.Query{*req.Query})
-	srv.store.Put(key, []byte("not json"))
-
-	second, code := postQuery(t, ts.URL, req)
-	if code != http.StatusOK {
-		t.Fatalf("post-corruption status = %d", code)
-	}
-	if second.Cached {
-		t.Fatal("corrupt entry was served as a cache hit")
-	}
-	if len(second.Answers) != 1 || !second.Answers[0].Reachable {
-		t.Fatalf("recomputed answers = %+v, want isError(h1)=true", second.Answers)
-	}
-	third, _ := postQuery(t, ts.URL, req)
-	if !third.Cached {
-		t.Fatal("recompute did not replace the corrupt entry")
-	}
-	if stats := getStats(t, ts.URL); stats.ResultCorrupt != 1 {
-		t.Errorf("resultCorrupt = %d, want 1", stats.ResultCorrupt)
 	}
 }
 
@@ -212,8 +174,8 @@ func TestQueryAgreesWithAnalyze(t *testing.T) {
 		}
 		for _, site := range []string{"h1", "h2"} {
 			q, code := postQuery(t, ts.URL, queryRequest{
-				Source: testProgram, Engine: engine,
-				Query: &query.Query{Kind: query.KindIsError, Site: site},
+				analyzeRequest: analyzeRequest{Source: testProgram, Engine: engine},
+				Query:          &query.Query{Kind: query.KindIsError, Site: site},
 			})
 			if code != http.StatusOK {
 				t.Fatalf("%s: /query status = %d", engine, code)

@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"swift/internal/query"
 	"swift/internal/store"
 )
 
@@ -77,53 +78,77 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestCoalesceIdenticalRequests is the single-flight acceptance check:
-// N identical concurrent requests run the engine exactly once, every
-// participant gets the same response bytes, and the coalesced counter
-// accounts for the other N-1.
+// TestCoalesceIdenticalRequests is the single-flight acceptance check,
+// for both endpoints: N identical concurrent requests run the engine
+// exactly once, every participant gets the same response bytes, and the
+// coalesced counter accounts for the other N-1.
 func TestCoalesceIdenticalRequests(t *testing.T) {
-	srv, ts := newTestServerOpts(t, Options{Quiet: true, MaxInFlight: 2})
-	const n = 6
-	body, _ := json.Marshal(analyzeRequest{Source: slowProgram(1, 30, 15)})
-
-	bodies := make([][]byte, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/analyze", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
+	for _, tc := range []struct {
+		path  string
+		req   any
+		check func(t *testing.T, body []byte)
+	}{
+		{"/analyze", analyzeRequest{Source: slowProgram(1, 30, 15)}, func(t *testing.T, body []byte) {
+			var resp analyzeResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
 			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d", i, resp.StatusCode)
-				return
+			if len(resp.ErrorSites) != 1 || resp.ErrorSites[0] != "h1" {
+				t.Errorf("error sites = %v, want [h1]", resp.ErrorSites)
 			}
-			bodies[i], _ = io.ReadAll(resp.Body)
-		}(i)
-	}
-	wg.Wait()
+		}},
+		{"/query", queryRequest{
+			analyzeRequest: analyzeRequest{Source: slowProgram(2, 30, 15)},
+			Query:          &query.Query{Kind: query.KindIsError, Site: "h1"},
+		}, func(t *testing.T, body []byte) {
+			var resp queryResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Answers) != 1 || !resp.Answers[0].Reachable {
+				t.Errorf("answers = %+v, want isError(h1) reachable", resp.Answers)
+			}
+		}},
+	} {
+		t.Run(tc.path[1:], func(t *testing.T) {
+			srv, ts := newTestServerOpts(t, Options{Quiet: true, MaxInFlight: 2})
+			const n = 6
+			body, _ := json.Marshal(tc.req)
 
-	for i := 1; i < n; i++ {
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("request %d got different bytes than request 0", i)
-		}
-	}
-	if got := srv.engineRuns.Load(); got != 1 {
-		t.Errorf("engineRuns = %d, want exactly 1", got)
-	}
-	if got := srv.flights.coalesced.Load(); got != n-1 {
-		t.Errorf("coalesced = %d, want %d", got, n-1)
-	}
-	var resp analyzeResponse
-	if err := json.Unmarshal(bodies[0], &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.ErrorSites) != 1 || resp.ErrorSites[0] != "h1" {
-		t.Errorf("error sites = %v, want [h1]", resp.ErrorSites)
+			bodies := make([][]byte, n)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Errorf("request %d: %v", i, err)
+						return
+					}
+					defer resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("request %d: status %d", i, resp.StatusCode)
+						return
+					}
+					bodies[i], _ = io.ReadAll(resp.Body)
+				}(i)
+			}
+			wg.Wait()
+
+			for i := 1; i < n; i++ {
+				if !bytes.Equal(bodies[i], bodies[0]) {
+					t.Fatalf("request %d got different bytes than request 0", i)
+				}
+			}
+			if got := srv.engineRuns.Load(); got != 1 {
+				t.Errorf("engineRuns = %d, want exactly 1", got)
+			}
+			if got := srv.flights.coalesced.Load(); got != n-1 {
+				t.Errorf("coalesced = %d, want %d", got, n-1)
+			}
+			tc.check(t, bodies[0])
+		})
 	}
 }
 

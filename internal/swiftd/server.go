@@ -80,13 +80,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the swiftd request handler. Two cache layers cooperate on a
-// request: whole-response blobs (Kind "result"/"queryresult") and
-// intern-table snapshots (via driver.Warm). Both are keyed by content
-// digests, so serving a cached response for a
-// byte-identical program is exact, not heuristic. The key memo finds the
-// digests of source bytes built before, so a repeat request reaches its
-// cached response without building.
+// Server is the swiftd request handler. Two store layers cooperate on an
+// /analyze request: whole-response blobs (Kind "result") and intern-table
+// snapshots (via driver.Warm). Both are keyed by content digests, so
+// serving a cached response for a byte-identical program is exact, not
+// heuristic. The key memo finds the digests of source bytes built before,
+// so a repeat /analyze reaches its cached response without building.
+// /query answers from the in-process slice memo instead (query.go).
 type Server struct {
 	store *store.Store
 	opts  Options
@@ -105,8 +105,9 @@ type Server struct {
 	sliceMemo *driver.SliceMemo
 
 	// keys is the source-digest memo in front of the result cache
-	// (keymemo.go); builds counts front-end runs, so /stats shows which
-	// requests skipped them.
+	// (keymemo.go): /analyze reads it, and every successful build of
+	// either endpoint fills it. builds counts front-end runs, so /stats
+	// shows which requests skipped them.
 	keys   *keyMemo
 	builds atomic.Int64
 
@@ -116,14 +117,12 @@ type Server struct {
 	resultCorrupt atomic.Int64
 
 	// /query telemetry (see queryStats).
-	queryBatches      atomic.Int64
-	queriesServed     atomic.Int64
-	queryMaxBatch     atomic.Int64
-	queryCanReach     atomic.Int64
-	queryStatesAt     atomic.Int64
-	queryIsError      atomic.Int64
-	queryResultHits   atomic.Int64
-	queryResultMisses atomic.Int64
+	queryBatches  atomic.Int64
+	queriesServed atomic.Int64
+	queryMaxBatch atomic.Int64
+	queryCanReach atomic.Int64
+	queryStatesAt atomic.Int64
+	queryIsError  atomic.Int64
 
 	// Incremental telemetry: cumulative warm-path counters across every
 	// engine run, surfaced in /stats.
@@ -146,9 +145,10 @@ type Server struct {
 	sparseSteps atomic.Int64
 }
 
-// analyzeRequest is the POST /analyze body. Absent k/theta default to
+// analyzeRequest is the POST /analyze body, and the program and engine
+// configuration every /query body embeds. Absent k/theta default to
 // core.DefaultConfig's thresholds; engine defaults to "swift". Unknown
-// fields are rejected (see decodeBody), among them the retired
+// fields are rejected (see decodeRequest), among them the retired
 // scheduler ablation knobs.
 type analyzeRequest struct {
 	Source string `json:"source"`
@@ -156,6 +156,10 @@ type analyzeRequest struct {
 	K      *int   `json:"k"`
 	Theta  *int   `json:"theta"`
 }
+
+// common returns the fields both endpoints' bodies share; queryRequest
+// promotes it from its embedded analyzeRequest.
+func (r *analyzeRequest) common() *analyzeRequest { return r }
 
 // analyzeResponse is the POST /analyze reply.
 type analyzeResponse struct {
@@ -361,57 +365,67 @@ func errorBody(format string, args ...any) []byte {
 
 var validEngines = map[string]bool{"td": true, "bu": true, "swift": true}
 
-// admit runs the shared request preamble: method, drain state and body
-// cap. It reports whether the handler should proceed.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
+// decodeRequest is the request preamble both endpoints share: method,
+// drain state and body cap; the JSON body into req, mapping an oversized
+// body to a structured 413 and anything else malformed — unknown fields
+// included, so a misspelled or retired option fails loudly instead of
+// silently running the defaults — to 400; then the engine default and
+// check and the engine configuration. It reports false once it has
+// written an error reply.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req interface{ common() *analyzeRequest }) (core.Config, bool) {
 	if r.Method != http.MethodPost {
 		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return false
+		return core.Config{}, false
 	}
 	if s.draining.Load() {
 		s.httpError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return false
+		return core.Config{}, false
 	}
 	s.requests.Add(1)
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
-	return true
-}
-
-// decodeBody decodes the JSON request body into v, mapping an oversized
-// body to a structured 413 and anything else malformed — unknown fields
-// included, so a misspelled or retired option fails loudly instead of
-// silently running the defaults — to 400.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := dec.Decode(req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.oversizedBodies.Add(1)
 			s.httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-			return false
+		} else {
+			s.httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		}
-		s.httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+		return core.Config{}, false
 	}
-	return true
+	c := req.common()
+	if c.Engine == "" {
+		c.Engine = "swift"
+	}
+	if !validEngines[c.Engine] {
+		s.httpError(w, http.StatusBadRequest, "unknown engine %q (want td, bu or swift)", c.Engine)
+		return core.Config{}, false
+	}
+	cfg := core.DefaultConfig()
+	if c.K != nil {
+		cfg.K = *c.K
+	}
+	if c.Theta != nil {
+		cfg.Theta = *c.Theta
+	}
+	return cfg, true
 }
 
-// requestContext applies the per-request deadline, if configured.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.opts.ReqTimeout > 0 {
-		return context.WithTimeout(r.Context(), s.opts.ReqTimeout)
-	}
-	return r.Context(), func() {}
-}
-
-// serveFlight coalesces the computation identified by id: the first
-// participant becomes the leader and runs compute with a cancel channel
+// serveFlight coalesces the computation identified by id under the
+// per-request deadline, if one is configured. The first participant
+// becomes the leader and runs compute with cfg.Cancel set to a channel
 // that closes when every participant has gone away (or on
-// CancelInflight); later participants wait for the leader's result.
-// Each participant departs when its ctx ends, so a per-request deadline
-// or client disconnect stops counting toward keeping the run alive.
-func (s *Server) serveFlight(w http.ResponseWriter, r *http.Request, ctx context.Context, id string, compute func(cancel <-chan struct{}) flightResult) {
+// CancelInflight); later participants wait for the leader's result. Each
+// participant departs when its ctx ends, so a per-request deadline or
+// client disconnect stops counting toward keeping the run alive.
+func (s *Server) serveFlight(w http.ResponseWriter, r *http.Request, id string, cfg core.Config, compute func(ctx context.Context, cfg core.Config) flightResult) {
+	ctx := r.Context()
+	if s.opts.ReqTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.opts.ReqTimeout)
+		defer cancel()
+	}
 	f, leader := s.flights.join(id)
 	if !leader {
 		s.flights.coalesced.Add(1)
@@ -425,7 +439,8 @@ func (s *Server) serveFlight(w http.ResponseWriter, r *http.Request, ctx context
 	}()
 
 	if leader {
-		res := compute(f.cancel)
+		cfg.Cancel = f.cancel
+		res := compute(ctx, cfg)
 		s.flights.finish(f, res)
 		s.writeFlightResult(w, r, ctx, res)
 		return
@@ -436,6 +451,34 @@ func (s *Server) serveFlight(w http.ResponseWriter, r *http.Request, ctx context
 	case <-ctx.Done():
 		s.writeFlightResult(w, r, ctx, flightResult{})
 	}
+}
+
+// lead is the leader work both endpoints share once a request is valid:
+// it takes an engine slot (mapping an admission failure to 429 or 503),
+// counts the engine run, calls run, maps a canceled run to 503 and any
+// other error to 500, and marshals run's reply. It returns the flight
+// result and, on success, the reply's JSON for the caller to cache.
+func (s *Server) lead(ctx context.Context, run func() (any, error)) (flightResult, []byte) {
+	if err := s.gate.acquire(ctx); err != nil {
+		return s.gateResult(err), nil
+	}
+	defer s.gate.release()
+	s.engineRuns.Add(1)
+	reply, err := run()
+	if errors.Is(err, core.ErrCanceled) {
+		s.canceledRuns.Add(1)
+		return flightResult{status: http.StatusServiceUnavailable, body: errorBody("analysis canceled before completion")}, nil
+	}
+	if err != nil {
+		return flightResult{status: http.StatusInternalServerError, body: errorBody("%v", err)}, nil
+	}
+	blob, err := json.Marshal(reply)
+	if err != nil {
+		s.encodeFailures.Add(1)
+		s.logf("swiftd: response encode failed: %v", err)
+		return flightResult{status: http.StatusInternalServerError, body: errorBody("response encode failed: %v", err)}, nil
+	}
+	return flightResult{status: http.StatusOK, body: append(blob, '\n')}, blob
 }
 
 // writeFlightResult delivers a flight's outcome to one participant. A
@@ -482,26 +525,10 @@ func (s *Server) gateResult(err error) flightResult {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, r) {
-		return
-	}
 	var req analyzeRequest
-	if !s.decodeBody(w, r, &req) {
+	cfg, ok := s.decodeRequest(w, r, &req)
+	if !ok {
 		return
-	}
-	if req.Engine == "" {
-		req.Engine = "swift"
-	}
-	if !validEngines[req.Engine] {
-		s.httpError(w, http.StatusBadRequest, "unknown engine %q (want td, bu or swift)", req.Engine)
-		return
-	}
-	cfg := core.DefaultConfig()
-	if req.K != nil {
-		cfg.K = *req.K
-	}
-	if req.Theta != nil {
-		cfg.Theta = *req.Theta
 	}
 
 	// The cache keys are content digests of the built pipeline. A source
@@ -509,9 +536,20 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// is known and a cached response is served without building. A memo
 	// or store miss builds (parse → points-to → lower → client
 	// construction). Either way the request counts one result hit or miss.
+	// A blob that fails to decode is corrupt: it is deleted and counted
+	// (resultCorrupt), so the request recomputes once instead of every
+	// later one paying a failed unmarshal; without the delete, a rerun
+	// ending in a wall-clock timeout (which never publishes) would leave
+	// the garbage in place forever.
 	var resp analyzeResponse
 	cached := func(key store.Key) bool {
-		if !s.fetchResult(key, &resp) {
+		blob, ok := s.store.Get(key)
+		if !ok {
+			return false
+		}
+		if err := json.Unmarshal(blob, &resp); err != nil {
+			s.store.Delete(key)
+			s.resultCorrupt.Add(1)
 			return false
 		}
 		s.resultHits.Add(1)
@@ -535,28 +573,46 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.resultMisses.Add(1)
 
-	ctx, cancelCtx := s.requestContext(r)
-	defer cancelCtx()
-	s.serveFlight(w, r, ctx, key.ID(), func(cancel <-chan struct{}) flightResult {
-		return s.computeAnalyze(ctx, b, req, cfg, key, cancel)
+	s.serveFlight(w, r, key.ID(), cfg, func(ctx context.Context, cfg core.Config) flightResult {
+		var res *driver.Result
+		out, blob := s.lead(ctx, func() (any, error) {
+			start := time.Now()
+			var wstats *driver.WarmStats
+			var err error
+			res, wstats, err = driver.Warm{Store: s.store}.Run(b, req.Engine, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("run failed: %w", err)
+			}
+			s.countRun(res, wstats)
+			if errors.Is(res.Err, core.ErrCanceled) {
+				return nil, res.Err
+			}
+			reply := analyzeResponse{
+				Engine:         res.Engine,
+				Completed:      res.Completed(),
+				TablesDigest:   driver.ResultTablesDigest(b, res),
+				RestoredTables: wstats.RestoredTables,
+				ElapsedMS:      time.Since(start).Milliseconds(),
+			}
+			if res.Err != nil {
+				reply.Err = res.Err.Error()
+			} else if reply.ErrorSites, err = b.ErrorReport(res); err != nil {
+				return nil, fmt.Errorf("report failed: %w", err)
+			}
+			return reply, nil
+		})
+		// Cache only deterministic outcomes: reruns of a wall-clock timeout
+		// or a canceled run might succeed, so those must not be pinned.
+		if blob != nil && driver.DeterministicOutcome(res.Err) {
+			s.store.Put(key, blob)
+		}
+		return out
 	})
 }
 
-// computeAnalyze is the /analyze leader path: admission, the engine run
-// and the response blob all participants share.
-func (s *Server) computeAnalyze(ctx context.Context, b *driver.Build, req analyzeRequest, cfg core.Config, key store.Key, cancel <-chan struct{}) flightResult {
-	if err := s.gate.acquire(ctx); err != nil {
-		return s.gateResult(err)
-	}
-	defer s.gate.release()
-	cfg.Cancel = cancel
-	s.engineRuns.Add(1)
-
-	start := time.Now()
-	res, wstats, err := driver.Warm{Store: s.store}.Run(b, req.Engine, cfg)
-	if err != nil {
-		return flightResult{status: http.StatusInternalServerError, body: errorBody("run failed: %v", err)}
-	}
+// countRun folds one /analyze engine run into the incremental and
+// structure telemetry.
+func (s *Server) countRun(res *driver.Result, wstats *driver.WarmStats) {
 	if wstats.RestoredTables {
 		s.restoredRuns.Add(1)
 	}
@@ -564,46 +620,12 @@ func (s *Server) computeAnalyze(ctx context.Context, b *driver.Build, req analyz
 		s.failedRestores.Add(1)
 	}
 	if res.TD != nil && res.TD.Sparse.Enabled {
-		sp := res.TD.Sparse
 		s.sparseRuns.Add(1)
-		s.sparsePops.Add(int64(sp.Pops))
+		s.sparsePops.Add(int64(res.TD.Sparse.Pops))
 		s.sparseSteps.Add(int64(res.TD.Steps))
 	} else {
 		s.denseRuns.Add(1)
 	}
-	if errors.Is(res.Err, core.ErrCanceled) {
-		s.canceledRuns.Add(1)
-		return flightResult{status: http.StatusServiceUnavailable, body: errorBody("analysis canceled before completion")}
-	}
-	resp := analyzeResponse{
-		Engine:         res.Engine,
-		Completed:      res.Completed(),
-		TablesDigest:   driver.ResultTablesDigest(b, res),
-		RestoredTables: wstats.RestoredTables,
-		ElapsedMS:      time.Since(start).Milliseconds(),
-	}
-	if res.Err != nil {
-		resp.Err = res.Err.Error()
-	} else {
-		sites, rerr := b.ErrorReport(res)
-		if rerr != nil {
-			return flightResult{status: http.StatusInternalServerError, body: errorBody("report failed: %v", rerr)}
-		}
-		resp.ErrorSites = sites
-	}
-	blob, merr := json.Marshal(resp)
-	if merr != nil {
-		s.encodeFailures.Add(1)
-		s.logf("swiftd: analyze response encode failed: %v", merr)
-		return flightResult{status: http.StatusInternalServerError, body: errorBody("response encode failed: %v", merr)}
-	}
-	// Cache only deterministic outcomes: reruns of a wall-clock timeout
-	// or a canceled run might succeed, so those must not be pinned.
-	if res.Err == nil || (errors.Is(res.Err, core.ErrBudget) &&
-		!errors.Is(res.Err, core.ErrDeadline) && !errors.Is(res.Err, core.ErrCanceled)) {
-		s.store.Put(key, blob)
-	}
-	return flightResult{status: http.StatusOK, body: append(blob, '\n')}
 }
 
 // build runs the front end on src and remembers the build's digests under
@@ -617,24 +639,6 @@ func (s *Server) build(src string, sum sourceSum) (*driver.Build, error) {
 	}
 	s.keys.put(sum, b.Digests())
 	return b, nil
-}
-
-// fetchResult fetches and decodes a cached response blob; the caller
-// counts the hit or miss. A blob that fails to decode is corrupt: it is
-// deleted and counted (resultCorrupt) so the caller recomputes once
-// instead of every subsequent request paying a failed unmarshal. Without
-// the delete, a rerun that ends in a wall-clock timeout (which never
-// publishes) would leave the garbage blob in place forever. Shared by
-// /analyze and /query.
-func (s *Server) fetchResult(key store.Key, out any) bool {
-	if blob, ok := s.store.Get(key); ok {
-		if err := json.Unmarshal(blob, out); err == nil {
-			return true
-		}
-		s.store.Delete(key)
-		s.resultCorrupt.Add(1)
-	}
-	return false
 }
 
 // handleHealthz is the liveness probe. It exercises the store's disk

@@ -269,7 +269,7 @@ func TestUnknownFieldsRejected(t *testing.T) {
 		t.Errorf("/analyze control status = %d", code)
 	}
 	q := query.Query{Kind: query.KindIsError, Site: "h1"}
-	if _, code := postQuery(t, ts.URL, queryRequest{Source: testProgram, Query: &q}); code != http.StatusOK {
+	if _, code := postQuery(t, ts.URL, queryRequest{analyzeRequest: analyzeRequest{Source: testProgram}, Query: &q}); code != http.StatusOK {
 		t.Errorf("/query control status = %d", code)
 	}
 	if runs := getStats(t, ts.URL).Robustness.EngineRuns; runs != 2 {
