@@ -21,7 +21,11 @@ const goldenPath = "testdata/golden_digests.txt"
 // goldenDigests runs td, bu and swift on fresh builds of testdata/mirror.mj,
 // jpat-p and elevator, and renders the sha256 of each run's EncodeTables
 // snapshot and EncodeResultTables bytes, one "program engine kind digest"
-// line each.
+// line each. It then adds one "profile build frozen program" line per
+// benchprog profile: the build's key digests, which need no engine run.
+// The frozen digest covers the whole may-alias matrix and the relevance
+// bits, and the program digest every byte of ir.Print, so these lines pin
+// the front end cell by cell.
 func goldenDigests(t *testing.T) string {
 	t.Helper()
 	src, err := os.ReadFile("../../testdata/mirror.mj")
@@ -68,6 +72,18 @@ func goldenDigests(t *testing.T) string {
 			fmt.Fprintf(&out, "%s %s tables %s\n", bl.name, engine, digest(b.TS.EncodeTables()))
 			fmt.Fprintf(&out, "%s %s result %s\n", bl.name, engine, digest(EncodeResultTables(b, res)))
 		}
+	}
+	for _, p := range append(benchprog.Profiles(), benchprog.ExtraProfiles()...) {
+		hprog, err := benchprog.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := FromHIR(hprog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := b.Digests()
+		fmt.Fprintf(&out, "%s build %s %s\n", p.Name, d.Frozen, d.Program)
 	}
 	return out.String()
 }

@@ -76,11 +76,13 @@ func keyFor(frozen, engine string, cfg core.Config) store.Key {
 }
 
 // ProgramDigest returns the hex digest of the whole lowered program, the
-// SHA-256 of its ir.Print. It is computed once per build.
+// SHA-256 of its ir.Print bytes, which ir.Fprint streams into the hash as
+// it renders them. It is computed once per build.
 func ProgramDigest(b *Build) string {
 	b.programOnce.Do(func() {
-		sum := sha256.Sum256([]byte(ir.Print(b.Lowered.Prog)))
-		b.program = hex.EncodeToString(sum[:])
+		h := sha256.New()
+		ir.Fprint(h, b.Lowered.Prog) // hash writes never fail
+		b.program = hex.EncodeToString(h.Sum(nil))
 	})
 	return b.program
 }

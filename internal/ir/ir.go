@@ -16,7 +16,9 @@
 package ir
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 )
@@ -97,30 +99,39 @@ func (*Prim) isCmd() {}
 
 // String renders the primitive in surface syntax.
 func (p *Prim) String() string {
-	switch p.Kind {
-	case Nop:
-		return "nop"
-	case New:
-		return fmt.Sprintf("%s = new %s", p.Dst, p.Site)
-	case Copy:
-		return fmt.Sprintf("%s = %s", p.Dst, p.Src)
-	case Load:
-		return fmt.Sprintf("%s = %s.%s", p.Dst, p.Src, p.Field)
-	case Store:
-		return fmt.Sprintf("%s.%s = %s", p.Dst, p.Field, p.Src)
-	case TSCall:
-		return fmt.Sprintf("%s.%s()", p.Dst, p.Method)
-	case Kill:
-		return fmt.Sprintf("kill %s", p.Dst)
-	case Assert:
-		return fmt.Sprintf("assert %s ~ %s", p.Dst, p.Method)
-	}
-	return "prim?"
+	var buf [64]byte
+	return string(p.appendTo(buf[:0]))
 }
 
 // Key returns a canonical string identity for the primitive, used for
 // interning and deterministic ordering.
 func (p *Prim) Key() string { return p.String() }
+
+// appendTo appends the primitive's surface syntax to b. String, Key and
+// the program printer all render through it.
+func (p *Prim) appendTo(b []byte) []byte {
+	switch p.Kind {
+	case Nop:
+		return append(b, "nop"...)
+	case New:
+		return append(append(append(b, p.Dst...), " = new "...), p.Site...)
+	case Copy:
+		return append(append(append(b, p.Dst...), " = "...), p.Src...)
+	case Load:
+		b = append(append(append(b, p.Dst...), " = "...), p.Src...)
+		return append(append(b, '.'), p.Field...)
+	case Store:
+		b = append(append(append(b, p.Dst...), '.'), p.Field...)
+		return append(append(b, " = "...), p.Src...)
+	case TSCall:
+		return append(append(append(append(b, p.Dst...), '.'), p.Method...), "()"...)
+	case Kill:
+		return append(append(b, "kill "...), p.Dst...)
+	case Assert:
+		return append(append(append(append(b, "assert "...), p.Dst...), " ~ "...), p.Method...)
+	}
+	return append(b, "prim?"...)
+}
 
 // Cmd is a command of the Section 3 language. The concrete types are *Prim,
 // *Seq, *Choice, *Loop and *Call.
@@ -361,47 +372,66 @@ func countCmd(c Cmd, st *Stats) int {
 // line-of-code accounting in the benchmark characteristics table.
 func Print(p *Program) string {
 	var b strings.Builder
+	Fprint(&b, p)
+	return b.String()
+}
+
+// Fprint writes Print's bytes to w through a 4 KB buffer, never holding
+// the whole text, and returns the first write error. The program digest
+// hashes a program this way.
+func Fprint(w io.Writer, p *Program) error {
+	b := bufio.NewWriter(w)
 	for i, name := range p.ProcNames() {
 		if i > 0 {
 			b.WriteByte('\n')
 		}
-		fmt.Fprintf(&b, "proc %s {\n", name)
-		printCmd(&b, p.Procs[name].Body, 1)
+		b.WriteString("proc ")
+		b.WriteString(name)
+		b.WriteString(" {\n")
+		printCmd(b, p.Procs[name].Body, 1)
 		b.WriteString("}\n")
 	}
-	return b.String()
+	return b.Flush()
 }
 
-func printCmd(b *strings.Builder, c Cmd, depth int) {
-	indent := strings.Repeat("  ", depth)
+// printCmd writes c at the given indentation depth. bufio.Writer keeps
+// the first write error for Fprint's Flush to return.
+func printCmd(b *bufio.Writer, c Cmd, depth int) {
+	indent := func() {
+		for i := 0; i < depth; i++ {
+			b.WriteString("  ")
+		}
+	}
 	switch c := c.(type) {
 	case *Prim:
-		b.WriteString(indent)
-		b.WriteString(c.String())
-		b.WriteByte('\n')
+		indent()
+		b.Write(append(c.appendTo(b.AvailableBuffer()), '\n'))
 	case *Seq:
 		for _, s := range c.Cmds {
 			printCmd(b, s, depth)
 		}
 	case *Choice:
-		b.WriteString(indent)
+		indent()
 		b.WriteString("choice {\n")
 		for i, a := range c.Alts {
 			if i > 0 {
-				b.WriteString(indent)
+				indent()
 				b.WriteString("} or {\n")
 			}
 			printCmd(b, a, depth+1)
 		}
-		b.WriteString(indent)
+		indent()
 		b.WriteString("}\n")
 	case *Loop:
-		b.WriteString(indent)
+		indent()
 		b.WriteString("loop {\n")
 		printCmd(b, c.Body, depth+1)
-		b.WriteString(indent)
+		indent()
 		b.WriteString("}\n")
 	case *Call:
-		fmt.Fprintf(b, "%scall %s\n", indent, c.Callee)
+		indent()
+		b.WriteString("call ")
+		b.WriteString(c.Callee)
+		b.WriteByte('\n')
 	}
 }

@@ -1,6 +1,9 @@
 package ir
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -118,6 +121,79 @@ func TestPrintRoundtrips(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Print output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestPrimStringMatchesFmtReference pins every primitive's surface syntax
+// against the fmt rendering it replaced.
+func TestPrimStringMatchesFmtReference(t *testing.T) {
+	for _, c := range []struct {
+		p    Prim
+		want string
+	}{
+		{Prim{Kind: Nop}, "nop"},
+		{Prim{Kind: New, Dst: "v", Site: "h1"}, fmt.Sprintf("%s = new %s", "v", "h1")},
+		{Prim{Kind: Copy, Dst: "v", Src: "w"}, fmt.Sprintf("%s = %s", "v", "w")},
+		{Prim{Kind: Load, Dst: "v", Src: "w", Field: "f"}, fmt.Sprintf("%s = %s.%s", "v", "w", "f")},
+		{Prim{Kind: Store, Dst: "v", Src: "w", Field: "f"}, fmt.Sprintf("%s.%s = %s", "v", "f", "w")},
+		{Prim{Kind: TSCall, Dst: "v", Method: "open"}, fmt.Sprintf("%s.%s()", "v", "open")},
+		{Prim{Kind: Kill, Dst: "v"}, fmt.Sprintf("kill %s", "v")},
+		{Prim{Kind: Assert, Dst: "v", Method: "open"}, fmt.Sprintf("assert %s ~ %s", "v", "open")},
+		{Prim{Kind: PrimKind(99)}, "prim?"},
+		{Prim{Kind: New, Dst: strings.Repeat("x", 100), Site: "h"}, strings.Repeat("x", 100) + " = new h"},
+	} {
+		if got := c.p.String(); got != c.want {
+			t.Errorf("%v: String = %q, want %q", c.p.Kind, got, c.want)
+		}
+		if got := c.p.Key(); got != c.want {
+			t.Errorf("%v: Key = %q, want %q", c.p.Kind, got, c.want)
+		}
+	}
+}
+
+// chunkWriter records each Write and fails once it has seen failAt bytes
+// (never when failAt is 0).
+type chunkWriter struct {
+	bytes.Buffer
+	writes, failAt int
+}
+
+func (w *chunkWriter) Write(b []byte) (int, error) {
+	if w.failAt > 0 && w.Len()+len(b) > w.failAt {
+		return 0, errors.New("disk full")
+	}
+	w.writes++
+	return w.Buffer.Write(b)
+}
+
+// TestFprintStreamsPrint checks that Fprint writes exactly Print's bytes,
+// in more than one chunk for a program larger than its buffer, and that
+// it reports the writer's first error.
+func TestFprintStreamsPrint(t *testing.T) {
+	want := "proc helper {\n  choice {\n    w = v\n  } or {\n    w.f = v\n    u = w.f\n    call leaf\n  }\n}\n" +
+		"\nproc leaf {\n  kill u\n}\n" +
+		"\nproc main {\n  v = new h1\n  call helper\n  loop {\n    v.read()\n  }\n}\n"
+	if got := Print(sampleProgram()); got != want {
+		t.Fatalf("Print =\n%s\nwant\n%s", got, want)
+	}
+	big := sampleProgram()
+	var body []Cmd
+	for i := 0; i < 2000; i++ {
+		body = append(body, &Loop{Body: &Prim{Kind: New, Dst: fmt.Sprintf("v%d", i), Site: "h1"}})
+	}
+	big.Add(&Proc{Name: "big", Body: &Seq{Cmds: body}})
+	var w chunkWriter
+	if err := Fprint(&w, big); err != nil {
+		t.Fatal(err)
+	}
+	if w.String() != Print(big) {
+		t.Fatal("Fprint bytes differ from Print")
+	}
+	if w.writes < 2 {
+		t.Fatalf("Fprint wrote %d bytes in %d writes, want chunks", w.Len(), w.writes)
+	}
+	if err := Fprint(&chunkWriter{failAt: 3 * 4096}, big); err == nil || err.Error() != "disk full" {
+		t.Fatalf("Fprint error = %v, want the writer's", err)
 	}
 }
 

@@ -13,6 +13,7 @@ package pointer
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"swift/internal/hir"
 )
@@ -298,38 +299,53 @@ func (r *Result) SiteType(label string) string {
 	return ""
 }
 
-// PathMayPoint reports whether the access path (base, field) — base being a
-// lowered qualified variable name — may point to an object allocated at the
-// named site. Unknown variables and sites conservatively may point
-// anywhere... except that an unknown site cannot be pointed to: an absent
-// site means the allocation was never reached.
-func (r *Result) PathMayPoint(base, field, site string) bool {
-	sid, ok := r.siteIdx[site]
-	if !ok {
-		return false
-	}
+// pathSet returns the set of sites the access path (base, field) may point
+// to: the variable's own points-to set for a plain variable, else the union
+// of field's slot over every object the variable may point to. A variable
+// the analysis never saw — never assigned, or local to an unreachable
+// method — points nowhere. The returned set may alias the analysis's own
+// sets; callers only read it.
+func (r *Result) pathSet(base, field string) bitset {
 	vn, ok := r.nodeIdx[base]
 	if !ok {
-		return false // never-assigned variable points nowhere
+		return nil
 	}
 	if field == "" {
-		return r.pts[vn].has(sid)
+		return r.pts[vn]
 	}
-	found := false
+	var out bitset
+	var key []byte
 	r.pts[vn].each(func(o int) {
-		if found {
-			return
-		}
-		if sn, ok := r.nodeIdx[fmt.Sprintf("#%d.%s", o, field)]; ok && r.pts[sn].has(sid) {
-			found = true
+		// The node key slotNode interns, built without fmt.
+		key = append(strconv.AppendInt(append(key[:0], '#'), int64(o), 10), '.')
+		key = append(key, field...)
+		if sn, ok := r.nodeIdx[string(key)]; ok {
+			out.orChanged(r.pts[sn])
 		}
 	})
-	return found
+	return out
 }
 
-// MayAlias implements the typestate.Oracle interface.
-func (r *Result) MayAlias(base, field, site string) bool {
-	return r.PathMayPoint(base, field, site)
+// PathSites appends to dst the index in Sites of every allocation site the
+// access path (base, field) may point to — base a lowered qualified
+// variable name, field empty for the variable itself — each once, in
+// increasing order, and returns the extended slice. A never-assigned
+// variable points nowhere, so it appends nothing. It implements the
+// typestate.Oracle interface: one call answers a whole row of the
+// may-alias matrix.
+func (r *Result) PathSites(dst []int, base, field string) []int {
+	r.pathSet(base, field).each(func(s int) { dst = append(dst, s) })
+	return dst
+}
+
+// PathMayPoint reports whether the access path (base, field) may point to
+// an object allocated at the named site: whether the site is in the set
+// PathSites lists. A never-assigned variable points nowhere, and an
+// unknown site is never pointed to (its allocation was never reached), so
+// both answer false.
+func (r *Result) PathMayPoint(base, field, site string) bool {
+	sid, ok := r.siteIdx[site]
+	return ok && r.pathSet(base, field).has(sid)
 }
 
 // Stats summarizes reachable program size for the benchmark

@@ -1,6 +1,7 @@
 package pointer
 
 import (
+	"slices"
 	"testing"
 
 	"swift/internal/hir"
@@ -137,9 +138,19 @@ func TestFieldFlowAndOracle(t *testing.T) {
 	if !r.PathMayPoint("Box.put$this", "item", "file") {
 		t.Error("Box.put$this.item should may-point to file")
 	}
-	// Oracle interface adapter.
-	if !r.MayAlias("Main.main$g", "", "file") {
-		t.Error("MayAlias adapter disagrees")
+	// The per-path query lists exactly the sites PathMayPoint accepts,
+	// once each, in increasing order.
+	for _, q := range [][2]string{{"Main.main$g", ""}, {"Box.put$this", "item"}, {"Ghost.var$x", ""}} {
+		got := r.PathSites(nil, q[0], q[1])
+		var want []int
+		for i, site := range r.Sites() {
+			if r.PathMayPoint(q[0], q[1], site) {
+				want = append(want, i)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("PathSites(%s, %q) = %v, want %v", q[0], q[1], got, want)
+		}
 	}
 	// Unknown names point nowhere.
 	if r.PathMayPoint("Ghost.var$x", "", "file") || r.PathMayPoint("Main.main$g", "", "nosite") {

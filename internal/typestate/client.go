@@ -8,19 +8,20 @@ import (
 	"swift/internal/ir"
 )
 
-// Oracle answers global may-alias queries: may the access path (base,
-// field) point to an object allocated at site? field is empty for plain
-// variables. Answering true when unsure is the sound default; the pointer
-// package provides a precise implementation backed by Andersen's analysis.
+// Oracle answers the global may-alias queries, one access path at a
+// time: which allocation sites may the path (base, field) point to? field
+// is empty for plain variables. The pointer package provides a precise
+// implementation backed by Andersen's analysis.
 type Oracle interface {
-	MayAlias(base, field, site string) bool
+	// Sites lists the allocation-site labels the oracle knows; PathSites
+	// names sites by their index in this list. A site missing from it is
+	// never pointed to.
+	Sites() []string
+	// PathSites appends to dst the index in Sites of every site the path
+	// may point to and returns the extended slice. Listing a site when
+	// unsure is the sound default; repeats are harmless.
+	PathSites(dst []int, base, field string) []int
 }
-
-// OracleFunc adapts a function to the Oracle interface.
-type OracleFunc func(base, field, site string) bool
-
-// MayAlias implements Oracle.
-func (f OracleFunc) MayAlias(base, field, site string) bool { return f(base, field, site) }
 
 // Analysis is the type-state instantiation of the SWIFT framework for one
 // program: it implements core.Client[AbsID, RelID, FormulaID]. An
@@ -304,22 +305,42 @@ func (a *Analysis) buildUniverse() {
 }
 
 // buildOracle materializes the may-alias matrix over the path and site
-// universes. The bootstrap site aliases nothing.
+// universes, asking the oracle once per path for that path's row. Oracle
+// site indices are resolved to SiteIDs once, up front. The bootstrap site
+// aliases nothing; a nil oracle aliases every other site.
 func (a *Analysis) buildOracle(oracle Oracle) {
 	t := a.tab
-	t.mayAlias = make([][]bool, t.numPaths())
-	t.relevant = make([]bool, t.numPaths())
-	for pid := 0; pid < t.numPaths(); pid++ {
-		p := t.pathAt(PathID(pid))
-		row := make([]bool, len(t.sites))
-		for sid := 1; sid < len(t.sites); sid++ {
-			if oracle == nil {
+	np, ns := t.numPaths(), len(t.sites)
+	t.mayAlias = make([][]bool, np)
+	t.relevant = make([]bool, np)
+	var toSite []SiteID // oracle site index → SiteID, 0 if not in the universe
+	if oracle != nil {
+		labels := oracle.Sites()
+		toSite = make([]SiteID, len(labels))
+		for i, l := range labels {
+			toSite[i] = t.siteIDs[l] // absent → 0, the bootstrap site
+		}
+	}
+	cells := make([]bool, np*ns)
+	var hits []int
+	for pid := 0; pid < np; pid++ {
+		row := cells[pid*ns : (pid+1)*ns : (pid+1)*ns]
+		if oracle == nil {
+			for sid := 1; sid < ns; sid++ {
 				row[sid] = true
-			} else {
-				row[sid] = oracle.MayAlias(p.base, p.field, t.sites[sid])
 			}
+		} else {
+			p := t.pathAt(PathID(pid))
+			hits = oracle.PathSites(hits[:0], p.base, p.field)
+			for _, i := range hits {
+				row[toSite[i]] = true
+			}
+			row[0] = false
+		}
+		for sid := 1; sid < ns; sid++ {
 			if row[sid] && t.sitePropOf[sid] >= 0 {
 				t.relevant[pid] = true
+				break
 			}
 		}
 		t.mayAlias[pid] = row

@@ -54,9 +54,9 @@ func conditionsProgram() (*ir.Program, []*ir.Prim) {
 func conditionsAnalysis(t *testing.T) (*Analysis, []*ir.Prim) {
 	t.Helper()
 	prog, prims := conditionsProgram()
-	oracle := OracleFunc(func(base, field, site string) bool {
+	oracle := predOracle{sites: []string{"h1", "h2", "h3"}, may: func(base, field, site string) bool {
 		return (len(base)+2*len(field)+3*len(site))%3 != 0
-	})
+	}}
 	ts, err := NewAnalysis(prog, map[string]*Property{
 		"h1": FileProperty(),
 		"h2": IteratorProperty(),
@@ -65,6 +65,24 @@ func conditionsAnalysis(t *testing.T) (*Analysis, []*ir.Prim) {
 		t.Fatalf("NewAnalysis: %v", err)
 	}
 	return ts, prims
+}
+
+// predOracle is an Oracle over a fixed site list that lists the sites a
+// predicate accepts.
+type predOracle struct {
+	sites []string
+	may   func(base, field, site string) bool
+}
+
+func (o predOracle) Sites() []string { return o.sites }
+
+func (o predOracle) PathSites(dst []int, base, field string) []int {
+	for i, site := range o.sites {
+		if o.may(base, field, site) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }
 
 // randomState draws an arbitrary abstract state, including "junk" states
