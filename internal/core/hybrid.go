@@ -189,8 +189,14 @@ func (a *Analysis[S, R, P]) RunBU(initial S, config Config) *Result[S, R, P] {
 			return err
 		}
 		res.BU = eta
-		inst := &buInstantiator[S, R, P]{client: client, eta: eta, res: res}
+		inst := &buInstantiator[S, R, P]{client: client, res: res}
 		t := newTDSolver(client, a.cfgView(), config, inst, a.sparseIndex(config))
+		inst.eta = make([]*RSet[R, P], len(t.procs))
+		for i := range t.procs {
+			if rs, ok := eta[t.procs[i].name]; ok {
+				inst.eta[i] = &rs
+			}
+		}
 		res.TD = t.res
 		if err := t.seed(initial); err != nil {
 			return err
@@ -205,20 +211,22 @@ func (a *Analysis[S, R, P]) RunBU(initial S, config Config) *Result[S, R, P] {
 // buInstantiator answers every call from precomputed bottom-up summaries.
 type buInstantiator[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	client Client[S, R, P]
-	eta    map[string]RSet[R, P]
-	res    *Result[S, R, P]
+	// eta holds each procedure's summary by solver procedure index, nil
+	// where it has none.
+	eta []*RSet[R, P]
+	res *Result[S, R, P]
 }
 
-func (b *buInstantiator[S, R, P]) beforeCall(callee string, s S) ([]S, bool, error) {
-	rs, ok := b.eta[callee]
-	if !ok {
+func (b *buInstantiator[S, R, P]) beforeCall(callee int32, s S) ([]S, bool, error) {
+	rs := b.eta[callee]
+	if rs == nil {
 		return nil, false, nil
 	}
 	b.res.CallsViaBU++
-	return ApplySummary(b.client, rs, s), true, nil
+	return ApplySummary(b.client, *rs, s), true, nil
 }
 
-func (b *buInstantiator[S, R, P]) afterCall(string, S) error { return nil }
+func (b *buInstantiator[S, R, P]) afterCall(int32, S) error { return nil }
 
 // RunSwift runs Algorithm 1: top-down tabulation with bottom-up
 // summarization triggered at threshold k and pruned at width θ.
@@ -242,6 +250,8 @@ func (a *Analysis[S, R, P]) RunSwift(initial S, config Config) *Result[S, R, P] 
 	// measured and rejected here (DESIGN.md §13.4).
 	t := newTDSolver(client, a.cfgView(), config, h, nil)
 	h.td = t
+	h.bu = make([]*RSet[R, P], len(t.procs))
+	h.failed = make([]bool, len(t.procs))
 	res.TD = t.res
 	err := func() (err error) {
 		defer contain(&err)
@@ -283,21 +293,25 @@ type hybrid[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	pending map[string]bool
 	// retryTick throttles pending retries.
 	retryTick int
+	// bu and failed mirror res.BU and res.BUFailed by solver procedure
+	// index, so the per-call hooks look nothing up by name.
+	bu     []*RSet[R, P]
+	failed []bool
 }
 
 // beforeCall applies a bottom-up summary when one exists and the incoming
 // state is not in its ignored set Σ (line 12 of Algorithm 1); Theorem 3.1
 // guarantees the result equals re-analyzing the callee top-down.
-func (h *hybrid[S, R, P]) beforeCall(callee string, s S) ([]S, bool, error) {
-	rs, ok := h.res.BU[callee]
-	if !ok {
+func (h *hybrid[S, R, P]) beforeCall(callee int32, s S) ([]S, bool, error) {
+	rs := h.bu[callee]
+	if rs == nil {
 		return nil, false, nil
 	}
-	if Ignores(h.client, rs, s) {
+	if Ignores(h.client, *rs, s) {
 		h.res.CallsInSigma++
 		return nil, false, nil
 	}
-	results := ApplySummary(h.client, rs, s)
+	results := ApplySummary(h.client, *rs, s)
 	if len(results) == 0 {
 		// The commands of the language are total, so a correct client's
 		// summary relates every non-ignored state to at least one output
@@ -315,14 +329,14 @@ func (h *hybrid[S, R, P]) beforeCall(callee string, s S) ([]S, bool, error) {
 // triggers are retried periodically: a procedure's calls often arrive in a
 // burst before its callees have any incoming states to rank by, and the
 // retry fires run_bu once they do.
-func (h *hybrid[S, R, P]) afterCall(callee string, s S) error {
+func (h *hybrid[S, R, P]) afterCall(callee int32, s S) error {
 	h.res.CallsViaTD++
 	if h.config.K == Unlimited {
 		return nil
 	}
-	if h.res.TD.EntrySeen[callee].distinct() > h.config.K {
-		if _, done := h.res.BU[callee]; !done && !h.res.BUFailed[callee] {
-			if err := h.trigger(callee, false); err != nil {
+	if tp := &h.td.procs[callee]; tp.seen.distinct() > h.config.K {
+		if h.bu[callee] == nil && !h.failed[callee] {
+			if err := h.trigger(tp.name, false); err != nil {
 				return err
 			}
 		}
@@ -419,13 +433,13 @@ func (h *hybrid[S, R, P]) trigger(f string, force bool) error {
 			if h.panicked[f] <= panicRetryLimit {
 				continue
 			}
-			h.res.BUFailed[f] = true
+			h.fail(f)
 			return nil
 		}
 		if errors.Is(err, ErrBudget) {
 			// The bottom-up side ran out of budget: fall back to pure
 			// top-down for this trigger procedure and carry on.
-			h.res.BUFailed[f] = true
+			h.fail(f)
 			return nil
 		}
 		if err != nil {
@@ -433,10 +447,17 @@ func (h *hybrid[S, R, P]) trigger(f string, force bool) error {
 		}
 		for name, rs := range eta {
 			h.res.BU[name] = rs
+			h.bu[h.td.procIdx[name]] = &rs
 		}
 		h.res.Triggered = append(h.res.Triggered, f)
 		return nil
 	}
+}
+
+// fail marks trigger procedure f BUFailed: its calls fall back to top-down.
+func (h *hybrid[S, R, P]) fail(f string) {
+	h.res.BUFailed[f] = true
+	h.failed[h.td.procIdx[f]] = true
 }
 
 // reachableWithoutSummaries returns the procedures reachable from f by call

@@ -17,6 +17,27 @@ import (
 	"swift/internal/ir"
 )
 
+// pathPair is a top-down path edge at a program point: the procedure was
+// entered in state in and has reached the point in state out.
+type pathPair[S cmp.Ordered] struct {
+	in  S
+	out S
+}
+
+// workItem is a worklist entry: a path edge at a node.
+type workItem[S cmp.Ordered] struct {
+	node int
+	edge pathPair[S]
+}
+
+// callerRec remembers a pending call so callee summaries can be plumbed back
+// to the return site: the caller was entered in state in and control resumes
+// at node ret.
+type callerRec[S cmp.Ordered] struct {
+	ret int
+	in  S
+}
+
 // LegacyTDResult mirrors the seed TDResult: the td map as raw pair sets
 // plus the counters the results tables consume.
 type LegacyTDResult[S cmp.Ordered] struct {

@@ -68,11 +68,11 @@ type sparseState[S cmp.Ordered] struct {
 	key []int64
 	// pend holds per-node pending facts in arrival order; gen/done are the
 	// dirty-frontier input-generation stamps; inq dedupes heap entries.
-	pend      [][]pathPair[S]
+	pend      [][]fact[S]
 	gen, done []uint32
 	inq       []bool
 	heap      []int64
-	free      [][]pathPair[S]
+	free      [][]fact[S]
 	stats     *SparseStats
 }
 
@@ -86,7 +86,7 @@ func newSparseState[S cmp.Ordered](idx *ir.StructIndex, config Config, stats *Sp
 	}
 	sp := &sparseState[S]{
 		key:   make([]int64, n),
-		pend:  make([][]pathPair[S], n),
+		pend:  make([][]fact[S], n),
 		gen:   make([]uint32, n),
 		done:  make([]uint32, n),
 		inq:   make([]bool, n),
@@ -113,7 +113,8 @@ func newSparseState[S cmp.Ordered](idx *ir.StructIndex, config Config, stats *Sp
 
 // enqueue records a newly inserted fact for its node and schedules the
 // node if it is not already queued.
-func (sp *sparseState[S]) enqueue(node int, p pathPair[S]) {
+func (sp *sparseState[S]) enqueue(f fact[S]) {
+	node := f.node
 	buf := sp.pend[node]
 	if buf == nil {
 		if k := len(sp.free); k > 0 {
@@ -121,7 +122,7 @@ func (sp *sparseState[S]) enqueue(node int, p pathPair[S]) {
 			sp.free = sp.free[:k-1]
 		}
 	}
-	sp.pend[node] = append(buf, p)
+	sp.pend[node] = append(buf, f)
 	sp.gen[node]++
 	if !sp.inq[node] {
 		sp.inq[node] = true
@@ -168,7 +169,7 @@ func (sp *sparseState[S]) heapPop() int64 {
 }
 
 // putBuf recycles a drained pending buffer (elements already zeroed).
-func (sp *sparseState[S]) putBuf(buf []pathPair[S]) {
+func (sp *sparseState[S]) putBuf(buf []fact[S]) {
 	if cap(buf) == 0 || cap(buf) > maxRetainedWork || len(sp.free) >= 64 {
 		return
 	}
@@ -195,7 +196,7 @@ func (t *tdSolver[S, R, P]) runSparse() error {
 		if err := t.dl.check(); err != nil {
 			return err
 		}
-		err := t.stepSparseBatch(node, pend)
+		err := t.stepSparseBatch(pend)
 		sp.putBuf(pend)
 		sp.done[node] = g
 		if err != nil {
@@ -209,28 +210,12 @@ func (t *tdSolver[S, R, P]) runSparse() error {
 // Facts that arrive at this node while the batch runs (self-loops,
 // immediate summaries) go to a fresh pending buffer and reschedule the
 // node; the generation snapshot in runSparse keeps them unprocessed here.
-func (t *tdSolver[S, R, P]) stepSparseBatch(node int, pend []pathPair[S]) error {
-	n := t.cfg.AllNodes[node]
-	pc := t.cfgOf[n.Proc]
-	isExit := n.ID == pc.Exit.ID
+func (t *tdSolver[S, R, P]) stepSparseBatch(pend []fact[S]) error {
 	for i := range pend {
-		p := pend[i]
-		pend[i] = pathPair[S]{}
-		if isExit {
-			if err := t.recordSummary(n.Proc, p.in, p.out); err != nil {
-				return err
-			}
-		}
-		for _, se := range t.view.Out[node] {
-			if se.IsCall() {
-				if err := t.handleCall(se, p.in, p.out); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := t.traverse(se, p.in, p.out); err != nil {
-				return err
-			}
+		f := pend[i]
+		pend[i] = fact[S]{}
+		if err := t.step(f); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -8,20 +8,19 @@ import (
 	"swift/internal/ir"
 )
 
-// pathPair is a top-down path edge at a program point: the procedure was
-// entered in state in and has reached the point in state out. These pairs
-// are exactly what the paper's td: PC → 2^(S×S) map records.
-type pathPair[S cmp.Ordered] struct {
-	in  S
-	out S
-}
-
-// callerRec remembers a pending call so callee summaries can be plumbed back
-// to the return site: the caller was entered in state in and control resumes
-// at node ret.
-type callerRec[S cmp.Ordered] struct {
-	ret int
-	in  S
+// fact is one top-down path edge in flight: node's procedure was entered
+// in its entry context ctx (an index into that procedure's procContexts)
+// and has reached node in state out — one pair of the paper's td: PC →
+// 2^(S×S) map, with the entry state named by its context index. The dense
+// worklist and the sparse pending buffers hold facts, and a caller record
+// is the return-site fact of a pending call, whose out each callee summary
+// fills in. Work that stays inside one procedure (chain walks, return
+// edges, summary resumptions) reuses the index it was handed; only a
+// callee's entry numbers a context through the map.
+type fact[S cmp.Ordered] struct {
+	node int32
+	ctx  int32
+	out  S
 }
 
 // pathCell is one (node, entry context) cell of the path-edge table. It is
@@ -158,13 +157,14 @@ func (r *TDResult[S]) insert(p *pathCell[S], out S) bool {
 func (r *TDResult[S]) insertSet(p *pathCell[S], states sortedSet[S], buf []S) []S {
 	buf = buf[:0]
 	switch {
+	case len(states) == 1:
+		// One state: insert's binary search, not mergeAppend's counting
+		// pass over a wide cell.
+		if r.insert(p, states[0]) {
+			buf = append(buf, states[0])
+		}
 	case p.many > 0:
 		r.wide[p.many-1], buf = mergeAppend(r.wide[p.many-1], states, buf)
-	case p.many == 0 && len(states) == 1:
-		p.one, p.many = states[0], -1
-		buf = append(buf, states[0])
-	case p.many < 0 && len(states) == 1 && states[0] == p.one:
-		// Already present.
 	default: // the cell turns wide
 		var dst, set sortedSet[S]
 		if p.many < 0 {
@@ -319,10 +319,10 @@ func (r *TDResult[S]) EntryStates(proc string) []S {
 // interceptor lets the hybrid driver hook procedure calls in the tabulation:
 // beforeCall may answer a call from bottom-up summaries; afterCall observes
 // calls the tabulation handled itself (so the driver can check the trigger
-// condition).
+// condition). callee is the callee's index into the solver's procs.
 type interceptor[S cmp.Ordered] interface {
-	beforeCall(callee string, s S) (results []S, handled bool, err error)
-	afterCall(callee string, s S) error
+	beforeCall(callee int32, s S) (results []S, handled bool, err error)
+	afterCall(callee int32, s S) error
 }
 
 // chainBuf holds the image of one state under a superedge's primitive
@@ -335,19 +335,39 @@ type chainBuf[S cmp.Ordered] struct {
 	states []S
 }
 
+// tdProc is the solver's table of one procedure, indexed like the
+// TDResult's procOf.
+type tdProc[S cmp.Ordered] struct {
+	name  string
+	entry int // entry node ID
+	// summaries and seen are the procedure's own Summaries and EntrySeen
+	// maps of the TDResult: the same map objects, not copies.
+	summaries map[S]sortedSet[S]
+	seen      multiset[S]
+	// callers[c] holds the return-site facts, out unset, of the calls that
+	// entered the procedure in its entry context c.
+	callers [][]fact[S]
+}
+
 // tdSolver runs the tabulation algorithm of Reps–Horwitz–Sagiv (the paper's
 // run_td) over a view of the program CFG.
 type tdSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
-	client  Client[S, R, P]
-	cfg     *ir.CFG
-	cfgOf   map[string]*ir.ProcCFG
-	view    *ir.CFGView
-	config  Config
-	hook    interceptor[S]
-	res     *TDResult[S]
-	callers map[string]map[S][]callerRec[S]
-	work    []workItem[S]
-	head    int
+	client Client[S, R, P]
+	cfg    *ir.CFG
+	view   *ir.CFGView
+	config Config
+	hook   interceptor[S]
+	res    *TDResult[S]
+	// procs holds one table per procedure, in ProcNames order; procIdx maps
+	// a name to its index. calleeOf maps a call superedge's ID to its
+	// callee's index, and isExit marks each procedure's exit node, so the
+	// per-fact paths look nothing up by name.
+	procs    []tdProc[S]
+	procIdx  map[string]int32
+	calleeOf []int32
+	isExit   []bool
+	work     []fact[S]
+	head     int
 	// chain is the chain walk's image buffer, reset before every walk.
 	chain chainBuf[S]
 	// addbuf is the scratch buffer insertFactSet hands to mergeAppend; it
@@ -366,11 +386,6 @@ type tdSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered] struct {
 	// bu set it; the hybrid runs dense (see RunSwift).
 	sp *sparseState[S]
 	dl deadline
-}
-
-type workItem[S cmp.Ordered] struct {
-	node int
-	edge pathPair[S]
 }
 
 // maxRetainedWork caps the worklist backing array kept after a drain; the
@@ -396,20 +411,34 @@ func newTDSolver[S cmp.Ordered, R cmp.Ordered, P cmp.Ordered](
 	res := newPathTable[S](procOf, len(names))
 	res.Summaries = map[string]map[S]sortedSet[S]{}
 	res.EntrySeen = map[string]multiset[S]{}
-	for _, name := range names {
-		res.Summaries[name] = map[S]sortedSet[S]{}
-		res.EntrySeen[name] = multiset[S]{}
-	}
 	t := &tdSolver[S, R, P]{
-		client:  client,
-		cfg:     cfg,
-		cfgOf:   cfg.ByProc,
-		view:    view,
-		config:  config,
-		hook:    hook,
-		res:     res,
-		callers: map[string]map[S][]callerRec[S]{},
-		dl:      newDeadline(config),
+		client:   client,
+		cfg:      cfg,
+		view:     view,
+		config:   config,
+		hook:     hook,
+		res:      res,
+		procs:    make([]tdProc[S], len(names)),
+		procIdx:  make(map[string]int32, len(names)),
+		calleeOf: make([]int32, view.NumSuperEdges),
+		isExit:   make([]bool, cfg.NodeCount),
+		dl:       newDeadline(config),
+	}
+	for i, name := range names {
+		pc := cfg.ByProc[name]
+		tp := &t.procs[i]
+		tp.name, tp.entry = name, pc.Entry.ID
+		tp.summaries, tp.seen = map[S]sortedSet[S]{}, multiset[S]{}
+		res.Summaries[name], res.EntrySeen[name] = tp.summaries, tp.seen
+		t.procIdx[name] = int32(i)
+		t.isExit[pc.Exit.ID] = true
+	}
+	for _, out := range view.Out {
+		for _, se := range out {
+			if se.IsCall() {
+				t.calleeOf[se.ID] = t.procIdx[se.Call]
+			}
+		}
 	}
 	if tc, ok := client.(TransCompiler[S]); ok {
 		t.compiler = tc
@@ -456,18 +485,25 @@ func (t *tdSolver[S, R, P]) insertFact(node int, c int32, out S) (bool, error) {
 	return true, nil
 }
 
-// propagate inserts a path edge and schedules it if new.
-func (t *tdSolver[S, R, P]) propagate(node int, in, out S) error {
-	added, err := t.insertFact(node, t.res.context(node, in), out)
+// propagate inserts state out at node under entry context c and schedules
+// the fact if new.
+func (t *tdSolver[S, R, P]) propagate(node int, c int32, out S) error {
+	added, err := t.insertFact(node, c, out)
 	if err != nil || !added {
 		return err
 	}
-	if t.sp != nil {
-		t.sp.enqueue(node, pathPair[S]{in: in, out: out})
-		return nil
-	}
-	t.work = append(t.work, workItem[S]{node: node, edge: pathPair[S]{in: in, out: out}})
+	t.schedule(fact[S]{node: int32(node), ctx: c, out: out})
 	return nil
+}
+
+// schedule hands a newly inserted fact to the sparse scheduler or the
+// dense worklist.
+func (t *tdSolver[S, R, P]) schedule(f fact[S]) {
+	if t.sp != nil {
+		t.sp.enqueue(f)
+		return
+	}
+	t.work = append(t.work, f)
 }
 
 // batched inserts below serve the compressed chain walk; the per-fact
@@ -518,27 +554,21 @@ func (t *tdSolver[S, R, P]) recordInteriorSet(node int, c int32, states sortedSe
 	return len(added), t.dl.check()
 }
 
-// propagateSet batch-inserts path edges at node under entry context in,
-// whose index is c, and schedules the new ones.
-func (t *tdSolver[S, R, P]) propagateSet(node int, in S, c int32, states sortedSet[S]) error {
+// propagateSet batch-inserts path edges at node under entry context c and
+// schedules the new ones.
+func (t *tdSolver[S, R, P]) propagateSet(node int, c int32, states sortedSet[S]) error {
 	added, err := t.insertFactSet(node, c, states)
-	if t.sp != nil {
-		for _, s := range added {
-			t.sp.enqueue(node, pathPair[S]{in: in, out: s})
-		}
-		return err
-	}
 	for _, s := range added {
-		t.work = append(t.work, workItem[S]{node: node, edge: pathPair[S]{in: in, out: s}})
+		t.schedule(fact[S]{node: int32(node), ctx: c, out: s})
 	}
 	return err
 }
 
 // seed enters the analysis at the program entry with the initial state.
 func (t *tdSolver[S, R, P]) seed(initial S) error {
-	entry := t.cfgOf[t.cfg.Program.Entry]
-	t.res.EntrySeen[t.cfg.Program.Entry].add(initial, 1)
-	return t.propagate(entry.Entry.ID, initial, initial)
+	tp := &t.procs[t.procIdx[t.cfg.Program.Entry]]
+	tp.seen.add(initial, 1)
+	return t.propagate(tp.entry, t.res.context(tp.entry, initial), initial)
 }
 
 // run drains the worklist to a fixpoint.
@@ -551,7 +581,7 @@ func (t *tdSolver[S, R, P]) run() error {
 		// Zero the popped slot: the backing array survives across the
 		// re-entries of long hybrid runs and would otherwise pin every
 		// popped state for the lifetime of the run.
-		t.work[t.head] = workItem[S]{}
+		t.work[t.head] = fact[S]{}
 		t.head++
 		t.res.Steps++
 		if err := t.dl.check(); err != nil {
@@ -572,22 +602,22 @@ func (t *tdSolver[S, R, P]) run() error {
 	return nil
 }
 
-func (t *tdSolver[S, R, P]) step(item workItem[S]) error {
-	node := t.cfg.AllNodes[item.node]
-	pc := t.cfgOf[node.Proc]
-	if node.ID == pc.Exit.ID {
-		if err := t.recordSummary(node.Proc, item.edge.in, item.edge.out); err != nil {
+// step processes one popped fact: a summary at its procedure's exit, then
+// every outgoing superedge.
+func (t *tdSolver[S, R, P]) step(f fact[S]) error {
+	if t.isExit[f.node] {
+		if err := t.recordSummary(t.res.procOf[f.node], f.ctx, f.out); err != nil {
 			return err
 		}
 	}
-	for _, se := range t.view.Out[item.node] {
+	for _, se := range t.view.Out[f.node] {
 		if se.IsCall() {
-			if err := t.handleCall(se, item.edge.in, item.edge.out); err != nil {
+			if err := t.handleCall(se, f.ctx, f.out); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := t.traverse(se, item.edge.in, item.edge.out); err != nil {
+		if err := t.traverse(se, f.ctx, f.out); err != nil {
 			return err
 		}
 	}
@@ -595,14 +625,14 @@ func (t *tdSolver[S, R, P]) step(item workItem[S]) error {
 }
 
 // traverse pushes state out through a primitive superedge under entry
-// context in: interior nodes of a compressed chain receive their facts
+// context c: interior nodes of a compressed chain receive their facts
 // eagerly (so every original-graph observation is preserved), and the
 // chain's final states propagate to the superedge target. Every engine
 // walks chains here; a raw-view superedge is a chain without interior
-// nodes.
-func (t *tdSolver[S, R, P]) traverse(se *ir.SuperEdge, in, out S) error {
+// nodes. A chain stays inside one procedure, so c indexes every node's
+// context.
+func (t *tdSolver[S, R, P]) traverse(se *ir.SuperEdge, c int32, out S) error {
 	m := t.walkChain(se, out)
-	c := t.res.context(se.From.ID, in) // one procedure, so one context index
 	off := int32(0)
 	for i, w := range se.Interior {
 		set := m.states[off : off+m.lens[i]]
@@ -620,7 +650,7 @@ func (t *tdSolver[S, R, P]) traverse(se *ir.SuperEdge, in, out S) error {
 			return nil
 		}
 	}
-	return t.propagateSet(se.To.ID, in, c, m.states[off:])
+	return t.propagateSet(se.To.ID, c, m.states[off:])
 }
 
 // walkChain composes the superedge's transfer functions on state s0 and
@@ -654,63 +684,68 @@ func (t *tdSolver[S, R, P]) walkChain(se *ir.SuperEdge, s0 S) *chainBuf[S] {
 	return m
 }
 
-// recordSummary adds (in → out) to the summary table of proc and resumes all
-// callers waiting on that entry state.
-func (t *tdSolver[S, R, P]) recordSummary(proc string, in, out S) error {
-	exits := t.res.Summaries[proc][in]
-	exits, added := exits.insert(out)
+// recordSummary adds (in → out) to the summary table of procedure p, where
+// in is p's entry context c, and resumes all callers waiting on that
+// context.
+func (t *tdSolver[S, R, P]) recordSummary(p, c int32, out S) error {
+	tp := &t.procs[p]
+	in := t.res.ctxs[p].list[c]
+	exits, added := tp.summaries[in].insert(out)
 	if !added {
 		return nil
 	}
-	t.res.Summaries[proc][in] = exits
+	tp.summaries[in] = exits
 	t.res.NumSummaries++
 	if t.res.NumSummaries > t.config.MaxTDSummaries {
 		return ErrBudget
 	}
-	for _, c := range t.callers[proc][in] {
-		if err := t.propagate(c.ret, c.in, out); err != nil {
-			return err
+	if int(c) < len(tp.callers) {
+		for _, ret := range tp.callers[c] {
+			if err := t.propagate(int(ret.node), ret.ctx, out); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// handleCall implements lines 9–21 of Algorithm 1 for one call edge: first
-// the hook (bottom-up summaries) gets a chance; otherwise the call is
-// tabulated top-down and the hook is notified so it can check the trigger.
-func (t *tdSolver[S, R, P]) handleCall(e *ir.SuperEdge, callerIn, s S) error {
-	callee := e.Call
+// handleCall implements lines 9–21 of Algorithm 1 for one call edge
+// reached in state s under the caller's entry context c: first the hook
+// (bottom-up summaries) gets a chance; otherwise the call is tabulated
+// top-down and the hook is notified so it can check the trigger.
+func (t *tdSolver[S, R, P]) handleCall(e *ir.SuperEdge, c int32, s S) error {
+	p := t.calleeOf[e.ID]
 	if t.hook != nil {
-		results, handled, err := t.hook.beforeCall(callee, s)
+		results, handled, err := t.hook.beforeCall(p, s)
 		if err != nil {
 			return err
 		}
 		if handled {
 			for _, out := range results {
-				if err := t.propagate(e.To.ID, callerIn, out); err != nil {
+				if err := t.propagate(e.To.ID, c, out); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 	}
-	t.res.EntrySeen[callee].add(s, 1)
-	byIn := t.callers[callee]
-	if byIn == nil {
-		byIn = map[S][]callerRec[S]{}
-		t.callers[callee] = byIn
+	tp := &t.procs[p]
+	tp.seen.add(s, 1)
+	cc := t.res.context(tp.entry, s)
+	for int(cc) >= len(tp.callers) {
+		tp.callers = append(tp.callers, nil)
 	}
-	byIn[s] = append(byIn[s], callerRec[S]{ret: e.To.ID, in: callerIn})
-	if err := t.propagate(t.cfgOf[callee].Entry.ID, s, s); err != nil {
+	tp.callers[cc] = append(tp.callers[cc], fact[S]{node: int32(e.To.ID), ctx: c})
+	if err := t.propagate(tp.entry, cc, s); err != nil {
 		return err
 	}
-	for _, out := range t.res.Summaries[callee][s] {
-		if err := t.propagate(e.To.ID, callerIn, out); err != nil {
+	for _, out := range tp.summaries[s] {
+		if err := t.propagate(e.To.ID, c, out); err != nil {
 			return err
 		}
 	}
 	if t.hook != nil {
-		return t.hook.afterCall(callee, s)
+		return t.hook.afterCall(p, s)
 	}
 	return nil
 }

@@ -1,14 +1,16 @@
 package core
 
-// White-box tests of the tabulation solver's memory behaviour: the worklist
-// must not pin popped states through its backing array and oversized
-// burst arrays must be released on drain.
+// White-box tests of the tabulation solver: the worklist must not pin
+// popped states through its backing array, oversized burst arrays must be
+// released on drain, the per-procedure tables must agree with the CFG and
+// the exported maps, and the path-edge cells must behave like sorted sets.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -39,9 +41,9 @@ func tdFixture(t *testing.T, config Config) (*tdSolver[string, string, string], 
 }
 
 // TestRunZeroesPoppedWorkItems pins the fix for the worklist retention bug:
-// popping by reslicing alone leaves every popped workItem — and the states
-// it holds — reachable through the backing array. After a drain, every slot
-// of the retained array must hold the zero workItem.
+// popping by reslicing alone leaves every popped fact — and the state it
+// holds — reachable through the backing array. After a drain, every slot of
+// the retained array must hold the zero fact.
 func TestRunZeroesPoppedWorkItems(t *testing.T) {
 	s, taint := tdFixture(t, TDConfig())
 	if err := s.seed(taint.Initial()); err != nil {
@@ -56,7 +58,7 @@ func TestRunZeroesPoppedWorkItems(t *testing.T) {
 	if s.work == nil {
 		t.Fatal("small worklist should keep its backing array")
 	}
-	var zero workItem[string]
+	var zero fact[string]
 	for i, w := range s.work[:cap(s.work)] {
 		if w != zero {
 			t.Fatalf("slot %d still holds %+v after drain", i, w)
@@ -72,7 +74,7 @@ func TestRunZeroesPoppedWorkItems(t *testing.T) {
 // wholesale on drain instead of being pinned until the next burst.
 func TestRunReleasesOversizedWorklist(t *testing.T) {
 	s, _ := tdFixture(t, TDConfig())
-	s.work = make([]workItem[string], maxRetainedWork+1)
+	s.work = make([]fact[string], maxRetainedWork+1)
 	s.head = len(s.work) // already drained: run goes straight to release
 	if err := s.run(); err != nil {
 		t.Fatal(err)
@@ -82,6 +84,90 @@ func TestRunReleasesOversizedWorklist(t *testing.T) {
 	}
 	if s.head != 0 {
 		t.Fatalf("head not reset: %d", s.head)
+	}
+}
+
+// TestSolverProcTables checks the per-procedure solver tables on a program
+// whose callee is entered in several contexts, under the dense and the
+// sparse scheduler: each tdProc's summary and entry maps are the very map
+// objects TDResult exports, isExit marks exactly the exit nodes, calleeOf
+// names every call superedge's callee, and every caller record carries its
+// caller's context: each summary of a callee context reached the return
+// site under the context of the caller that waits on it.
+func TestSolverProcTables(t *testing.T) {
+	prog := ir.NewProgram("main")
+	prog.Add(&ir.Proc{Name: "main", Body: &ir.Seq{Cmds: []ir.Cmd{
+		&ir.Prim{Kind: ir.New, Dst: "a", Site: "src"},
+		&ir.Call{Callee: "f"},
+		&ir.Prim{Kind: ir.Kill, Dst: "a"},
+		&ir.Call{Callee: "f"},
+		&ir.Choice{Alts: []ir.Cmd{
+			&ir.Prim{Kind: ir.Copy, Dst: "a", Src: "b"},
+			&ir.Call{Callee: "g"},
+		}},
+		&ir.Prim{Kind: ir.TSCall, Dst: "b", Method: "sink"},
+	}}})
+	prog.Add(&ir.Proc{Name: "f", Body: &ir.Seq{Cmds: []ir.Cmd{
+		&ir.Prim{Kind: ir.Copy, Dst: "b", Src: "a"},
+		&ir.Call{Callee: "g"},
+	}}})
+	prog.Add(&ir.Proc{Name: "g", Body: &ir.Loop{Body: &ir.Choice{Alts: []ir.Cmd{
+		&ir.Prim{Kind: ir.Copy, Dst: "c", Src: "b"},
+		&ir.Prim{Kind: ir.Kill, Dst: "b"},
+		&ir.Call{Callee: "g"},
+	}}}})
+	taint := killgen.NewTaint(prog, killgen.TaintConfig{Sources: []string{"src"}, Sinks: []string{"sink"}})
+	view := ir.CompressedView(ir.BuildCFG(prog))
+	for _, sidx := range []*ir.StructIndex{nil, ir.BuildStructIndex(view)} {
+		s := newTDSolver[string, string, string](taint, view, TDConfig(), nil, sidx)
+		if err := s.seed(taint.Initial()); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.run(); err != nil {
+			t.Fatal(err)
+		}
+		r := s.res
+		for i := range s.procs {
+			tp := &s.procs[i]
+			if reflect.ValueOf(r.Summaries[tp.name]).Pointer() != reflect.ValueOf(tp.summaries).Pointer() ||
+				reflect.ValueOf(r.EntrySeen[tp.name]).Pointer() != reflect.ValueOf(tp.seen).Pointer() {
+				t.Fatalf("%s: solver tables are not the exported maps", tp.name)
+			}
+			if s.procIdx[tp.name] != int32(i) || view.CFG.ByProc[tp.name].Entry.ID != tp.entry {
+				t.Fatalf("%s: index %d, entry %d", tp.name, s.procIdx[tp.name], tp.entry)
+			}
+		}
+		for _, n := range view.CFG.AllNodes {
+			if want := view.CFG.ByProc[n.Proc].Exit.ID == n.ID; s.isExit[n.ID] != want {
+				t.Fatalf("node %d: isExit %v, want %v", n.ID, s.isExit[n.ID], want)
+			}
+			for _, se := range view.Out[n.ID] {
+				if se.IsCall() && s.procs[s.calleeOf[se.ID]].name != se.Call {
+					t.Fatalf("superedge %d calls %s, calleeOf names %s", se.ID, se.Call, s.procs[s.calleeOf[se.ID]].name)
+				}
+			}
+		}
+		checked, multi := 0, false
+		for p, tp := range s.procs {
+			multi = multi || len(r.ctxs[p].list) > 1
+			for c, rets := range tp.callers {
+				exits := tp.summaries[r.ctxs[p].list[c]]
+				for _, ret := range rets {
+					callerIn := r.ctxs[r.procOf[ret.node]].list[ret.ctx]
+					got := r.NodeStatesIn(int(ret.node), callerIn)
+					for _, out := range exits {
+						if !slices.Contains(got, out) {
+							t.Fatalf("%s context %d: exit state %v missing at return node %d under caller context %v (has %v)",
+								tp.name, c, out, ret.node, callerIn, got)
+						}
+						checked++
+					}
+				}
+			}
+		}
+		if checked == 0 || !multi {
+			t.Fatalf("vacuous: %d return-site checks, a procedure with several contexts: %v", checked, multi)
+		}
 	}
 }
 

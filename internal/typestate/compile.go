@@ -13,7 +13,8 @@ import (
 // state. CompileTrans hoists that work out of the per-state path once per
 // primitive, and interns the operand sets once, so the per-state work of a
 // compiled transfer is a few word loops over bitset rows (domain.go) plus
-// one abstract-state intern.
+// at most one abstract-state intern: a transfer that leaves the state
+// unchanged returns the input ID without a probe (internNext).
 //
 // The compiled function appends exactly what Trans(c, s) returns — same
 // states, same order — so the solvers can use either form interchangeably;
@@ -65,7 +66,7 @@ func (a *Analysis) compileTrans(c *ir.Prim) func(s AbsID, dst []AbsID) []AbsID {
 			if vpRel {
 				nc = t.setMinusSet(nc, vpSet)
 			}
-			dst = append(dst, t.internAbs(absState{
+			dst = append(dst, t.internNext(s, st, absState{
 				h: st.h, t: st.t,
 				a:  t.setMinusSet(st.a, rootedID),
 				nc: nc,
@@ -112,7 +113,7 @@ func (a *Analysis) compileTrans(c *ir.Prim) func(s AbsID, dst []AbsID) []AbsID {
 			default:
 				nc2 = t.setUnion(st.nc, ffID)
 			}
-			return append(dst, t.internAbs(absState{h: st.h, t: st.t, a: a2, nc: nc2}))
+			return append(dst, t.internNext(s, st, absState{h: st.h, t: st.t, a: a2, nc: nc2}))
 		}
 
 	case ir.TSCall:
@@ -126,12 +127,12 @@ func (a *Analysis) compileTrans(c *ir.Prim) func(s AbsID, dst []AbsID) []AbsID {
 			switch {
 			case vRel && t.setHas(st.a, v):
 				g := t.applyTrans(mt, st.t)
-				return append(dst, t.internAbs(absState{h: st.h, t: g, a: st.a, nc: st.nc}))
+				return append(dst, t.internNext(s, st, absState{h: st.h, t: g, a: st.a, nc: st.nc}))
 			case !vRel || !t.setHas(st.nc, v):
 				return append(dst, s)
 			case mayRow[st.h]:
 				g := t.applyTrans(errT, st.t)
-				return append(dst, t.internAbs(absState{h: st.h, t: g, a: st.a, nc: st.nc}))
+				return append(dst, t.internNext(s, st, absState{h: st.h, t: g, a: st.a, nc: st.nc}))
 			default:
 				return append(dst, s)
 			}
@@ -141,7 +142,7 @@ func (a *Analysis) compileTrans(c *ir.Prim) func(s AbsID, dst []AbsID) []AbsID {
 		rootedID := t.internSet(t.rooted(c.Dst))
 		return func(s AbsID, dst []AbsID) []AbsID {
 			st := t.absOf(s)
-			return append(dst, t.internAbs(absState{
+			return append(dst, t.internNext(s, st, absState{
 				h: st.h, t: st.t,
 				a:  t.setMinusSet(st.a, rootedID),
 				nc: t.setUnion(st.nc, rootedID),
@@ -174,6 +175,17 @@ func (a *Analysis) compileCopyLike(dstVar string, src PathID) func(AbsID, []AbsI
 		case inN && dpRel:
 			nc2 = t.setMinusSet(nc2, dpSet)
 		}
-		return append(dst, t.internAbs(absState{h: st.h, t: st.t, a: a2, nc: nc2}))
+		return append(dst, t.internNext(s, st, absState{h: st.h, t: st.t, a: a2, nc: nc2}))
 	}
+}
+
+// internNext returns the ID of next, the image of state s whose decoded
+// form is st: s itself when next equals st — it is interned under s
+// already, so skipping the probe changes no ID — and next's interned ID
+// otherwise.
+func (t *tables) internNext(s AbsID, st, next absState) AbsID {
+	if next == st {
+		return s
+	}
+	return t.internAbs(next)
 }

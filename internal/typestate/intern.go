@@ -28,15 +28,17 @@ import (
 // pages fill in intern order, a value that does not fit a page's
 // remainder starts the next page, and dir holds one slice per value.
 //
-// The index is an open-addressing array of {tag, id} slots whose length is
+// The index is an open-addressing array of {tag, ref} slots whose length is
 // a power of two. tag is the low 32 bits of the value's 64-bit hash, and
-// tag masked to the array length is the value's home slot. intern probes
-// linearly from home: an empty slot means the value is new and takes that
-// slot; a slot with an equal tag is confirmed element by element against
-// the stored value, so values that share a full hash simply sit in
-// neighbouring slots. An insert that leaves the index more than half full
-// doubles it, and every slot moves to the home its tag gives in the larger
-// array, so growth rehashes no value.
+// tag masked to the array length is the value's home slot. ref is the
+// value's ID plus one, so the zero slot is the empty one and a fresh index
+// straight from make needs no fill pass. intern probes linearly from home:
+// an empty slot means the value is new and takes that slot; a slot with an
+// equal tag is confirmed element by element against the stored value, so
+// values that share a full hash simply sit in neighbouring slots. An insert
+// that leaves the index more than half full doubles it, and every slot
+// moves to the home its tag gives in the larger array, so growth rehashes
+// no value.
 //
 // ID stability: IDs are dense and assigned in exactly the order unique
 // values are first interned; the hash decides only where a slot sits,
@@ -54,10 +56,11 @@ const (
 	pageCap = 8192
 )
 
-// slot is one entry of a table's index; id < 0 marks an empty slot.
+// slot is one entry of a table's index. ref is the ID of the value it
+// locates plus one; ref == 0 marks an empty slot.
 type slot struct {
 	tag uint32
-	id  int32
+	ref int32
 }
 
 // table assigns dense int32 IDs to unique sequences of E.
@@ -87,7 +90,7 @@ func newTable[E ~int32 | ~uint64](width int, hash func([]E) uint64) *table[E] {
 	w := max(width, 1) // a width-0 table stores empty values, paged like width 1
 	shift := uint(bits.Len(uint(max(firstPage/w, 1))) - 1)
 	return &table[E]{
-		hash: hash, width: width, slots: emptySlots(16), scratch: make([]E, width),
+		hash: hash, width: width, slots: make([]slot, 16), scratch: make([]E, width),
 		shift: shift, mask: 1<<shift - 1,
 		fullShift: uint(bits.Len(uint(max(pageCap/w, 1))) - 1),
 	}
@@ -96,7 +99,7 @@ func newTable[E ~int32 | ~uint64](width int, hash func([]E) uint64) *table[E] {
 // newVarTable returns an empty table of variable-width values hashing with
 // hash.
 func newVarTable[E ~int32 | ~uint64](hash func([]E) uint64) *table[E] {
-	return &table[E]{hash: hash, width: -1, slots: emptySlots(16)}
+	return &table[E]{hash: hash, width: -1, slots: make([]slot, 16)}
 }
 
 // newSetTable returns an empty table of path sets over a universe of
@@ -104,14 +107,6 @@ func newVarTable[E ~int32 | ~uint64](hash func([]E) uint64) *table[E] {
 // standing for path p.
 func newSetTable(numPaths int, hash func([]uint64) uint64) *table[uint64] {
 	return newTable((numPaths+63)/64, hash)
-}
-
-func emptySlots(n int) []slot {
-	s := make([]slot, n)
-	for i := range s {
-		s[i].id = -1
-	}
-	return s
 }
 
 // intern returns the dense ID of xs, copying it into a page on first
@@ -122,9 +117,9 @@ func (t *table[E]) intern(xs []E) int32 {
 	tag := uint32(t.hash(xs))
 	mask := uint32(len(t.slots) - 1)
 	i := tag & mask
-	for ; t.slots[i].id >= 0; i = (i + 1) & mask {
-		if s := t.slots[i]; s.tag == tag && slices.Equal(t.at(s.id), xs) {
-			return s.id
+	for ; t.slots[i].ref != 0; i = (i + 1) & mask {
+		if s := t.slots[i]; s.tag == tag && slices.Equal(t.at(s.ref-1), xs) {
+			return s.ref - 1
 		}
 	}
 	id := int32(t.n)
@@ -134,7 +129,7 @@ func (t *table[E]) intern(xs []E) int32 {
 		t.storeFixed(id, xs)
 	}
 	t.n++
-	t.slots[i] = slot{tag: tag, id: id}
+	t.slots[i] = slot{tag: tag, ref: id + 1}
 	if 2*t.n > len(t.slots) {
 		t.grow()
 	}
@@ -183,14 +178,14 @@ func (t *table[E]) storeVar(xs []E) {
 // grow doubles the index, moving every slot to its tag's home.
 func (t *table[E]) grow() {
 	old := t.slots
-	t.slots = emptySlots(2 * len(old))
+	t.slots = make([]slot, 2*len(old))
 	mask := uint32(len(t.slots) - 1)
 	for _, s := range old {
-		if s.id < 0 {
+		if s.ref == 0 {
 			continue
 		}
 		i := s.tag & mask
-		for t.slots[i].id >= 0 {
+		for t.slots[i].ref != 0 {
 			i = (i + 1) & mask
 		}
 		t.slots[i] = s

@@ -369,3 +369,52 @@ func TestSerialEngineDeterminism(t *testing.T) {
 		t.Fatalf("fixture did not summarize the callee:\n%s", a)
 	}
 }
+
+// TestInternFindsIDZeroAcrossGrowth guards the index's slot encoding: a
+// slot holds its value's ID plus one, so the zero slot is the empty one and
+// ID 0 must not read as empty. Under a constant hash, which puts every value
+// in one probe run, under a hash whose tag is zero and under the real hash,
+// it interns values through at least three doublings of the index and
+// checks after every intern that ID 0 and the latest ID are found again,
+// and that the occupied slots number exactly the interned values.
+func TestInternFindsIDZeroAcrossGrowth(t *testing.T) {
+	val := func(i int) []int32 { return []int32{int32(i), int32(-i), 7} }
+	for _, tc := range []struct {
+		name string
+		hash func([]int32) uint64
+	}{
+		{"const", constHash[int32]},
+		{"zero-tag", func([]int32) uint64 { return 1 << 40 }},
+		{"real", hashRow[int32]},
+	} {
+		tab := newTable(3, tc.hash)
+		doublings, slots := 0, len(tab.slots)
+		for i := 0; doublings < 3 || i < 200; i++ {
+			if id := tab.intern(val(i)); id != int32(i) {
+				t.Fatalf("%s: value %d got id %d", tc.name, i, id)
+			}
+			if len(tab.slots) != slots {
+				doublings++
+				slots = len(tab.slots)
+			}
+			if id := tab.intern(val(0)); id != 0 {
+				t.Fatalf("%s: after %d values, value 0 got id %d", tc.name, i+1, id)
+			}
+			if id := tab.intern(val(i)); id != int32(i) {
+				t.Fatalf("%s: after %d values, value %d got id %d", tc.name, i+1, i, id)
+			}
+			used := 0
+			for _, s := range tab.slots {
+				if s.ref != 0 {
+					used++
+				}
+			}
+			if tab.size() != i+1 || used != i+1 {
+				t.Fatalf("%s: after %d values, size %d and %d occupied slots", tc.name, i+1, tab.size(), used)
+			}
+		}
+		if doublings < 3 {
+			t.Fatalf("%s: the index doubled %d times, want at least 3", tc.name, doublings)
+		}
+	}
+}
